@@ -528,42 +528,39 @@ pub fn minmax_optimal_bb(
     let obj = MinMaxObjective::build(inputs)?;
     let m = inputs.len();
 
-    // Per-voter pair costs: cv[(v*n + a)*n + b] = cost of a ahead of b.
-    let mut cv = vec![0u8; m * n * n];
-    for v in 0..m {
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    cv[(v * n + a) * n + b] =
-                        obj.pair_cost_x2(v, a as ElementId, b as ElementId) as u8;
+    // lb[v] starts at voter v's tied pairs, which cost 1 whichever way
+    // they are placed. pending[u*m + v] starts at 2 × the elements v
+    // ranks strictly ahead of u; beats[(a*n + u)*m + v] is a's share.
+    let mut beats = vec![0u32; n * n * m];
+    let mut lb = vec![0u64; m];
+    let mut pending = vec![0u32; n * m];
+    for a in 0..n {
+        for u in 0..n {
+            for v in 0..m {
+                match obj
+                    .bucket_of(v, a as ElementId)
+                    .cmp(&obj.bucket_of(v, u as ElementId))
+                {
+                    Ordering::Less => {
+                        beats[(a * n + u) * m + v] = 2;
+                        pending[u * m + v] += 2;
+                    }
+                    Ordering::Equal if a < u => lb[v] += 1,
+                    _ => {}
                 }
             }
         }
     }
-    // Per-voter LB: every pair the voter ties costs 1 either way.
-    let tied_lb: Vec<u64> = (0..m)
-        .map(|v| {
-            let mut t = 0u64;
-            for a in 0..n {
-                for b in a + 1..n {
-                    if cv[(v * n + a) * n + b] == 1 {
-                        t += 1;
-                    }
-                }
-            }
-            t
-        })
-        .collect();
 
     let mut search = Search {
         n,
         m,
-        cv: &cv,
+        beats: &beats,
         cons: constraints,
         prefix: Vec::with_capacity(n),
         in_prefix: vec![false; n],
-        cost: vec![0u64; m],
-        tied_lb,
+        lb,
+        pending,
         placed: vec![0u32; constraints.map_or(0, |c| c.classes.len())],
         best_perm: warm.as_permutation().expect("heuristic emits full rankings"),
         best_cost: warm_cost,
@@ -577,17 +574,25 @@ pub fn minmax_optimal_bb(
     Ok((order, search.best_cost, search.stats))
 }
 
+/// The exact search's state. Placing `e` next charges each voter `v`
+/// the ties `e` has with the unplaced set (already inside `lb[v]`) plus
+/// 2 for every unplaced element `v` ranks strictly ahead of `e` — the
+/// `pending[e*m + v]` kept up to date across placements — so a
+/// candidate's bound is an `O(m)` max and a placement is one `O(n·m)`
+/// pass over `beats`.
 struct Search<'a> {
     n: usize,
     m: usize,
-    cv: &'a [u8],
+    beats: &'a [u32],
     cons: Option<&'a ClassConstraints>,
     prefix: Vec<ElementId>,
     in_prefix: Vec<bool>,
-    /// Per-voter cost of the fixed prefix.
-    cost: Vec<u64>,
-    /// Per-voter tied pairs wholly inside the unplaced set.
-    tied_lb: Vec<u64>,
+    /// Per-voter lower bound: cost of the fixed prefix plus the tied
+    /// pairs wholly inside the unplaced set. At a leaf it is the cost.
+    lb: Vec<u64>,
+    /// `pending[e*m + v]`: 2 × the unplaced elements voter `v` ranks
+    /// strictly ahead of `e` (kept for placed `e` too, never read).
+    pending: Vec<u32>,
     /// Per-dense-class prefix counts (empty when unconstrained).
     placed: Vec<u32>,
     best_perm: Vec<ElementId>,
@@ -600,16 +605,16 @@ impl Search<'_> {
         self.stats.nodes += 1;
         let depth = self.prefix.len();
         if depth == self.n {
-            let total = self.cost.iter().copied().max().unwrap_or(0);
+            let total = self.lb.iter().copied().max().unwrap_or(0);
             if total < self.best_cost {
                 self.best_cost = total;
                 self.best_perm = self.prefix.clone();
             }
             return;
         }
-        // Candidate next elements with their per-voter increments,
-        // cheapest optimistic bound first.
-        let mut cands: Vec<(u64, ElementId, Vec<u64>, Vec<u64>)> = Vec::new();
+        // Candidate next elements, cheapest optimistic bound first.
+        let mut cands = [(0u64, 0 as ElementId); MAX_MINMAX_N];
+        let mut k = 0;
         for e in 0..self.n {
             if self.in_prefix[e] {
                 continue;
@@ -620,39 +625,29 @@ impl Search<'_> {
                     continue;
                 }
             }
-            let mut inc = vec![0u64; self.m];
-            let mut tdrop = vec![0u64; self.m];
-            let mut bound = 0u64;
-            for v in 0..self.m {
-                let row = &self.cv[(v * self.n + e) * self.n..(v * self.n + e + 1) * self.n];
-                for (u, &c) in row.iter().enumerate() {
-                    if u == e || self.in_prefix[u] {
-                        continue;
-                    }
-                    inc[v] += c as u64;
-                    if c == 1 {
-                        tdrop[v] += 1;
-                    }
-                }
-                bound = bound.max(self.cost[v] + inc[v] + self.tied_lb[v] - tdrop[v]);
-            }
+            let pending = &self.pending[e * self.m..(e + 1) * self.m];
+            let bound = self
+                .lb
+                .iter()
+                .zip(pending)
+                .map(|(&l, &p)| l + u64::from(p))
+                .max()
+                .unwrap_or(0);
             if bound >= self.best_cost {
                 self.stats.pruned += 1;
                 continue;
             }
-            cands.push((bound, e as ElementId, inc, tdrop));
+            cands[k] = (bound, e as ElementId);
+            k += 1;
         }
-        cands.sort_unstable_by_key(|&(b, e, _, _)| (b, e));
-        for (bound, e, inc, tdrop) in cands {
+        cands[..k].sort_unstable();
+        for &(bound, e) in &cands[..k] {
             // Recheck: the incumbent may have improved since collection.
             if bound >= self.best_cost {
                 self.stats.pruned += 1;
                 continue;
             }
-            for v in 0..self.m {
-                self.cost[v] += inc[v];
-                self.tied_lb[v] -= tdrop[v];
-            }
+            self.place(e as usize);
             self.prefix.push(e);
             self.in_prefix[e as usize] = true;
             let mut ok = true;
@@ -670,10 +665,33 @@ impl Search<'_> {
             }
             self.in_prefix[e as usize] = false;
             self.prefix.pop();
-            for v in 0..self.m {
-                self.cost[v] -= inc[v];
-                self.tied_lb[v] += tdrop[v];
-            }
+            self.unplace(e as usize);
+        }
+    }
+
+    /// Places `e` next: its pending penalty joins `lb`, and its `beats`
+    /// row leaves every element's pending penalty. (Its own penalty is
+    /// untouched by its own row, so [`Self::unplace`] reads the same.)
+    fn place(&mut self, e: usize) {
+        let (m, nm) = (self.m, self.n * self.m);
+        for (l, &p) in self.lb.iter_mut().zip(&self.pending[e * m..(e + 1) * m]) {
+            *l += u64::from(p);
+        }
+        let row = &self.beats[e * nm..(e + 1) * nm];
+        for (p, &b) in self.pending.iter_mut().zip(row) {
+            *p -= b;
+        }
+    }
+
+    /// Undoes [`Self::place`].
+    fn unplace(&mut self, e: usize) {
+        let (m, nm) = (self.m, self.n * self.m);
+        let row = &self.beats[e * nm..(e + 1) * nm];
+        for (p, &b) in self.pending.iter_mut().zip(row) {
+            *p += b;
+        }
+        for (l, &p) in self.lb.iter_mut().zip(&self.pending[e * m..(e + 1) * m]) {
+            *l -= u64::from(p);
         }
     }
 

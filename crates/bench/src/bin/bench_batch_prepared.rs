@@ -13,9 +13,12 @@
 //! file `BENCH_metrics.json` (override with `BUCKETRANK_BENCH_OUT`);
 //! `BUCKETRANK_BENCH_M` / `BUCKETRANK_BENCH_N` override the workload
 //! shape, and `BUCKETRANK_BENCH_FAST=1` runs the smoke-gate pass. A
-//! hard gate runs in both modes: the dispatched `Kprof` matrix (the
+//! `sweep` row times the forced sweep lane on full permutations
+//! (16 × 4096, so the count tree is three levels deep) in both modes.
+//! Hard gates run in both modes: the dispatched `Kprof` matrix (the
 //! counting lane on this bucketed workload) must hold ≥1.5×
-//! single-thread over the forced sort-lane baseline.
+//! single-thread over the forced sweep-lane baseline, and the prepared
+//! `FHaus` matrix ≥20× over the direct one.
 
 use bucketrank_bench::report::{env_usize, fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
@@ -26,23 +29,22 @@ use bucketrank_metrics::batch::{
     pairwise_matrix_with, prepare_all, weighted_pairwise_matrix,
     weighted_pairwise_matrix_parallel, BatchMetric, WeightedMetric,
 };
-use bucketrank_metrics::prepared::pair_counts_fenwick_in;
-use bucketrank_metrics::{PairArena, Weights};
-use bucketrank_workloads::random::random_few_valued;
+use bucketrank_metrics::prepared::pair_counts_sweep_in;
+use bucketrank_metrics::{PairArena, PreparedRanking, Weights};
+use bucketrank_workloads::random::{random_few_valued, random_full_ranking};
 use bucketrank_workloads::rng::{Pcg32, SeedableRng};
 
 /// The `Kprof` matrix with the pair-statistics lane pinned to the
-/// Fenwick sort kernel — the pre-dispatcher baseline the gate measures
-/// against. Mirrors `pairwise_matrix` shape-for-shape: prepared views,
-/// one arena, one dense upper-triangle sweep.
-fn kprof_matrix_fenwick(profile: &[BucketOrder]) -> Vec<u64> {
-    let prepared = prepare_all(profile).unwrap();
+/// sweep kernel — the baseline the lane gate measures against. Mirrors
+/// `pairwise_matrix_prepared` shape-for-shape: one arena, one dense
+/// upper-triangle pass.
+fn kprof_matrix_sweep(prepared: &[PreparedRanking<'_>]) -> Vec<u64> {
     let mut arena = PairArena::new();
     let m = prepared.len();
     let mut out = vec![0u64; m * m];
     for i in 0..m {
         for j in i + 1..m {
-            let c = pair_counts_fenwick_in(&mut arena, &prepared[i], &prepared[j]).unwrap();
+            let c = pair_counts_sweep_in(&mut arena, &prepared[i], &prepared[j]).unwrap();
             let d = 2 * c.discordant + c.tied_exactly_one();
             out[i * m + j] = d;
             out[j * m + i] = d;
@@ -143,6 +145,26 @@ fn main() {
         all.extend([naive_seq, prepared_seq, prepared_par]);
     }
 
+    // The sweep lane at large kτ: on full permutations the dispatcher
+    // picks this lane too, and at 4096 buckets the count tree is three
+    // levels deep. Same shape in both modes; the views are prepared
+    // once, outside the timing, so the row is the lane alone.
+    let (sweep_m, sweep_n) = (16, 4096);
+    let full: Vec<BucketOrder> = (0..sweep_m)
+        .map(|_| random_full_ranking(&mut rng, sweep_n))
+        .collect();
+    let full_prepared = prepare_all(&full).unwrap();
+    group(&format!(
+        "batch/kprof_x2 sweep lane ({sweep_m} full rankings × {sweep_n} elements)"
+    ));
+    let sweep = s.bench(
+        &format!("batch/kprof_x2/sweep/seq/{sweep_m}x{sweep_n}"),
+        || kprof_matrix_sweep(&full_prepared),
+    );
+    let sweep_bytes = (sweep_m * (sweep_m - 1) / 2 * 2 * sweep_n * 4) as f64;
+    bandwidths.push((sweep.name.clone(), sweep_bytes / (sweep.min_ns * 1e-9)));
+    all.push(sweep);
+
     let roofline = memcpy_bandwidth();
     println!(
         "roofline: memcpy {:.2} GiB/s ({} MiB buffer, best of {})",
@@ -176,27 +198,41 @@ fn main() {
 
     // Hard lane gate: the dispatched Kprof matrix (counting lane on
     // this ≤8-bucket workload) must hold ≥1.5× single-thread over the
-    // forced sort-lane baseline — the prepared kernel as it shipped
-    // before the dispatcher. Best-of-3 `Instant` timings; runs in both
-    // modes on the same profile as the rows above.
-    let mut fenwick_s = f64::INFINITY;
+    // forced sweep-lane baseline. Best-of-3 `Instant` timings; runs in
+    // both modes on the same profile as the rows above.
+    let mut sweep_s = f64::INFINITY;
     let mut table_s = f64::INFINITY;
     for _ in 0..3 {
         let t0 = std::time::Instant::now();
-        std::hint::black_box(kprof_matrix_fenwick(&profile));
-        fenwick_s = fenwick_s.min(t0.elapsed().as_secs_f64());
+        std::hint::black_box(kprof_matrix_sweep(&prepare_all(&profile).unwrap()));
+        sweep_s = sweep_s.min(t0.elapsed().as_secs_f64());
         let t0 = std::time::Instant::now();
         std::hint::black_box(pairwise_matrix(&profile, BatchMetric::KProfX2).unwrap());
         table_s = table_s.min(t0.elapsed().as_secs_f64());
     }
-    let ratio = fenwick_s / table_s;
+    let ratio = sweep_s / table_s;
     let verdict = if ratio >= 1.5 { "PASS" } else { "FAIL" };
     println!(
-        "kprof lane gate ({m}x{n}, dispatched >= 1.5x sort lane): sort {:.2}ms vs dispatched {:.2}ms = {ratio:.2}x [{verdict}]",
-        fenwick_s * 1e3,
+        "kprof lane gate ({m}x{n}, dispatched >= 1.5x sweep lane): sweep {:.2}ms vs dispatched {:.2}ms = {ratio:.2}x [{verdict}]",
+        sweep_s * 1e3,
         table_s * 1e3
     );
     if ratio < 1.5 {
+        std::process::exit(1);
+    }
+
+    // FHaus gate: the prepared matrix (witness rank arrays by counting
+    // scatter) must hold ≥20× sequential over the direct one (four
+    // materialized `star_chain` witnesses per pair), from the rows
+    // above.
+    let fhaus = speedups
+        .iter()
+        .find(|(name, _)| name == "batch/fhaus/seq")
+        .expect("fhaus row")
+        .1;
+    let verdict = if fhaus >= 20.0 { "PASS" } else { "FAIL" };
+    println!("fhaus gate ({m}x{n}, prepared >= 20x direct): {fhaus:.2}x [{verdict}]");
+    if fhaus < 20.0 {
         std::process::exit(1);
     }
 

@@ -7,8 +7,9 @@
 //! double loop repeats every per-ranking setup `m−1` times; instead,
 //! this module prepares each ranking **once** ([`prepare_all`]) and
 //! evaluates every pair against the prepared views — the per-pair work
-//! drops to the irreducible kernel (the bucket contingency-table sweep
-//! or segment sorts + a Fenwick pass, or a position-vector scan). Every
+//! drops to the irreducible kernel (the bucket contingency-table pass,
+//! one pass against a suffix-count tree, a counting scatter per `fhaus`
+//! witness, or a position-vector scan). Every
 //! matrix holds **one** [`PairArena`] per worker (one allocation set
 //! per thread per matrix, not per pair) and threads it through the
 //! `*_prepared_in` kernels. A cache-friendly single-threaded path and

@@ -27,8 +27,8 @@
 //!
 //! # Arena
 //!
-//! Per-pair working memory (the τ-bucket run array, the Fenwick tree,
-//! the contingency table, the witness rank arrays) lives in a
+//! Per-pair working memory (the τ-bucket run array, the suffix-count
+//! tree, the contingency table, the witness rank arrays) lives in a
 //! [`PairArena`]: batch drivers allocate **one** arena per worker
 //! thread per matrix and thread it through the `*_prepared_in`
 //! kernels, so a whole `m×m` matrix reuses the same few buffers. The
@@ -42,11 +42,17 @@
 //! structure: a **counting lane** ([`pair_counts_table_in`]) that
 //! builds the `kσ × kτ` bucket contingency table in `O(n)` and reads
 //! every statistic off it in `O(kσ·kτ)` — the winner whenever ties
-//! compress the rankings into few buckets — and the **sort lane**
-//! ([`pair_counts_fenwick_in`]), per-σ-bucket sorts plus a Fenwick
-//! inversion count, which handles full rankings (`kσ·kτ = n²` would
-//! blow the table up). Both lanes are public and the conformance suite
-//! holds them bit-identical to each other and to the direct algorithm.
+//! compress the rankings into few buckets — and the **sweep lane**
+//! ([`pair_counts_sweep_in`]), one pass over the domain in σ-rank
+//! order against a branch-free 16-ary suffix-count tree over the
+//! τ-buckets, `O(n log₁₆ kτ)` with no sort, which handles full rankings
+//! (`kσ·kτ = n²` would blow the table up). Both lanes are public and
+//! the conformance suite holds them bit-identical to each other and to
+//! the direct algorithm.
+//!
+//! `fhaus` builds each Theorem 5 witness refinement as a rank array
+//! with one counting scatter, `O(n + k)`: no sort and no
+//! [`BucketOrder`] (see [`fhaus_prepared`]).
 //!
 //! Every kernel returns **exactly** the same integer as its direct
 //! counterpart; `tests/prepared_vs_direct.rs` enforces this
@@ -54,7 +60,6 @@
 
 use crate::pairs::PairCounts;
 use crate::MetricsError;
-use bucketrank_core::alg::Fenwick;
 use bucketrank_core::{BucketOrder, Pos};
 use std::cell::RefCell;
 
@@ -178,17 +183,23 @@ pub fn check_prepared_domain(
 /// thread-local arena for one-off calls.
 #[derive(Debug, Default)]
 pub struct PairArena {
-    /// τ-bucket of each element, laid out in σ-rank order (sort lane).
+    /// τ-bucket of each element, laid out in σ-rank order (sweep lane).
     tb: Vec<u32>,
-    fenwick: Option<Fenwick>,
+    /// Counts of the τ-buckets of strictly earlier σ-buckets (sweep
+    /// lane).
+    tree: SuffixCounts,
+    /// Per-τ-bucket count of the current σ-bucket's elements seen so
+    /// far; all zero between segments (sweep lane).
+    run: Vec<u32>,
     /// The `kσ × kτ` bucket contingency table, row-major (counting
     /// lane).
     table: Vec<u32>,
     /// Per-τ-bucket totals over the σ-rows already swept (counting
     /// lane).
     above: Vec<u64>,
-    /// Witness element order and the two rank arrays for `fhaus`.
-    ord: Vec<u32>,
+    /// Next free witness rank of each base bucket, and the two witness
+    /// rank arrays, for `fhaus`.
+    cursor: Vec<u32>,
     rank_a: Vec<u32>,
     rank_b: Vec<u32>,
     /// Per-bucket weighted score tables (weighted kernels, one per
@@ -205,12 +216,98 @@ impl PairArena {
     }
 }
 
-fn ensure_fenwick(slot: &mut Option<Fenwick>, n: usize) -> &mut Fenwick {
-    match slot {
-        Some(fw) if fw.len() >= n => fw.clear(),
-        _ => *slot = Some(Fenwick::new(n)),
+/// log₂ of the fan-out of a [`SuffixCounts`] level.
+const FANOUT_BITS: u32 = 4;
+/// Cells per node group of a [`SuffixCounts`] level.
+const FANOUT: usize = 1 << FANOUT_BITS;
+/// Levels enough for any `u32` value: `16⁸ = 2³²`.
+const MAX_LEVELS: usize = 8;
+
+/// `BELOW[d]` has a 1 in each lane `< d`: the add an insert of digit
+/// `d` makes to its group, as one table row so the add is a plain
+/// 16-lane vector add.
+const BELOW: [[u32; FANOUT]; FANOUT] = {
+    let mut t = [[0u32; FANOUT]; FANOUT];
+    let mut d = 0;
+    while d < FANOUT {
+        let mut lane = 0;
+        while lane < d {
+            t[d][lane] = 1;
+            lane += 1;
+        }
+        d += 1;
     }
-    slot.as_mut().expect("just ensured")
+    t
+};
+
+/// A 16-ary suffix-count tree over the values `0..k`, with a
+/// branch-free insert and query.
+///
+/// Level `l` has one cell per prefix `x >> 4l`, grouped sixteen to a
+/// parent prefix `x >> 4(l+1)`. Cell `x >> 4l` counts the inserted
+/// values that share `x`'s parent prefix and whose level-`l` digit is
+/// strictly greater than `x`'s. An inserted `y > x` first differs from
+/// `x` at exactly one digit, and is counted at exactly that level, so
+/// [`count_above`](Self::count_above) reads one cell per level. An
+/// insert adds 1 to the lanes below its digit in one 16-wide group per
+/// level, a fixed masked add. Both walk every level whatever the value,
+/// so neither has a data-dependent exit.
+#[derive(Debug, Default)]
+struct SuffixCounts {
+    cells: Vec<u32>,
+    /// Offset of each level in `cells`, leaf level first; the first
+    /// `levels` are live.
+    level_start: [usize; MAX_LEVELS],
+    levels: usize,
+}
+
+impl SuffixCounts {
+    /// Empties the tree and sizes it for the values `0..k`: one level
+    /// per base-16 digit of `k − 1`, at least one.
+    fn reset(&mut self, k: usize) {
+        let mut len = 0;
+        let mut span = k.max(1);
+        self.levels = 0;
+        loop {
+            self.level_start[self.levels] = len;
+            self.levels += 1;
+            let groups = span.div_ceil(FANOUT);
+            len += groups * FANOUT;
+            if groups == 1 {
+                break;
+            }
+            span = groups;
+        }
+        self.cells.clear();
+        self.cells.resize(len, 0);
+    }
+
+    /// Inserts the value `x`.
+    #[inline(always)]
+    fn insert(&mut self, x: u32) {
+        let mut v = x as usize;
+        for &start in &self.level_start[..self.levels] {
+            let digit = v % FANOUT;
+            let base = start + v - digit;
+            let group = &mut self.cells[base..base + FANOUT];
+            for (c, &add) in group.iter_mut().zip(&BELOW[digit]) {
+                *c += add;
+            }
+            v >>= FANOUT_BITS;
+        }
+    }
+
+    /// Number of inserted values strictly greater than `x`.
+    #[inline(always)]
+    fn count_above(&self, x: u32) -> u64 {
+        let mut v = x as usize;
+        let mut sum = 0u64;
+        for &start in &self.level_start[..self.levels] {
+            sum += u64::from(self.cells[start + v]);
+            v >>= FANOUT_BITS;
+        }
+        sum
+    }
 }
 
 thread_local! {
@@ -244,13 +341,13 @@ fn finish_counts(
 
 /// Counting-lane admission bound: the contingency table is used when
 /// its `kσ·kτ` cells number at most this many per element. At the
-/// bound the lane's `O(n + kσ·kτ)` sweep is a small constant number of
-/// sequential passes — still well under the sort lane's per-element
-/// `log` factor — while the table memory stays `O(n)`.
+/// bound the lane's `O(n + kσ·kτ)` table pass is a small constant
+/// number of sequential passes — still under the sweep lane's
+/// per-element tree walk — while the table memory stays `O(n)`.
 const TABLE_CELLS_PER_ELEMENT: usize = 4;
 
 /// The dispatching pair-statistics engine: counting lane when the
-/// bucket structure is coarse enough, sort lane otherwise.
+/// bucket structure is coarse enough, sweep lane otherwise.
 fn pair_counts_into(
     arena: &mut PairArena,
     s: &PreparedRanking<'_>,
@@ -259,16 +356,20 @@ fn pair_counts_into(
     if s.num_buckets() * t.num_buckets() <= TABLE_CELLS_PER_ELEMENT * s.len() {
         pair_counts_table(arena, s, t)
     } else {
-        pair_counts_fenwick(arena, s, t)
+        pair_counts_sweep(arena, s, t)
     }
 }
 
-/// The sort lane. Identical output to
-/// [`pairs::pair_counts`](crate::pairs::pair_counts), but the global
-/// `(σ-bucket, τ-bucket)` sort is replaced by per-σ-bucket sorts of the
-/// precomputed τ-bucket map (the σ grouping is already known), and the
-/// within-ranking tie counts come straight off the prepared state.
-fn pair_counts_fenwick(
+/// The sweep lane. Identical output to
+/// [`pairs::pair_counts`](crate::pairs::pair_counts), without its
+/// global `(σ-bucket, τ-bucket)` sort: the domain is already grouped by
+/// σ-bucket (`by_rank`), so one pass over it in that order sees every
+/// strictly earlier σ-bucket before the current one. Each σ-bucket's
+/// elements first query the [`SuffixCounts`] tree — the earlier
+/// elements in a strictly later τ-bucket are exactly their discordant
+/// partners — and count their tied-both partners in `run`; then they
+/// are inserted and `run` is cleared behind them.
+fn pair_counts_sweep(
     arena: &mut PairArena,
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
@@ -279,37 +380,27 @@ fn pair_counts_fenwick(
     }
     let total = (n as u64) * (n as u64 - 1) / 2;
 
-    let PairArena { tb, fenwick, .. } = arena;
+    let PairArena { tb, tree, run, .. } = arena;
     tb.clear();
     tb.extend(s.by_rank.iter().map(|&e| t.bucket_of[e as usize]));
+    tree.reset(t.num_buckets());
+    run.clear();
+    run.resize(t.num_buckets(), 0);
 
-    // Sort each σ-bucket's segment of τ-buckets; equal runs within a
-    // segment are exactly the (σ-bucket, τ-bucket) cells of size ≥ 2.
+    let mut discordant = 0u64;
     let mut tied_both = 0u64;
     for w in s.bucket_starts.windows(2) {
-        let seg = &mut tb[w[0] as usize..w[1] as usize];
-        seg.sort_unstable();
-        let mut run = 1u64;
-        for k in 1..seg.len() {
-            if seg[k] == seg[k - 1] {
-                run += 1;
-            } else {
-                tied_both += run * (run - 1) / 2;
-                run = 1;
-            }
+        let seg = &tb[w[0] as usize..w[1] as usize];
+        for &x in seg {
+            discordant += tree.count_above(x);
+            let r = &mut run[x as usize];
+            tied_both += u64::from(*r);
+            *r += 1;
         }
-        tied_both += run * (run - 1) / 2;
-    }
-
-    // After the segment sorts, `tb` is the τ-bucket sequence in
-    // (σ-bucket, τ-bucket)-ascending order — the same traversal as the
-    // direct algorithm's sorted cell list — so strict inversions counted
-    // by the Fenwick tree are exactly the discordant pairs.
-    let fw = ensure_fenwick(fenwick, t.num_buckets());
-    let mut discordant = 0u64;
-    for &x in tb.iter() {
-        discordant += fw.suffix_sum(x as usize + 1);
-        fw.add(x as usize, 1);
+        for &x in seg {
+            tree.insert(x);
+            run[x as usize] = 0;
+        }
     }
 
     finish_counts(s, t, total, discordant, tied_both)
@@ -373,7 +464,7 @@ fn pair_counts_table(
 
 /// The five pair statistics over prepared inputs; equals
 /// [`pairs::pair_counts`](crate::pairs::pair_counts) exactly.
-/// Dispatches between the counting and sort lanes; see the [module
+/// Dispatches between the counting and sweep lanes; see the [module
 /// docs](self).
 ///
 /// # Errors
@@ -398,20 +489,19 @@ pub fn pair_counts_prepared_in(
     Ok(pair_counts_into(arena, s, t))
 }
 
-/// The sort lane, forced — always applicable, never builds the table.
-/// This is the pre-dispatch kernel: the bench gate measures the
-/// counting lane's win against it and the conformance suite holds the
-/// two lanes bit-identical.
+/// The sweep lane, forced — always applicable, never builds the table.
+/// The bench gate measures the counting lane's win against it and the
+/// conformance suite holds the two lanes bit-identical.
 ///
 /// # Errors
 /// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn pair_counts_fenwick_in(
+pub fn pair_counts_sweep_in(
     arena: &mut PairArena,
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<PairCounts, MetricsError> {
     check_prepared_domain(s, t)?;
-    Ok(pair_counts_fenwick(arena, s, t))
+    Ok(pair_counts_sweep(arena, s, t))
 }
 
 /// The counting lane, forced. Allocates (and reuses) `kσ·kτ` table
@@ -553,31 +643,39 @@ pub fn khaus_x2_prepared_in(
 ///
 /// With `ρ = identity`, `star_chain(&[ρ, other], base)` sorts the domain
 /// by exactly that key (the trailing element id makes the order strict,
-/// so the witness is a full ranking). `base.by_rank` already groups
-/// elements by base-bucket, so one `sort_unstable` per segment
-/// reproduces the witness without building a [`BucketOrder`].
+/// so the witness is a full ranking). A counting scatter builds it
+/// without sorting: walking `other`'s buckets in order (reversed when
+/// `reverse_other`) visits the domain in `(other-bucket, e)` key order,
+/// because every [`BucketOrder`] bucket lists its elements ascending.
+/// Each element takes the next free rank of its base bucket, whose
+/// ranks start at `base.bucket_starts`, so every base bucket fills in
+/// key order. `O(n + k)`.
 fn witness_ranks(
-    ord: &mut Vec<u32>,
+    cursor: &mut Vec<u32>,
     rank: &mut Vec<u32>,
     base: &PreparedRanking<'_>,
     other: &PreparedRanking<'_>,
     reverse_other: bool,
 ) {
-    ord.clear();
-    ord.extend_from_slice(&base.by_rank);
-    let last = other.num_buckets().saturating_sub(1) as u32;
-    for w in base.bucket_starts.windows(2) {
-        let seg = &mut ord[w[0] as usize..w[1] as usize];
-        if reverse_other {
-            seg.sort_unstable_by_key(|&e| (last - other.bucket_of[e as usize], e));
-        } else {
-            seg.sort_unstable_by_key(|&e| (other.bucket_of[e as usize], e));
-        }
-    }
+    cursor.clear();
+    cursor.extend_from_slice(&base.bucket_starts[..base.num_buckets()]);
     rank.clear();
     rank.resize(base.len(), 0);
-    for (i, &e) in ord.iter().enumerate() {
-        rank[e as usize] = i as u32;
+    let place = |bucket: &[u32]| {
+        for &e in bucket {
+            let next = &mut cursor[base.bucket_of[e as usize] as usize];
+            rank[e as usize] = *next;
+            *next += 1;
+        }
+    };
+    let buckets = other
+        .bucket_starts
+        .windows(2)
+        .map(|w| &other.by_rank[w[0] as usize..w[1] as usize]);
+    if reverse_other {
+        buckets.rev().for_each(place);
+    } else {
+        buckets.for_each(place);
     }
 }
 
@@ -609,19 +707,22 @@ pub fn fhaus_prepared_in(
     check_prepared_domain(s, t)?;
     Ok({
         let PairArena {
-            ord, rank_a, rank_b, ..
+            cursor,
+            rank_a,
+            rank_b,
+            ..
         } = arena;
         // F(σ1, τ1): σ ties broken by τᴿ, τ ties broken by σ.
-        witness_ranks(ord, rank_a, s, t, true);
-        witness_ranks(ord, rank_b, t, s, false);
+        witness_ranks(cursor, rank_a, s, t, true);
+        witness_ranks(cursor, rank_b, t, s, false);
         let f1: u64 = rank_a
             .iter()
             .zip(rank_b.iter())
             .map(|(x, y)| u64::from(x.abs_diff(*y)))
             .sum();
         // F(σ2, τ2): σ ties broken by τ, τ ties broken by σᴿ.
-        witness_ranks(ord, rank_a, s, t, false);
-        witness_ranks(ord, rank_b, t, s, true);
+        witness_ranks(cursor, rank_a, s, t, false);
+        witness_ranks(cursor, rank_b, t, s, true);
         let f2: u64 = rank_a
             .iter()
             .zip(rank_b.iter())
@@ -760,7 +861,7 @@ mod tests {
     }
 
     #[test]
-    fn counting_and_sort_lanes_agree_exhaustively_n4() {
+    fn counting_and_sweep_lanes_agree_exhaustively_n4() {
         let orders = all_bucket_orders(4);
         let prepared: Vec<PreparedRanking<'_>> =
             orders.iter().map(PreparedRanking::new).collect();
@@ -769,8 +870,8 @@ mod tests {
             for pb in &prepared {
                 let dispatched = pair_counts_prepared_in(&mut arena, pa, pb).unwrap();
                 let table = pair_counts_table_in(&mut arena, pa, pb).unwrap();
-                let fenwick = pair_counts_fenwick_in(&mut arena, pa, pb).unwrap();
-                assert_eq!(table, fenwick, "{:?} {:?}", pa.order(), pb.order());
+                let sweep = pair_counts_sweep_in(&mut arena, pa, pb).unwrap();
+                assert_eq!(table, sweep, "{:?} {:?}", pa.order(), pb.order());
                 assert_eq!(dispatched, table);
             }
         }

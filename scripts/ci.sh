@@ -116,11 +116,11 @@ echo "==> bench_batch_prepared smoke gate"
 # its JSON report (with effective-bytes/s rows and a measured memcpy
 # roofline). The smoke numbers land in target/ so they never clobber a
 # committed full-size baseline; if no baseline exists yet, the smoke
-# report seeds one. The pass ends with two lane gates: the dispatched
+# report seeds one. The pass ends with three gates: the dispatched
 # Kprof matrix (counting lane) must hold ≥ 1.5× single-thread over the
-# forced Fenwick sort lane, and the prepared weighted matrix must hold
-# ≥ 1× over the naive per-pair weighted kernels, exiting nonzero
-# otherwise.
+# forced sweep lane, the prepared FHaus matrix must hold ≥ 20× over the
+# direct one, and the prepared weighted matrix must hold ≥ 1× over the
+# naive per-pair weighted kernels, exiting nonzero otherwise.
 smoke_out="target/BENCH_metrics.smoke.json"
 BUCKETRANK_BENCH_FAST=1 BUCKETRANK_BENCH_OUT="$smoke_out" \
   cargo run --release --offline -p bucketrank-bench --bin bench_batch_prepared

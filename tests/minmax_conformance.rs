@@ -7,6 +7,11 @@
 //! server's `MinMaxAgg` opcode must answer byte-identically to an
 //! in-process mirror running the same pipeline at the wire seed.
 //!
+//! The exact search's tree itself is pinned too: on a fixed seeded
+//! corpus, `(permutation, cost, nodes, pruned)` must equal the values
+//! recorded from the original rescanning search, so a faster bound
+//! implementation provably visits and prunes the same nodes.
+//!
 //! Independence: brute force scores candidates with
 //! `metrics::kendall::kprof_x2` directly (never [`MinMaxObjective`])
 //! and checks constraints by counting labels in prefixes (never
@@ -155,6 +160,118 @@ fn exact_matches_brute_force_constrained() {
             assert!(cons.satisfied(&order).unwrap(), "exact output violates its constraints");
         },
     );
+}
+
+/// SplitMix64 step: the pinned corpus's own generator, so the corpus
+/// never moves with the test kit's generators.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Pinned case `i`: `n ∈ 4..=10` elements, `m ∈ 1..=8` voters drawing
+/// keys from `1..=n` levels (all-tied through full rankings), and
+/// three-class labels for the constrained run.
+fn pinned_case(i: u64) -> (Vec<BucketOrder>, Vec<u32>) {
+    let mut s = 0x5EED_0000 ^ i;
+    let n = 4 + (splitmix(&mut s) % 7) as usize;
+    let m = 1 + (splitmix(&mut s) % 8) as usize;
+    let levels = 1 + splitmix(&mut s) % n as u64;
+    let profile = (0..m)
+        .map(|_| {
+            let keys: Vec<u64> = (0..n).map(|_| splitmix(&mut s) % levels).collect();
+            BucketOrder::from_keys(&keys)
+        })
+        .collect();
+    let labels = (0..n).map(|_| (splitmix(&mut s) % 3) as u32).collect();
+    (profile, labels)
+}
+
+/// `(permutation, max_cost_x2, nodes, pruned)` of `minmax_optimal_bb`
+/// on one pinned case.
+type Pinned = (&'static [ElementId], u64, u64, u64);
+
+/// Entry `i` is `pinned_case(i)`, unconstrained.
+const PINNED_UNCONSTRAINED: [Pinned; 24] = [
+    (&[3, 0, 1, 2, 4, 5], 13, 24, 65),
+    (&[8, 5, 3, 2, 4, 0, 1, 7, 6], 31, 565, 2329),
+    (&[2, 0, 3, 1, 4], 8, 4, 12),
+    (&[0, 1, 2, 3, 4, 5], 15, 1, 6),
+    (&[8, 3, 0, 6, 7, 2, 5, 1, 4], 32, 588, 2394),
+    (&[3, 1, 4, 5, 2, 0], 14, 4, 17),
+    (&[1, 5, 2, 3, 0, 4, 6], 21, 77, 241),
+    (&[0, 3, 6, 4, 5, 2, 1, 7], 27, 105, 439),
+    (&[1, 2, 3, 0], 3, 1, 4),
+    (&[1, 5, 4, 2, 7, 6, 0, 8, 3], 33, 723, 2900),
+    (&[2, 1, 0, 4, 5, 3, 6], 20, 44, 157),
+    (&[0, 4, 1, 5, 7, 8, 3, 6, 2], 28, 1250, 4431),
+    (&[0, 5, 3, 7, 2, 6, 4, 1], 28, 185, 649),
+    (&[2, 5, 1, 4, 0, 3], 10, 4, 17),
+    (&[3, 5, 0, 4, 7, 8, 1, 2, 6], 24, 34, 172),
+    (&[2, 1, 0, 5, 7, 4, 9, 3, 8, 6], 41, 486, 2340),
+    (&[9, 2, 4, 6, 7, 8, 5, 1, 0, 3], 40, 2118, 9901),
+    (&[0, 1, 2, 3, 4, 5, 6], 21, 1, 7),
+    (&[3, 4, 1, 5, 7, 8, 0, 6, 9, 2], 36, 569, 2804),
+    (&[3, 8, 7, 2, 6, 0, 4, 1, 5, 9], 37, 1011, 5051),
+    (&[3, 2, 7, 1, 5, 0, 4, 6], 26, 303, 1048),
+    (&[0, 1, 2, 3, 4, 5, 6, 7], 13, 1, 8),
+    (&[7, 6, 4, 2, 0, 1, 5, 3], 17, 37, 160),
+    (&[0, 1, 5, 4, 3, 2, 6, 7], 25, 132, 490),
+];
+
+/// As [`PINNED_UNCONSTRAINED`], under `binding_rule(labels)`.
+const PINNED_CONSTRAINED: [Pinned; 24] = [
+    (&[3, 1, 2, 0, 5, 4], 13, 27, 60),
+    (&[8, 5, 4, 3, 7, 6, 2, 1, 0], 31, 434, 1909),
+    (&[3, 2, 1, 0, 4], 8, 3, 10),
+    (&[0, 1, 2, 3, 4, 5], 15, 1, 6),
+    (&[8, 3, 6, 1, 2, 0, 4, 7, 5], 34, 376, 1576),
+    (&[3, 1, 5, 4, 2, 0], 14, 4, 17),
+    (&[1, 5, 0, 2, 4, 3, 6], 22, 76, 250),
+    (&[0, 3, 6, 4, 5, 2, 1, 7], 27, 90, 388),
+    (&[1, 2, 3, 0], 3, 1, 4),
+    (&[1, 5, 4, 2, 7, 6, 0, 8, 3], 33, 369, 1648),
+    (&[2, 1, 0, 4, 5, 3, 6], 20, 43, 155),
+    (&[1, 0, 5, 3, 8, 4, 6, 2, 7], 28, 693, 2820),
+    (&[0, 5, 3, 7, 2, 6, 4, 1], 28, 156, 567),
+    (&[2, 5, 1, 4, 0, 3], 10, 4, 17),
+    (&[3, 5, 0, 4, 7, 8, 1, 2, 6], 24, 32, 164),
+    (&[2, 1, 7, 4, 5, 0, 3, 9, 6, 8], 41, 338, 1486),
+    (&[9, 2, 4, 6, 7, 8, 5, 1, 0, 3], 40, 1738, 8375),
+    (&[0, 1, 2, 5, 3, 4, 6], 21, 1, 7),
+    (&[3, 5, 8, 1, 6, 7, 4, 0, 9, 2], 36, 429, 2223),
+    (&[3, 8, 7, 2, 6, 0, 4, 1, 5, 9], 37, 736, 3828),
+    (&[3, 2, 7, 1, 5, 0, 4, 6], 26, 142, 534),
+    (&[1, 2, 3, 4, 0, 5, 6, 7], 17, 15, 70),
+    (&[7, 6, 4, 2, 0, 1, 5, 3], 17, 37, 160),
+    (&[0, 1, 5, 4, 3, 2, 6, 7], 25, 83, 327),
+];
+
+#[test]
+fn exact_search_tree_is_pinned() {
+    let pinned = PINNED_UNCONSTRAINED.iter().zip(&PINNED_CONSTRAINED);
+    for (i, (free, bound)) in pinned.enumerate() {
+        let (profile, labels) = pinned_case(i as u64);
+        let cons = ClassConstraints::new(labels.clone(), vec![binding_rule(&labels)]).unwrap();
+        for (want, cons) in [(free, None), (bound, Some(&cons))] {
+            let (order, cost, stats) = minmax::minmax_optimal_bb(&profile, cons).unwrap();
+            let got = (
+                order.as_permutation().unwrap(),
+                cost,
+                stats.nodes,
+                stats.pruned,
+            );
+            assert_eq!(
+                got,
+                (want.0.to_vec(), want.1, want.2, want.3),
+                "case {i}, constrained = {}",
+                cons.is_some()
+            );
+        }
+    }
 }
 
 #[test]

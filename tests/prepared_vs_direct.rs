@@ -6,19 +6,24 @@
 //! report mismatched domains as a [`MetricsError`], never a panic.
 //!
 //! The pair-statistics dispatcher gets its own lane: the counting
-//! (contingency-table) and Fenwick sort lanes are held bit-identical on
-//! every generated pair, and one [`PairArena`] is reused across pairs
-//! of shrinking and growing sizes to prove the pooled scratch carries
-//! no state between calls.
+//! (contingency-table) and sweep (suffix-count tree) lanes are held
+//! bit-identical on every generated pair, the sweep lane is driven
+//! across every level boundary of its 16-ary tree, and one
+//! [`PairArena`] is reused across pairs of shrinking and growing sizes
+//! and tree depths to prove the pooled scratch carries no state between
+//! calls. The `fhaus` witness scatter is pinned on the shapes where a
+//! counting scatter can go wrong: no ties, one bucket, a ranking
+//! against its own reversal, and many-bucket pairs in both directions.
 
 use bucketrank::metrics::batch::{
     pairwise_matrix, pairwise_matrix_parallel, pairwise_matrix_with, prepare_all,
     weighted_pairwise_matrix, weighted_pairwise_matrix_parallel, BatchMetric, WeightedMetric,
 };
 use bucketrank::metrics::prepared::{
-    fhaus_prepared, fhaus_x2_prepared, fprof_x2_prepared, kavg_x2_prepared, khaus_prepared,
-    khaus_x2_prepared, kprof_x2_prepared, pair_counts_fenwick_in, pair_counts_prepared,
-    pair_counts_prepared_in, pair_counts_table_in, PairArena, PreparedRanking,
+    fhaus_prepared, fhaus_prepared_in, fhaus_x2_prepared, fprof_x2_prepared, kavg_x2_prepared,
+    khaus_prepared, khaus_x2_prepared, kprof_x2_prepared, pair_counts_prepared,
+    pair_counts_prepared_in, pair_counts_sweep_in, pair_counts_table_in, PairArena,
+    PreparedRanking,
 };
 use bucketrank::metrics::weighted::{
     top_diff_prepared, top_diff_prepared_in, weighted_footrule_x2_prepared,
@@ -160,9 +165,9 @@ fn counting_and_sort_lanes_agree_on_degenerate_heavy_pairs() {
                 "table lane: {a:?} vs {b:?}"
             );
             assert_eq!(
-                pair_counts_fenwick_in(arena, &pa, &pb).unwrap(),
+                pair_counts_sweep_in(arena, &pa, &pb).unwrap(),
                 expected,
-                "fenwick lane: {a:?} vs {b:?}"
+                "sweep lane: {a:?} vs {b:?}"
             );
             assert_eq!(
                 pair_counts_prepared_in(arena, &pa, &pb).unwrap(),
@@ -176,7 +181,7 @@ fn counting_and_sort_lanes_agree_on_degenerate_heavy_pairs() {
 #[test]
 fn arena_reuse_across_shrinking_and_growing_sizes() {
     // Pin the stale-scratch hazard directly: the same arena answers a
-    // large fine-bucketed pair (sort lane, big Fenwick), then a small
+    // large fine-bucketed pair (sweep lane, big count tree), then a small
     // coarse pair (counting lane, table smaller than the previous
     // buffers), then a large pair again. Each answer must match the
     // direct kernel computed fresh.
@@ -192,9 +197,136 @@ fn arena_reuse_across_shrinking_and_growing_sizes() {
             let pb = PreparedRanking::new(b);
             assert_eq!(pair_counts_prepared_in(&mut arena, &pa, &pb).unwrap(), expected);
             assert_eq!(pair_counts_table_in(&mut arena, &pa, &pb).unwrap(), expected);
-            assert_eq!(pair_counts_fenwick_in(&mut arena, &pa, &pb).unwrap(), expected);
+            assert_eq!(pair_counts_sweep_in(&mut arena, &pa, &pb).unwrap(), expected);
         }
     }
+}
+
+/// A bucket order on `n ≥ k` elements with exactly `k` buckets: every
+/// bucket gets one element, the rest land in random buckets.
+fn order_with_buckets(rng: &mut Pcg32, n: usize, k: usize) -> BucketOrder {
+    let mut keys: Vec<usize> = (0..n)
+        .map(|i| if i < k { i } else { rng.gen_range(0..k) })
+        .collect();
+    keys.shuffle(rng);
+    let order = BucketOrder::from_keys(&keys);
+    assert_eq!(order.num_buckets(), k);
+    order
+}
+
+/// The forced sweep lane and the dispatcher, both directions, against
+/// the direct reference.
+fn assert_sweep_matches(arena: &mut PairArena, a: &BucketOrder, b: &BucketOrder) {
+    for (x, y) in [(a, b), (b, a)] {
+        let expected = pairs::pair_counts(x, y).unwrap();
+        let (px, py) = (PreparedRanking::new(x), PreparedRanking::new(y));
+        let (kx, ky) = (x.num_buckets(), y.num_buckets());
+        assert_eq!(
+            pair_counts_sweep_in(arena, &px, &py).unwrap(),
+            expected,
+            "sweep lane, n = {}, buckets {kx} vs {ky}",
+            x.len()
+        );
+        assert_eq!(
+            pair_counts_prepared_in(arena, &px, &py).unwrap(),
+            expected,
+            "dispatcher, n = {}, buckets {kx} vs {ky}",
+            x.len()
+        );
+    }
+}
+
+#[test]
+fn sweep_lane_across_count_tree_level_boundaries() {
+    // The sweep lane's tree has one level per base-16 digit of kτ − 1:
+    // these counts sit on both sides of the 1→2, 2→3 and 3→4 level
+    // boundaries. τ has exactly kτ buckets; σ is a full permutation (the
+    // lane's main customer) or fine-bucketed (segments of about three,
+    // so queries and inserts interleave within a σ-bucket's run).
+    let mut rng = Pcg32::seed_from_u64(0x5eed_7ee5);
+    let mut arena = PairArena::new();
+    for kt in [1usize, 15, 16, 17, 255, 256, 257, 4097] {
+        let n = kt + kt / 3 + 2;
+        let tau = order_with_buckets(&mut rng, n, kt);
+        let full = order_with_buckets(&mut rng, n, n);
+        let fine = order_with_buckets(&mut rng, n, n.div_ceil(3));
+        assert_sweep_matches(&mut arena, &full, &tau);
+        assert_sweep_matches(&mut arena, &fine, &tau);
+        // Full against full: kσ = kτ = n, the widest tree at this n.
+        let other_full = order_with_buckets(&mut rng, kt, kt);
+        let full_kt = order_with_buckets(&mut rng, kt, kt);
+        assert_sweep_matches(&mut arena, &full_kt, &other_full);
+    }
+}
+
+#[test]
+fn sweep_arena_reuse_across_tree_depths() {
+    // One arena through a 3-level tree (kτ = 300), then a 1-level tree
+    // (kτ = 5), then a 2-level tree (kτ = 40): a shallower tree must not
+    // read the deeper tree's leftover cells or levels.
+    let mut rng = Pcg32::seed_from_u64(0xa7e7_a000);
+    let mut arena = PairArena::new();
+    for _ in 0..2 {
+        for (n, kt) in [(400, 300), (12, 5), (90, 40)] {
+            let tau = order_with_buckets(&mut rng, n, kt);
+            let full = order_with_buckets(&mut rng, n, n);
+            assert_sweep_matches(&mut arena, &full, &tau);
+        }
+    }
+}
+
+/// `fhaus` prepared (thread-local arena and a caller-held one) against
+/// the direct witness construction.
+fn assert_fhaus_matches(arena: &mut PairArena, a: &BucketOrder, b: &BucketOrder) {
+    let (pa, pb) = (PreparedRanking::new(a), PreparedRanking::new(b));
+    let expected = hausdorff::fhaus(a, b).unwrap();
+    assert_eq!(
+        fhaus_prepared(&pa, &pb).unwrap(),
+        expected,
+        "fhaus: {a:?} vs {b:?}"
+    );
+    assert_eq!(
+        fhaus_prepared_in(arena, &pa, &pb).unwrap(),
+        expected,
+        "fhaus (arena): {a:?} vs {b:?}"
+    );
+}
+
+#[test]
+fn fhaus_scatter_on_full_single_bucket_and_reversed_orders() {
+    let mut rng = Pcg32::seed_from_u64(0xf4a0_5ca7);
+    let mut arena = PairArena::new();
+    for n in [1usize, 2, 5, 16, 63] {
+        let full = order_with_buckets(&mut rng, n, n);
+        let other_full = order_with_buckets(&mut rng, n, n);
+        let tied = BucketOrder::trivial(n);
+        let bucketed = order_with_buckets(&mut rng, n, n.div_ceil(4));
+        // Full rankings: every witness is the ranking itself.
+        assert_fhaus_matches(&mut arena, &full, &other_full);
+        // A single bucket: the whole witness comes from the other side.
+        assert_fhaus_matches(&mut arena, &tied, &tied);
+        assert_fhaus_matches(&mut arena, &tied, &full);
+        assert_fhaus_matches(&mut arena, &bucketed, &tied);
+        // σ against its own reversal: the reversed walk meets the
+        // buckets exactly mirrored.
+        for o in [&full, &bucketed] {
+            assert_fhaus_matches(&mut arena, o, &o.reverse());
+            assert_fhaus_matches(&mut arena, &o.reverse(), o);
+        }
+    }
+}
+
+#[test]
+fn fhaus_scatter_on_many_bucket_pairs() {
+    // Forty levels over 64 elements: many buckets on both sides, small
+    // ties everywhere, so both `reverse_other` walks place elements
+    // into many base buckets out of order.
+    let arena = std::cell::RefCell::new(PairArena::new());
+    check(
+        "fhaus_scatter_on_many_bucket_pairs",
+        gen::order_pair(64, 40),
+        |(a, b)| assert_fhaus_matches(&mut arena.borrow_mut(), a, b),
+    );
 }
 
 #[test]
