@@ -8,9 +8,10 @@
 //! "Multiclass MinMax Rank Aggregation" (arXiv 1701.08305):
 //!
 //! * [`MinMaxObjective`] — the per-voter analogue of
-//!   [`ProfileTally`](crate::ProfileTally): per-voter bucket-index maps
-//!   giving O(1) pair costs and O(1)-per-voter adjacent-swap deltas, so
-//!   heuristics score moves without rescanning the profile;
+//!   [`ProfileTally`](crate::ProfileTally): an element-major
+//!   bucket-index table giving O(1) pair costs, O(1)-per-voter
+//!   adjacent-swap deltas, and one branch-free kernel scoring every
+//!   voter against a whole candidate;
 //! * [`minmax_optimal_bb`] — exact small-n solving in the style of
 //!   [`crate::bb`], with a per-voter tied-pairs lower bound driving a
 //!   max-distance prune;
@@ -22,6 +23,17 @@
 //!   min/max counts inside prefix windows ([`WindowRule`]), enforced by
 //!   pruning in the exact search and by an EDF-style repair step in the
 //!   heuristics.
+//!
+//! **Banded swap scoring.** An adjacent swap changes each voter's cost
+//! by −2, 0 or +2. After a swap the voter at the max `M` still pays at
+//! least `M − 2`, and a voter below `M − 4` pays at most `M − 3`, so it
+//! cannot set the new max. The local search therefore scores each
+//! candidate swap over the **band** of voters with cost ≥ `M − 4`
+//! (collected once per accepted move; two or three voters on typical
+//! profiles), takes the new total as the old one plus the tally's O(1)
+//! sum delta, and runs the O(m) per-voter update only on the accepted
+//! swap. It picks exactly the moves a full O(m) rescan per candidate
+//! would.
 //!
 //! The per-voter distance is `Kprof ×2` (the tie-aware Kendall profile
 //! metric of the source paper, doubled so ties cost an integral 1), so
@@ -54,7 +66,7 @@ pub const DEFAULT_RESTARTS: usize = 8;
 
 /// The minmax objective over a fixed profile: per-voter bucket-index
 /// maps supporting O(1) pair costs, O(1)-per-voter adjacent-swap
-/// deltas, and O(n²)-per-voter full rescans.
+/// deltas, and O(n²·m) full rescans of every voter at once.
 ///
 /// Where [`ProfileTally`] sums all voters into one `n×n` weight matrix
 /// (enough for any Σ-objective), the max objective needs every voter's
@@ -64,9 +76,25 @@ pub const DEFAULT_RESTARTS: usize = 8;
 pub struct MinMaxObjective {
     n: usize,
     m: usize,
-    /// Row-major `m × n`: `bof[v*n + e]` = voter `v`'s bucket index of
-    /// element `e`.
+    /// Element-major `n × m`: `bof[e*m + v]` = voter `v`'s bucket index
+    /// of element `e`, so one swap's per-voter deltas and one pair's
+    /// per-voter costs read two contiguous rows.
     bof: Vec<u32>,
+}
+
+/// `sign(x − y)` as −1, 0 or 1, without a branch.
+#[inline]
+fn sign(x: u32, y: u32) -> i32 {
+    i32::from(x > y) - i32::from(x < y)
+}
+
+/// `rank[e]` = position of `e` in `perm`.
+fn ranks_of(perm: &[ElementId]) -> Vec<u32> {
+    let mut rank = vec![0u32; perm.len()];
+    for (i, &e) in perm.iter().enumerate() {
+        rank[e as usize] = i as u32;
+    }
+    rank
 }
 
 impl MinMaxObjective {
@@ -77,9 +105,11 @@ impl MinMaxObjective {
     pub fn build(inputs: &[BucketOrder]) -> Result<Self, AggregateError> {
         let n = check_inputs(inputs)?;
         let m = inputs.len();
-        let mut bof = Vec::with_capacity(m * n);
-        for r in inputs {
-            bof.extend_from_slice(r.bucket_indices());
+        let mut bof = vec![0u32; n * m];
+        for (v, r) in inputs.iter().enumerate() {
+            for (e, &b) in r.bucket_indices().iter().enumerate() {
+                bof[e * m + v] = b;
+            }
         }
         Ok(MinMaxObjective { n, m, bof })
     }
@@ -102,7 +132,14 @@ impl MinMaxObjective {
     /// Voter `voter`'s bucket index of element `e`.
     #[inline]
     pub fn bucket_of(&self, voter: usize, e: ElementId) -> u32 {
-        self.bof[voter * self.n + e as usize]
+        self.bof[e as usize * self.m + voter]
+    }
+
+    /// Every voter's bucket index of element `e`.
+    #[inline]
+    fn row(&self, e: ElementId) -> &[u32] {
+        let e = e as usize;
+        &self.bof[e * self.m..(e + 1) * self.m]
     }
 
     /// Cost ×2 voter `voter` pays for ranking `ahead` strictly before
@@ -110,48 +147,43 @@ impl MinMaxObjective {
     /// voter agrees.
     #[inline]
     pub fn pair_cost_x2(&self, voter: usize, ahead: ElementId, behind: ElementId) -> u64 {
-        let ba = self.bucket_of(voter, ahead);
-        let bb = self.bucket_of(voter, behind);
-        match bb.cmp(&ba) {
-            Ordering::Less => 2,
-            Ordering::Equal => 1,
-            Ordering::Greater => 0,
-        }
+        (1 + sign(self.bucket_of(voter, ahead), self.bucket_of(voter, behind))) as u64
     }
 
     /// Change in voter `voter`'s cost ×2 when an adjacent pair currently
-    /// ordered `ahead` before `behind` is swapped. O(1); heuristics use
-    /// this instead of rescanning the profile.
+    /// ordered `ahead` before `behind` is swapped: +2 if the voter
+    /// prefers `ahead`, 0 if tied, −2 if it prefers `behind`. O(1);
+    /// heuristics use this instead of rescanning the profile.
     #[inline]
     pub fn swap_delta_x2(&self, voter: usize, ahead: ElementId, behind: ElementId) -> i64 {
-        self.pair_cost_x2(voter, behind, ahead) as i64
-            - self.pair_cost_x2(voter, ahead, behind) as i64
+        let (ahead, behind) = (self.bucket_of(voter, ahead), self.bucket_of(voter, behind));
+        2 * i64::from(sign(behind, ahead))
     }
 
-    /// Voter `voter`'s `Kprof ×2` distance to `candidate` (which may
-    /// itself contain ties).
-    fn voter_cost_x2(&self, voter: usize, cand: &[u32]) -> u64 {
-        let n = self.n;
-        let row = &self.bof[voter * n..(voter + 1) * n];
-        let mut cost = 0u64;
-        for a in 0..n {
-            for b in a + 1..n {
-                let c = cand[a].cmp(&cand[b]);
-                let v = row[a].cmp(&row[b]);
-                cost += match (c, v) {
-                    (Ordering::Equal, Ordering::Equal) => 0,
-                    (Ordering::Equal, _) | (_, Ordering::Equal) => 1,
-                    _ => {
-                        if c == v {
-                            0
-                        } else {
-                            2
-                        }
-                    }
-                };
+    /// The voter-cost kernel: every voter's `Kprof ×2` distance to the
+    /// candidate that puts element `e` at rank `rank[e]` (equal ranks
+    /// tie). A pair costs `|sign(rank_a − rank_b) − sign(voter_a −
+    /// voter_b)|` — 0 when both order it alike, 1 when exactly one ties
+    /// it, 2 when they disagree — summed without a branch over the two
+    /// contiguous voter rows of each element pair.
+    fn costs_of_ranks(&self, rank: &[u32]) -> Vec<u64> {
+        let mut costs = vec![0u64; self.m];
+        // Per-`a` u32 partials (≤ 2n each) keep the inner loop narrow.
+        let mut part = vec![0u32; self.m];
+        for a in 0..self.n {
+            let ra = self.row(a as ElementId);
+            for b in a + 1..self.n {
+                let cs = sign(rank[a], rank[b]);
+                let rb = self.row(b as ElementId);
+                for ((p, &xa), &xb) in part.iter_mut().zip(ra).zip(rb) {
+                    *p += (cs - sign(xa, xb)).unsigned_abs();
+                }
+            }
+            for (c, p) in costs.iter_mut().zip(&mut part) {
+                *c += u64::from(std::mem::take(p));
             }
         }
-        cost
+        costs
     }
 
     /// Every voter's `Kprof ×2` distance to `candidate`.
@@ -166,8 +198,7 @@ impl MinMaxObjective {
                 found: candidate.len(),
             });
         }
-        let cand = candidate.bucket_indices();
-        Ok((0..self.m).map(|v| self.voter_cost_x2(v, cand)).collect())
+        Ok(self.costs_of_ranks(candidate.bucket_indices()))
     }
 
     /// The objective value: the maximum voter distance to `candidate`.
@@ -176,17 +207,6 @@ impl MinMaxObjective {
     /// As [`MinMaxObjective::costs_x2`].
     pub fn max_cost_x2(&self, candidate: &BucketOrder) -> Result<u64, AggregateError> {
         Ok(self.costs_x2(candidate)?.into_iter().max().unwrap_or(0))
-    }
-
-    /// Voter cost of a full ranking given as a permutation slice.
-    fn voter_perm_cost_x2(&self, voter: usize, perm: &[ElementId]) -> u64 {
-        let mut cost = 0u64;
-        for i in 0..perm.len() {
-            for j in i + 1..perm.len() {
-                cost += self.pair_cost_x2(voter, perm[i], perm[j]);
-            }
-        }
-        cost
     }
 }
 
@@ -791,8 +811,9 @@ pub fn minmax_local_search(
     let perm = start
         .as_permutation()
         .ok_or(AggregateError::NotFullRanking)?;
+    let tally = ProfileTally::build(inputs)?;
     let obj = MinMaxObjective::build(inputs)?;
-    let (out, cost) = local_search_perm(&obj, constraints, perm);
+    let (out, cost) = local_search_perm(&obj, &tally, constraints, perm);
     Ok((
         BucketOrder::from_permutation(&out).expect("local search permutes"),
         cost,
@@ -800,11 +821,12 @@ pub fn minmax_local_search(
 }
 
 /// The full heuristic pipeline the server's `MinMaxAgg` opcode runs:
-/// KwikSort restarts plus refined-input seeds (each voter's own ranking
-/// with ties broken by id — by the triangle inequality the best of
-/// these is within 3× of the optimum), every candidate repaired and
-/// locally searched, best max-cost wins. Deterministic given `seed`
-/// (the wire handler fixes [`DEFAULT_SEED`]).
+/// [`DEFAULT_RESTARTS`] KwikSort restarts plus up to 16 refined-input
+/// seeds (each voter's own ranking with ties broken by id — by the
+/// triangle inequality the best of these is within 3× of the optimum),
+/// every candidate repaired and locally searched, first best max-cost
+/// wins. Deterministic given `seed` (the wire handler fixes
+/// [`DEFAULT_SEED`]).
 ///
 /// # Errors
 /// [`AggregateError::NoInputs`] / [`AggregateError::DomainMismatch`] on
@@ -857,7 +879,7 @@ pub fn minmax_aggregate(
             }
             None => perm,
         };
-        let (out, cost) = local_search_perm(&obj, constraints, perm);
+        let (out, cost) = local_search_perm(&obj, &tally, constraints, perm);
         if best.as_ref().is_none_or(|&(_, bc)| cost < bc) {
             best = Some((out, cost));
         }
@@ -887,48 +909,56 @@ fn check_constraints(
 /// The hill climb shared by the public heuristics. `perm` must already
 /// be feasible; `(max, total)` strictly decreases every accepted move,
 /// so termination is immediate from well-ordering.
+///
+/// Each round finds the current argmax voter (the first at the max) and
+/// takes the adjacent swap with the lexicographically smallest
+/// `(new max, new total)` below `(max, total)`, ties to the leftmost:
+/// pass 1 looks only at swaps that move the argmax voter closer, pass 2
+/// at every swap when pass 1 finds none. A swap changes each voter's
+/// cost by −2, 0 or +2, so the new max is at least `max − 2` (the
+/// argmax voter's floor) and no voter below `max − 4` can reach it:
+/// candidates are scored over that **band** only, the new total is the
+/// tally's O(1) sum delta, and the O(m) cost update runs once, on the
+/// accepted swap.
 fn local_search_perm(
     obj: &MinMaxObjective,
+    tally: &ProfileTally,
     cons: Option<&ClassConstraints>,
     mut perm: Vec<ElementId>,
 ) -> (Vec<ElementId>, u64) {
     let n = obj.n;
-    let m = obj.m;
-    let mut costs: Vec<u64> = (0..m).map(|v| obj.voter_perm_cost_x2(v, &perm)).collect();
+    let mut costs = obj.costs_of_ranks(&ranks_of(&perm));
+    let mut cur_max = costs.iter().copied().max().unwrap_or(0);
     if n < 2 {
-        let maxc = costs.iter().copied().max().unwrap_or(0);
-        return (perm, maxc);
+        return (perm, cur_max);
     }
+    let mut cur_total: u64 = costs.iter().sum();
+    let mut band: Vec<usize> = Vec::new();
     loop {
-        let mut cur_max = 0u64;
-        let mut argmax = 0usize;
-        let mut cur_total = 0u64;
-        for (v, &c) in costs.iter().enumerate() {
-            cur_total += c;
-            if c > cur_max {
-                cur_max = c;
-                argmax = v;
-            }
-        }
-        // Evaluate one adjacent swap in O(m) via the stored deltas.
+        band.clear();
+        band.extend((0..obj.m).filter(|&v| costs[v] + 4 >= cur_max));
+        let argmax = *band
+            .iter()
+            .find(|&&v| costs[v] == cur_max)
+            .expect("the max sits in the band");
+        // Score one adjacent swap: the band's new max and the tally's
+        // new total.
         let eval = |p: usize| -> (u64, u64) {
             let (a, b) = (perm[p], perm[p + 1]);
-            let mut new_max = 0u64;
-            let mut new_total = 0u64;
-            for (v, &c) in costs.iter().enumerate() {
-                let nc = (c as i64 + obj.swap_delta_x2(v, a, b)) as u64;
-                new_total += nc;
-                new_max = new_max.max(nc);
-            }
+            let (ra, rb) = (obj.row(a), obj.row(b));
+            let new_max = band
+                .iter()
+                .map(|&v| costs[v].wrapping_add_signed(i64::from(2 * sign(rb[v], ra[v]))))
+                .max()
+                .unwrap_or(0);
+            let new_total = cur_total.wrapping_add_signed(tally.swap_delta_x2(a, b));
             (new_max, new_total)
         };
         let mut best_move: Option<(u64, u64, usize)> = None;
         // Pass 1: only swaps that move the argmax voter closer.
         for p in 0..n - 1 {
-            if obj.swap_delta_x2(argmax, perm[p], perm[p + 1]) >= 0 {
-                continue;
-            }
-            if !swap_allowed(cons, &perm, p) {
+            if obj.swap_delta_x2(argmax, perm[p], perm[p + 1]) >= 0 || !swap_allowed(cons, &perm, p)
+            {
                 continue;
             }
             let (nm, nt) = eval(p);
@@ -952,19 +982,15 @@ fn local_search_perm(
                 }
             }
         }
-        match best_move {
-            Some((_, _, p)) => {
-                let (a, b) = (perm[p], perm[p + 1]);
-                for (v, c) in costs.iter_mut().enumerate() {
-                    *c = (*c as i64 + obj.swap_delta_x2(v, a, b)) as u64;
-                }
-                perm.swap(p, p + 1);
-            }
-            None => break,
+        let Some((nm, nt, p)) = best_move else { break };
+        let (a, b) = (perm[p], perm[p + 1]);
+        for ((c, &xa), &xb) in costs.iter_mut().zip(obj.row(a)).zip(obj.row(b)) {
+            *c = c.wrapping_add_signed(i64::from(2 * sign(xb, xa)));
         }
+        perm.swap(p, p + 1);
+        (cur_max, cur_total) = (nm, nt);
     }
-    let maxc = costs.iter().copied().max().unwrap_or(0);
-    (perm, maxc)
+    (perm, cur_max)
 }
 
 /// An adjacent swap at `(p, p+1)` only changes class counts in the
@@ -1020,10 +1046,8 @@ mod tests {
                     return;
                 }
             }
-            let c = (0..inputs.len())
-                .map(|v| obj.voter_perm_cost_x2(v, p))
-                .max()
-                .unwrap_or(0);
+            let c = obj.costs_of_ranks(&ranks_of(p)).into_iter().max();
+            let c = c.unwrap_or(0);
             if best.as_ref().is_none_or(|&(_, bc)| c < bc) {
                 best = Some((p.to_vec(), c));
             }
@@ -1078,11 +1102,11 @@ mod tests {
         let obj = MinMaxObjective::build(&inputs).unwrap();
         let mut perm: Vec<ElementId> = vec![3, 1, 6, 0, 2, 5, 4];
         for p in 0..perm.len() - 1 {
-            let before: Vec<u64> = (0..4).map(|v| obj.voter_perm_cost_x2(v, &perm)).collect();
+            let before = obj.costs_of_ranks(&ranks_of(&perm));
             let (a, b) = (perm[p], perm[p + 1]);
             perm.swap(p, p + 1);
-            for (v, &prior) in before.iter().enumerate() {
-                let after = obj.voter_perm_cost_x2(v, &perm);
+            let after = obj.costs_of_ranks(&ranks_of(&perm));
+            for (v, (&prior, &after)) in before.iter().zip(&after).enumerate() {
                 assert_eq!(
                     after as i64 - prior as i64,
                     obj.swap_delta_x2(v, a, b),

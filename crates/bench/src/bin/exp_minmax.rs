@@ -12,22 +12,36 @@
 //! profile at n = 6 is pinned as a regression case: sum-optimal max
 //! cost 30, minmax-optimal max cost 16.
 //!
-//! The run ends with a hard acceptance gate: scoring a sweep of
-//! adjacent transpositions via `MinMaxObjective::swap_delta_x2` (O(m)
-//! per swap) must be at least as fast as the naive rescan that re-sums
-//! every pair for every voter (O(m·n²) per swap) — the gate CI drives
-//! with `BUCKETRANK_BENCH_FAST=1`.
+//! The run ends with two hard acceptance gates, which CI drives with
+//! `BUCKETRANK_BENCH_FAST=1`:
+//!
+//! * scoring a sweep of adjacent transpositions via
+//!   `MinMaxObjective::swap_delta_x2` (O(m) per swap) must be at least
+//!   as fast as the naive rescan that re-sums every pair for every voter
+//!   (O(m·n²) per swap);
+//! * `minmax_aggregate` must return exactly what the naive
+//!   [`bucketrank_bench::oracle`] pipeline returns (every candidate swap
+//!   rescanning all `m` voters) on 64×64 typed-Mallows profiles, and run
+//!   at least 2× faster.
 
-use bucketrank_aggregate::minmax::{self, MinMaxObjective};
+use bucketrank_aggregate::minmax::{self, ClassConstraints, MinMaxObjective};
+use bucketrank_aggregate::AggregateError;
 use bucketrank_bench::report::fast_mode;
 use bucketrank_bench::timing::{group, Sampler};
-use bucketrank_bench::Table;
+use bucketrank_bench::{oracle, Table};
 use bucketrank_core::{BucketOrder, ElementId};
 use bucketrank_metrics::kendall;
-use bucketrank_workloads::mallows::Mallows;
-use bucketrank_workloads::random::{random_few_valued, random_full_ranking};
+use bucketrank_workloads::mallows::{Mallows, MallowsWithTies};
+use bucketrank_workloads::random::{random_few_valued, random_full_ranking, random_type};
 use bucketrank_workloads::rng::{Pcg32, SeedableRng};
 use bucketrank_workloads::stats::summarize;
+
+/// A minmax heuristic pipeline (the library's or the oracle's).
+type Pipeline = fn(
+    &[BucketOrder],
+    Option<&ClassConstraints>,
+    u64,
+) -> Result<(BucketOrder, u64), AggregateError>;
 
 /// One profile-shape generator for the gap table.
 type ShapeGen = Box<dyn FnMut(&mut Pcg32) -> Vec<BucketOrder>>;
@@ -242,6 +256,50 @@ fn main() {
          {ratio:.1}x [{verdict}]"
     );
     if ratio < 1.0 {
+        std::process::exit(1);
+    }
+
+    // Pipeline gate: what the heuristics actually run. The library's
+    // banded climb against the naive oracle on the offline benchmark's
+    // profile shape (m = 64 typed-Mallows voters, θ = 0.2, restricted
+    // to the 64 elements its minmax stage sees).
+    group("minmax_aggregate vs the naive oracle pipeline (64×64 typed Mallows)");
+    let (pn, pm) = (64usize, 64usize);
+    let mut prng = Pcg32::seed_from_u64(0x6d6d);
+    let profiles: Vec<Vec<BucketOrder>> = (0..4)
+        .map(|_| {
+            let alpha = random_type(&mut prng, pn);
+            MallowsWithTies::new(Mallows::new(pn, 0.2), alpha).sample_profile(&mut prng, pm)
+        })
+        .collect();
+    let run = |agg: Pipeline| {
+        profiles
+            .iter()
+            .map(|p| agg(p, None, minmax::DEFAULT_SEED).expect("minmax pipeline"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        run(minmax::minmax_aggregate),
+        run(oracle::minmax_aggregate),
+        "minmax_aggregate diverged from the naive oracle pipeline"
+    );
+    let pipe_sampler = Sampler {
+        samples: sampler.samples.max(5),
+        ..sampler
+    };
+    let banded = pipe_sampler.bench("minmax_pipeline/banded", || {
+        run(minmax::minmax_aggregate)
+    });
+    let naive = pipe_sampler.bench("minmax_pipeline/naive_oracle", || {
+        run(oracle::minmax_aggregate)
+    });
+    let ratio = naive.median_ns / banded.median_ns;
+    let verdict = if ratio >= 2.0 { "PASS" } else { "FAIL" };
+    println!(
+        "\nacceptance gate minmax_aggregate >= 2x naive oracle pipeline \
+         (identical output): {ratio:.1}x [{verdict}]"
+    );
+    if ratio < 2.0 {
         std::process::exit(1);
     }
     println!("\nsum and minmax optima coincide on consensus profiles and split");

@@ -1,5 +1,7 @@
-//! Experiment harness shared by the `exp_*` binaries: text tables and
-//! common workload plumbing.
+//! Experiment harness shared by the `exp_*` binaries: text tables,
+//! common workload plumbing, and naive reference implementations
+//! ([`oracle`]) the library has outgrown, kept for differential tests
+//! and bench gates.
 //!
 //! Each binary regenerates one experiment from `EXPERIMENTS.md`; run them
 //! with e.g. `cargo run --release -p bucketrank-bench --bin exp_equivalence`.
@@ -7,6 +9,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod oracle;
 pub mod report;
 pub mod roofline;
 pub mod table;

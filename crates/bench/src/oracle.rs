@@ -1,0 +1,242 @@
+//! Naive reference implementations kept out of the library, for
+//! differential tests and bench gates.
+//!
+//! [`minmax_aggregate`] and [`minmax_local_search`] are the minmax
+//! heuristic pipeline as first written: every candidate swap rescans
+//! all `m` voters, and every constrained swap recounts the prefix. They
+//! use only the public surface of `aggregate::minmax`, so the library's
+//! banded scoring and tally sum deltas share no code with them.
+
+use bucketrank_aggregate::kwiksort::kwiksort_with_tally;
+use bucketrank_aggregate::minmax::{ClassConstraints, MinMaxObjective, DEFAULT_RESTARTS};
+use bucketrank_aggregate::{AggregateError, ProfileTally};
+use bucketrank_core::{BucketOrder, ElementId};
+
+/// The oracle for `aggregate::minmax::minmax_aggregate`: the same seeds,
+/// repair and selection, over the naive climb.
+///
+/// # Errors
+/// As the library function.
+pub fn minmax_aggregate(
+    inputs: &[BucketOrder],
+    constraints: Option<&ClassConstraints>,
+    seed: u64,
+) -> Result<(BucketOrder, u64), AggregateError> {
+    let obj = MinMaxObjective::build(inputs)?;
+    let n = obj.len();
+    check_constraints(n, constraints)?;
+    if let Some(cc) = constraints {
+        if !cc.is_feasible() {
+            return Err(AggregateError::InfeasibleConstraints);
+        }
+    }
+    if n == 0 {
+        return Ok((BucketOrder::trivial(0), 0));
+    }
+    let tally = ProfileTally::build(inputs)?;
+    let m = inputs.len();
+
+    let mut seeds: Vec<Vec<ElementId>> = Vec::new();
+    for i in 0..DEFAULT_RESTARTS {
+        let cand = kwiksort_with_tally(&tally, seed.wrapping_add(i as u64))?;
+        seeds.push(cand.as_permutation().expect("kwiksort emits full"));
+    }
+    let take = m.min(16);
+    for i in 0..take {
+        let v = i * m / take;
+        let mut perm: Vec<ElementId> = (0..n as ElementId).collect();
+        perm.sort_by_key(|&e| (obj.bucket_of(v, e), e));
+        seeds.push(perm);
+    }
+
+    let mut best: Option<(Vec<ElementId>, u64)> = None;
+    for perm in seeds {
+        let perm = match constraints {
+            Some(cc) => {
+                let order = BucketOrder::from_permutation(&perm).expect("seed permutes");
+                cc.repair(&order)?
+                    .as_permutation()
+                    .expect("repair emits full")
+            }
+            None => perm,
+        };
+        let (out, cost) = local_search_perm(&obj, constraints, perm);
+        if best.as_ref().is_none_or(|&(_, bc)| cost < bc) {
+            best = Some((out, cost));
+        }
+    }
+    let (perm, cost) = best.expect("at least one seed");
+    Ok((
+        BucketOrder::from_permutation(&perm).expect("best seed permutes"),
+        cost,
+    ))
+}
+
+/// The oracle for `aggregate::minmax::minmax_local_search`.
+///
+/// # Errors
+/// As the library function.
+pub fn minmax_local_search(
+    candidate: &BucketOrder,
+    inputs: &[BucketOrder],
+    constraints: Option<&ClassConstraints>,
+) -> Result<(BucketOrder, u64), AggregateError> {
+    let obj = MinMaxObjective::build(inputs)?;
+    let n = obj.len();
+    check_constraints(n, constraints)?;
+    if candidate.len() != n {
+        return Err(AggregateError::DomainMismatch {
+            expected: n,
+            found: candidate.len(),
+        });
+    }
+    let start = match constraints {
+        Some(cc) => cc.repair(candidate)?,
+        None => candidate.clone(),
+    };
+    let perm = start
+        .as_permutation()
+        .ok_or(AggregateError::NotFullRanking)?;
+    let (out, cost) = local_search_perm(&obj, constraints, perm);
+    Ok((
+        BucketOrder::from_permutation(&out).expect("local search permutes"),
+        cost,
+    ))
+}
+
+fn check_constraints(
+    n: usize,
+    constraints: Option<&ClassConstraints>,
+) -> Result<(), AggregateError> {
+    if let Some(cc) = constraints {
+        if cc.domain_size() != n {
+            return Err(AggregateError::DomainMismatch {
+                expected: n,
+                found: cc.domain_size(),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Voter cost of a full ranking given as a permutation slice.
+fn voter_perm_cost_x2(obj: &MinMaxObjective, voter: usize, perm: &[ElementId]) -> u64 {
+    let mut cost = 0u64;
+    for i in 0..perm.len() {
+        for j in i + 1..perm.len() {
+            cost += obj.pair_cost_x2(voter, perm[i], perm[j]);
+        }
+    }
+    cost
+}
+
+/// The hill climb, O(m) per candidate swap: `perm` must already be
+/// feasible; `(max, total)` strictly decreases every accepted move.
+fn local_search_perm(
+    obj: &MinMaxObjective,
+    cons: Option<&ClassConstraints>,
+    mut perm: Vec<ElementId>,
+) -> (Vec<ElementId>, u64) {
+    let n = obj.len();
+    let m = obj.voters();
+    let mut costs: Vec<u64> = (0..m).map(|v| voter_perm_cost_x2(obj, v, &perm)).collect();
+    if n < 2 {
+        let maxc = costs.iter().copied().max().unwrap_or(0);
+        return (perm, maxc);
+    }
+    loop {
+        let mut cur_max = 0u64;
+        let mut argmax = 0usize;
+        let mut cur_total = 0u64;
+        for (v, &c) in costs.iter().enumerate() {
+            cur_total += c;
+            if c > cur_max {
+                cur_max = c;
+                argmax = v;
+            }
+        }
+        // Evaluate one adjacent swap in O(m) via the stored deltas.
+        let eval = |p: usize| -> (u64, u64) {
+            let (a, b) = (perm[p], perm[p + 1]);
+            let mut new_max = 0u64;
+            let mut new_total = 0u64;
+            for (v, &c) in costs.iter().enumerate() {
+                let nc = (c as i64 + obj.swap_delta_x2(v, a, b)) as u64;
+                new_total += nc;
+                new_max = new_max.max(nc);
+            }
+            (new_max, new_total)
+        };
+        let mut best_move: Option<(u64, u64, usize)> = None;
+        // Pass 1: only swaps that move the argmax voter closer.
+        for p in 0..n - 1 {
+            if obj.swap_delta_x2(argmax, perm[p], perm[p + 1]) >= 0 {
+                continue;
+            }
+            if !swap_allowed(cons, &perm, p) {
+                continue;
+            }
+            let (nm, nt) = eval(p);
+            if (nm, nt) < (cur_max, cur_total)
+                && best_move.is_none_or(|(bm, bt, _)| (nm, nt) < (bm, bt))
+            {
+                best_move = Some((nm, nt, p));
+            }
+        }
+        // Pass 2: any improving swap, when the argmax voter offers none.
+        if best_move.is_none() {
+            for p in 0..n - 1 {
+                if !swap_allowed(cons, &perm, p) {
+                    continue;
+                }
+                let (nm, nt) = eval(p);
+                if (nm, nt) < (cur_max, cur_total)
+                    && best_move.is_none_or(|(bm, bt, _)| (nm, nt) < (bm, bt))
+                {
+                    best_move = Some((nm, nt, p));
+                }
+            }
+        }
+        match best_move {
+            Some((_, _, p)) => {
+                let (a, b) = (perm[p], perm[p + 1]);
+                for (v, c) in costs.iter_mut().enumerate() {
+                    *c = (*c as i64 + obj.swap_delta_x2(v, a, b)) as u64;
+                }
+                perm.swap(p, p + 1);
+            }
+            None => break,
+        }
+    }
+    let maxc = costs.iter().copied().max().unwrap_or(0);
+    (perm, maxc)
+}
+
+/// An adjacent swap at `(p, p+1)` only changes class counts in the
+/// prefix of length `p+1`; check exactly the rules whose window closes
+/// there, recounting the prefix for each.
+fn swap_allowed(cons: Option<&ClassConstraints>, perm: &[ElementId], p: usize) -> bool {
+    let Some(cc) = cons else { return true };
+    let labels = cc.labels();
+    let (a, b) = (perm[p], perm[p + 1]);
+    if labels[a as usize] == labels[b as usize] {
+        return true;
+    }
+    let w = (p + 1) as u32;
+    for r in cc.rules() {
+        if r.window != w {
+            continue;
+        }
+        let mut cnt = perm[..p]
+            .iter()
+            .filter(|&&e| labels[e as usize] == r.class)
+            .count() as u32;
+        if labels[b as usize] == r.class {
+            cnt += 1;
+        }
+        if cnt < r.min || cnt > r.max {
+            return false;
+        }
+    }
+    true
+}

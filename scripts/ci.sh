@@ -80,7 +80,8 @@ BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test server_pipe
 echo "==> minmax conformance suite (256 cases per property)"
 # The minmax-objective differential suite: exact branch-and-bound vs
 # brute-force enumeration (with and without class constraints),
-# heuristic max-cost sandwiched between 1× and 2× exact, typed
+# heuristic max-cost sandwiched between 1× and 2× exact, the banded
+# local search against the naive bucketrank_bench::oracle climb, typed
 # rejection of malformed/infeasible constraints, and the MinMaxAgg
 # loopback byte-parity differential.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test minmax_conformance
@@ -180,7 +181,9 @@ echo "==> exp_minmax smoke gate"
 # outlier regression (sum-opt max 30 vs minmax 16 on 9×identity +
 # 1×reversal at n=6) is hard-asserted, and the run exits nonzero
 # unless the tally-delta scorer holds ≥ 1× over the naive per-swap
-# rescan.
+# rescan, and unless minmax_aggregate returns exactly what the naive
+# bucketrank_bench::oracle pipeline returns on 64×64 typed-Mallows profiles
+# while running ≥ 2× faster than it.
 BUCKETRANK_BENCH_FAST=1 \
   cargo run --release --offline -p bucketrank-bench --bin exp_minmax
 

@@ -10,7 +10,10 @@
 //! The exact search's tree itself is pinned too: on a fixed seeded
 //! corpus, `(permutation, cost, nodes, pruned)` must equal the values
 //! recorded from the original rescanning search, so a faster bound
-//! implementation provably visits and prunes the same nodes.
+//! implementation provably visits and prunes the same nodes. The
+//! heuristics are pinned the same way (`(permutation fingerprint,
+//! cost)` recorded from the O(m)-per-candidate climb), and checked
+//! case by case against that climb, kept as `bucketrank_bench::oracle`.
 //!
 //! Independence: brute force scores candidates with
 //! `metrics::kendall::kprof_x2` directly (never [`MinMaxObjective`])
@@ -26,6 +29,7 @@ use bucketrank::metrics::kendall;
 use bucketrank::server::proto::{ErrorCode, Request, Response, WirePolicy, WireRule};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::{BucketOrder, ElementId};
+use bucketrank_bench::oracle;
 use bucketrank_testkit::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -100,6 +104,15 @@ fn binding_rule(labels: &[u32]) -> WindowRule {
         class,
         min: target,
         max: target,
+    }
+}
+
+/// [`binding_rule`], or no rule on the empty domain.
+fn binding_rules(labels: &[u32]) -> Vec<WindowRule> {
+    if labels.is_empty() {
+        vec![]
+    } else {
+        vec![binding_rule(labels)]
     }
 }
 
@@ -272,6 +285,210 @@ fn exact_search_tree_is_pinned() {
             );
         }
     }
+}
+
+/// Heuristic pinned case `i`: `n ∈ 0..=64` (cases 0–3 fix the extremes
+/// 0, 1, 2 and 64), `m ∈ 1..=64` voters, and keys cycling through
+/// all-tied, two-to-four levels, `n` levels and full rankings, plus
+/// three-class labels for the constrained run.
+fn heuristic_case(i: u64) -> (Vec<BucketOrder>, Vec<u32>) {
+    let mut s = 0x4E55_0000 ^ i;
+    let n = match i {
+        0..=2 => i as usize,
+        3 => 64,
+        _ => (splitmix(&mut s) % 65) as usize,
+    };
+    let m = 1 + (splitmix(&mut s) % 64) as usize;
+    let levels = match i % 4 {
+        0 => 1,
+        1 => 2 + splitmix(&mut s) % 3,
+        2 => n.max(1) as u64,
+        _ => u64::MAX,
+    };
+    let profile = (0..m)
+        .map(|_| {
+            let keys: Vec<u64> = (0..n).map(|_| splitmix(&mut s) % levels).collect();
+            BucketOrder::from_keys(&keys)
+        })
+        .collect();
+    let labels = (0..n).map(|_| (splitmix(&mut s) % 3) as u32).collect();
+    (profile, labels)
+}
+
+/// FNV-1a over a permutation's elements: pins a 64-element output in
+/// one constant.
+fn fingerprint(perm: &[ElementId]) -> u64 {
+    perm.iter().fold(0xCBF2_9CE4_8422_2325, |h, &e| {
+        (h ^ u64::from(e)).wrapping_mul(0x0100_0000_01B3)
+    })
+}
+
+/// `(fingerprint, max_cost_x2)` of `minmax_aggregate` at the wire seed,
+/// then of `minmax_local_search` from the identity, on one heuristic
+/// pinned case.
+type PinnedHeuristic = (u64, u64, u64, u64);
+
+/// Entry `i` is `heuristic_case(i)`, unconstrained.
+const PINNED_HEURISTIC_UNCONSTRAINED: [PinnedHeuristic; 24] = [
+    (0xCBF29CE484222325, 0, 0xCBF29CE484222325, 0),
+    (0xAF63BD4C8601B7DF, 0, 0xAF63BD4C8601B7DF, 0),
+    (0x082F2207B4E88CC4, 2, 0x082F2207B4E88CC4, 2),
+    (0xC76A1C09670C891B, 2074, 0xED579DE4DBE9AF49, 2252),
+    (0x3378E3D0C52EDFAF, 10, 0x3378E3D0C52EDFAF, 10),
+    (0x067C6BB8DF05B771, 1885, 0x636B6A470CAD0A07, 1975),
+    (0x19F2ADC74C50FD3A, 21, 0x19F2ADC74C50FD3A, 21),
+    (0x4A1D9D07BB09EAD0, 380, 0x71C647E100A2E23E, 404),
+    (0x26EF227C460EC0CF, 1378, 0x26EF227C460EC0CF, 1378),
+    (0x2FADE22D1FA945D0, 692, 0x432C11E7EBF3625A, 741),
+    (0x40776D8688309E20, 155, 0x2F95932F08DA571A, 177),
+    (0xAF63BD4C8601B7DF, 0, 0xAF63BD4C8601B7DF, 0),
+    (0x0E707B5C91A84776, 435, 0x0E707B5C91A84776, 435),
+    (0xD17EA2FF1BBEF0EF, 1400, 0xF0A181F60252FB49, 1464),
+    (0x082F2207B4E88CC4, 2, 0x082F2207B4E88CC4, 2),
+    (0x95C44A904F218D75, 10, 0x3BCF197F93FB31C3, 10),
+    (0x4013A15050E8031F, 528, 0x4013A15050E8031F, 528),
+    (0x08328707B4EB6E3A, 2, 0x08328707B4EB6E3A, 2),
+    (0x6B8ADF6FDFB42105, 555, 0xB39DBED3DCD7AAC9, 583),
+    (0x5681254D0E50F28C, 58, 0x7FBD6150E7398BCC, 66),
+    (0xB0AB0A23CF6EDD68, 1485, 0xB0AB0A23CF6EDD68, 1485),
+    (0x29C68EBBD5ED1534, 96, 0xE514F2AB85EDCC56, 96),
+    (0xA6D9BD449D5DAC1F, 292, 0x0AD42EA71CA5FB19, 325),
+    (0xE559CE401BBBA922, 1276, 0x96EC28D0365F215A, 1348),
+];
+
+/// As [`PINNED_HEURISTIC_UNCONSTRAINED`], under `binding_rules(labels)`.
+const PINNED_HEURISTIC_CONSTRAINED: [PinnedHeuristic; 24] = [
+    (0xCBF29CE484222325, 0, 0xCBF29CE484222325, 0),
+    (0xAF63BD4C8601B7DF, 0, 0xAF63BD4C8601B7DF, 0),
+    (0x082F2207B4E88CC4, 2, 0x082F2207B4E88CC4, 2),
+    (0x5427E916EF27AFDB, 2056, 0x1B0BCFCAEA8B837F, 2228),
+    (0x3378E3D0C52EDFAF, 10, 0x3378E3D0C52EDFAF, 10),
+    (0x7C728F41F5882E2B, 1885, 0xFC9C90CA11D9426B, 1975),
+    (0x19F2ADC74C50FD3A, 21, 0x19F2ADC74C50FD3A, 21),
+    (0x58E61FDECFBA3068, 382, 0x872CBC0651242304, 402),
+    (0xA8A5C309C5D61C8D, 1378, 0xA8A5C309C5D61C8D, 1378),
+    (0x7519685AD7AA6FDA, 698, 0xB1A73DA274D601EC, 778),
+    (0xB684B7963DBBCD32, 164, 0x2592AF6CBE6F3B96, 182),
+    (0xAF63BD4C8601B7DF, 0, 0xAF63BD4C8601B7DF, 0),
+    (0x0E707B5C91A84776, 435, 0x0E707B5C91A84776, 435),
+    (0x78203BF4DA713D03, 1400, 0x56DD6B141D79EB57, 1464),
+    (0x082F2207B4E88CC4, 2, 0x082F2207B4E88CC4, 2),
+    (0x8D109D904A30E54F, 10, 0x3BCF197F93FB31C3, 10),
+    (0xF81C15EB83E24265, 528, 0xF81C15EB83E24265, 528),
+    (0x082F2207B4E88CC4, 2, 0x082F2207B4E88CC4, 2),
+    (0xF6B9B4AA2DC75DD9, 549, 0xFB6CA6C58FBE48C5, 582),
+    (0x4DD844E7061671B6, 60, 0x7FBD6150E7398BCC, 66),
+    (0x716F7E0AE4ED3D3A, 1485, 0x716F7E0AE4ED3D3A, 1485),
+    (0x7BABF9B718EFCA4C, 93, 0x09DB1B73A2CF40F2, 100),
+    (0x095F556EAA83A87B, 293, 0x22A53A06C025B265, 321),
+    (0xF772E0FC71043A1C, 1278, 0xC26F015881F3E822, 1354),
+];
+
+#[test]
+fn heuristic_output_is_pinned() {
+    let pinned = PINNED_HEURISTIC_UNCONSTRAINED
+        .iter()
+        .zip(&PINNED_HEURISTIC_CONSTRAINED);
+    for (i, (free, bound)) in pinned.enumerate() {
+        let (profile, labels) = heuristic_case(i as u64);
+        let n = labels.len();
+        let cons = ClassConstraints::new(labels.clone(), binding_rules(&labels)).unwrap();
+        let identity: Vec<ElementId> = (0..n as ElementId).collect();
+        let identity = BucketOrder::from_permutation(&identity).unwrap();
+        for (want, cons) in [(free, None), (bound, Some(&cons))] {
+            let (agg, agg_cost) =
+                minmax::minmax_aggregate(&profile, cons, minmax::DEFAULT_SEED).unwrap();
+            let (ls, ls_cost) = minmax::minmax_local_search(&identity, &profile, cons).unwrap();
+            let got = (
+                fingerprint(&agg.as_permutation().unwrap()),
+                agg_cost,
+                fingerprint(&ls.as_permutation().unwrap()),
+                ls_cost,
+            );
+            assert_eq!(got, *want, "case {i}, constrained = {}", cons.is_some());
+        }
+    }
+}
+
+/// The oracle lane's stream: the classed generator at 20 elements, with
+/// the band's edge shapes forced on half the draws — `n ∈ {0, 1, 2}`
+/// with one voter; every voter a single bucket (every swap delta 0);
+/// one outlier voter reversing an otherwise unanimous profile (a band
+/// of one); and identical voters (all tied at the max, a band of all
+/// `m`). Shrinks with the classed generator's moves.
+struct OracleCases(gen::ClassedProfileGen);
+
+impl Gen for OracleCases {
+    type Value = (Vec<BucketOrder>, Vec<u32>);
+
+    fn generate(&self, rng: &mut Pcg32) -> Self::Value {
+        let keyed = |rng: &mut Pcg32, n: usize, levels: u32| {
+            let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..levels)).collect();
+            BucketOrder::from_keys(&keys)
+        };
+        let n = rng.gen_range(3..=24usize);
+        let m = rng.gen_range(1..=12usize);
+        let profile = match rng.gen_range(0..8u32) {
+            0 => {
+                let n = rng.gen_range(0..=2usize);
+                vec![keyed(rng, n, 2)]
+            }
+            1 => vec![BucketOrder::trivial(n); m],
+            2 => {
+                let mut perm: Vec<ElementId> = (0..n as ElementId).collect();
+                perm.shuffle(rng);
+                let base = BucketOrder::from_permutation(&perm).unwrap();
+                perm.reverse();
+                let mut p = vec![base; m];
+                let rev = BucketOrder::from_permutation(&perm).unwrap();
+                p.insert(rng.gen_range(0..=m), rev);
+                p
+            }
+            3 => {
+                let levels = rng.gen_range(1..=n as u32);
+                vec![keyed(rng, n, levels); m]
+            }
+            _ => return self.0.generate(rng),
+        };
+        let n = profile[0].len();
+        let labels = (0..n).map(|_| rng.gen_range(0..3u32)).collect();
+        (profile, labels)
+    }
+
+    fn shrink(&self, v: &Self::Value) -> Vec<Self::Value> {
+        self.0.shrink(v)
+    }
+}
+
+#[test]
+fn local_search_matches_naive_oracle() {
+    check(
+        "local_search_matches_naive_oracle",
+        OracleCases(gen::classed_profile_with_degenerates(1..=12, 20, 6)),
+        |(profile, labels)| {
+            let n = labels.len();
+            let cons = ClassConstraints::new(labels.clone(), binding_rules(labels)).unwrap();
+            let forward: Vec<ElementId> = (0..n as ElementId).collect();
+            let backward: Vec<ElementId> = forward.iter().rev().copied().collect();
+            for cons in [None, Some(&cons)] {
+                assert_eq!(
+                    minmax::minmax_aggregate(profile, cons, minmax::DEFAULT_SEED),
+                    oracle::minmax_aggregate(profile, cons, minmax::DEFAULT_SEED),
+                    "minmax_aggregate diverged, constrained = {}",
+                    cons.is_some()
+                );
+                for start in [&forward, &backward] {
+                    let start = BucketOrder::from_permutation(start).unwrap();
+                    assert_eq!(
+                        minmax::minmax_local_search(&start, profile, cons),
+                        oracle::minmax_local_search(&start, profile, cons),
+                        "minmax_local_search from {start:?} diverged, constrained = {}",
+                        cons.is_some()
+                    );
+                }
+            }
+        },
+    );
 }
 
 #[test]
