@@ -42,6 +42,13 @@
 //! The invariant `w2(a, b) = m + strict(a, b) − strict(b, a)` holds
 //! after every edit because each voter's contribution satisfies it.
 //!
+//! Replace is **one fused pass** over the rows: each cell moves by the
+//! new contribution minus the old one (wrapping `u32` arithmetic; the
+//! final cell is a live-voter count, so it is exact), and the same
+//! sweep finds whether any pair in the row changed relation. It reads
+//! and writes each matrix once — half the traffic of a retract pass
+//! plus an add pass — and needs no separate dirty scan.
+//!
 //! Median ranks use one counting array per element over the half-unit
 //! position grid `2..=2n` (positions of an `n`-element bucket order are
 //! half-integers), plus a median pointer and a count of values strictly
@@ -56,9 +63,11 @@
 //! changed since the last drain. Push and remove mark every row (the
 //! voter count enters every weight and majority threshold); replace
 //! marks exactly the endpoints of pairs the old and new ranking order
-//! differently — rows outside the drained set are guaranteed
-//! byte-identical, so row-local consumers refresh only what an update
-//! touched: [`MajorityGraph::refresh_rows`](
+//! differently, in ascending row order ([`DirtyRows::rows`] lists rows
+//! in the order they were first marked since the last drain) — rows
+//! outside the drained set are guaranteed byte-identical, so row-local
+//! consumers refresh only what an update touched:
+//! [`MajorityGraph::refresh_rows`](
 //! crate::condorcet::MajorityGraph::refresh_rows), [`refresh_mc4_rows`](
 //! crate::markov::refresh_mc4_rows), and `medrank`'s
 //! `top_k_from_medians` in the access crate re-serve from the
@@ -70,8 +79,11 @@
 //! `O(m·n²)`. The dynamic path therefore wins by a factor `Θ(m)` for
 //! single-voter churn and the batch build wins only when most of the
 //! profile changes between queries (fewer than a handful of surviving
-//! voters per rebuild). `BENCH_dynamic.json` (the `bench_dynamic`
-//! binary) records the measured trajectory; see DESIGN.md §3.3c.
+//! voters per rebuild). A median-only query is the exception: every
+//! edit still pays the `O(n²)` tally maintenance that query never
+//! reads, so at small `m` an `O(m·n log m)` median rebuild wins.
+//! `BENCH_dynamic.json` (the `bench_dynamic` binary) records the
+//! measured trajectory; see DESIGN.md §3.3c.
 
 use crate::error::check_inputs;
 use crate::median::MedianPolicy;
@@ -200,6 +212,46 @@ fn apply_voter(strict: &mut [u32], w2: &mut [u32], n: usize, voter: &BucketOrder
         let (w_lo, w_rest) = w2[a * n..(a + 1) * n].split_at_mut(a);
         apply_run(s_lo, w_lo, &bof[..a], ba, add);
         apply_run(&mut s_rest[1..], &mut w_rest[1..], &bof[a + 1..], ba, add);
+    }
+}
+
+/// One fused row pass of [`DynamicProfile::replace_voter`]: retracts
+/// the old ranking's contribution to row `a` and adds the new one's in
+/// the same sweep (`oa`/`na` = element `a`'s old/new bucket index), and
+/// reports whether any pair in the row changed relation. `strict`
+/// moves by `win_new − win_old` and `w2` by
+/// `(2·win_new + tie_new) − (2·win_old + tie_old)` in wrapping `u32`
+/// arithmetic — the true cell after the edit is a live-voter count, so
+/// the wrapped result is exact. The diagonal needs no split: an
+/// element ties itself in both rankings, so its deltas and its
+/// changed-relation bit are zero.
+#[inline]
+fn replace_row(
+    strict: &mut [u32],
+    w2: &mut [u32],
+    old: &[u32],
+    new: &[u32],
+    oa: u32,
+    na: u32,
+) -> bool {
+    let mut changed = 0u32;
+    for (((s, w), &ob), &nb) in strict.iter_mut().zip(w2.iter_mut()).zip(old).zip(new) {
+        let (win_old, tie_old) = (u32::from(ob > oa), u32::from(ob == oa));
+        let (win_new, tie_new) = (u32::from(nb > na), u32::from(nb == na));
+        *s = s.wrapping_add(win_new).wrapping_sub(win_old);
+        *w = w
+            .wrapping_add(2 * win_new + tie_new)
+            .wrapping_sub(2 * win_old + tie_old);
+        changed |= (win_new ^ win_old) | (tie_new ^ tie_old);
+    }
+    changed != 0
+}
+
+/// 0-based rank of the policy's median among `m ≥ 1` sorted values.
+fn target_rank(policy: MedianPolicy, m: usize) -> u32 {
+    match policy {
+        MedianPolicy::Lower => ((m - 1) / 2) as u32,
+        MedianPolicy::Upper => (m / 2) as u32,
     }
 }
 
@@ -442,14 +494,6 @@ impl DynamicProfile {
         &self.tally
     }
 
-    /// 0-based rank of the policy's median among `m` sorted values.
-    fn target_rank(&self, m: usize) -> u32 {
-        match self.policy {
-            MedianPolicy::Lower => ((m - 1) / 2) as u32,
-            MedianPolicy::Upper => (m / 2) as u32,
-        }
-    }
-
     /// The maintained median vector as positions.
     fn medians_vec(&self) -> Vec<Pos> {
         self.med
@@ -483,7 +527,7 @@ impl DynamicProfile {
             apply_voter(strict, w2, n, &ranking, true);
         }
         self.tally.set_voters(m + 1);
-        let k = self.target_rank(m + 1);
+        let k = target_rank(self.policy, m + 1);
         for (e, p) in ranking.positions().iter().enumerate() {
             let row = &mut self.counts[e * self.span..(e + 1) * self.span];
             ms_insert(
@@ -521,7 +565,11 @@ impl DynamicProfile {
             apply_voter(strict, w2, n, &ranking, false);
         }
         self.tally.set_voters(m - 1);
-        let k = if m > 1 { self.target_rank(m - 1) } else { 0 };
+        let k = if m > 1 {
+            target_rank(self.policy, m - 1)
+        } else {
+            0
+        };
         for (e, p) in ranking.positions().iter().enumerate() {
             let row = &mut self.counts[e * self.span..(e + 1) * self.span];
             ms_remove(
@@ -539,10 +587,13 @@ impl DynamicProfile {
     }
 
     /// Replaces a live voter's ranking in place (the voter count is
-    /// unchanged) and returns the previous ranking; `O(n²)`. Marks
-    /// dirty exactly the endpoints of pairs the old and new ranking
-    /// order differently — an element whose median moved is always
-    /// among them, because a position change implies a relation change.
+    /// unchanged) and returns the previous ranking; `O(n²)` in one
+    /// fused pass over the tally rows that retracts the old
+    /// contribution, adds the new one and finds the dirty rows. Marks
+    /// dirty, in ascending row order, exactly the endpoints of pairs
+    /// the old and new ranking order differently — an element whose
+    /// median moved is always among them, because a position change
+    /// implies a relation change.
     ///
     /// # Errors
     /// [`AggregateError::UnknownVoter`] /
@@ -560,21 +611,35 @@ impl DynamicProfile {
                 found: ranking.len(),
             });
         }
-        let old = self
+        let slot = self
             .voters
-            .get(&id.0)
-            .cloned()
+            .get_mut(&id.0)
             .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
+        let old = std::mem::replace(slot, ranking);
+        let new = &*slot;
         let m = self.tally.voters();
+        let k_rm = if m > 1 {
+            target_rank(self.policy, m - 1)
+        } else {
+            0
+        };
+        let k_ins = target_rank(self.policy, m);
         {
+            let (ob, nb) = (old.bucket_indices(), new.bucket_indices());
             let (strict, w2) = self.tally.parts_mut();
-            apply_voter(strict, w2, n, &old, false);
-            apply_voter(strict, w2, n, &ranking, true);
+            // `max(1)`: an empty domain has no rows, but a chunk width
+            // must be nonzero.
+            let rows = strict
+                .chunks_exact_mut(n.max(1))
+                .zip(w2.chunks_exact_mut(n.max(1)));
+            for (a, (s_row, w_row)) in rows.enumerate() {
+                if replace_row(s_row, w_row, ob, nb, ob[a], nb[a]) {
+                    self.dirty.mark(a as ElementId);
+                }
+            }
         }
-        let k_rm = if m > 1 { self.target_rank(m - 1) } else { 0 };
-        let k_ins = self.target_rank(m);
         let old_pos = old.positions();
-        let new_pos = ranking.positions();
+        let new_pos = new.positions();
         for e in 0..n {
             let ov = old_pos[e].half_units() as usize;
             let nv = new_pos[e].half_units() as usize;
@@ -585,18 +650,7 @@ impl DynamicProfile {
             ms_remove(row, &mut self.med[e], &mut self.lt[e], ov, m - 1, k_rm);
             ms_insert(row, &mut self.med[e], &mut self.lt[e], nv, m, k_ins);
         }
-        let ob = old.bucket_indices();
-        let nb = ranking.bucket_indices();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if ob[a].cmp(&ob[b]) != nb[a].cmp(&nb[b]) {
-                    self.dirty.mark(a as ElementId);
-                    self.dirty.mark(b as ElementId);
-                }
-            }
-        }
         self.generation += 1;
-        self.voters.insert(id.0, ranking);
         Ok(old)
     }
 

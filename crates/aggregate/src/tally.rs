@@ -61,6 +61,14 @@
 //! microarchitecture; `tests/tally_conformance.rs` proves the tiled,
 //! narrow-cell build bit-identical to the naive `prefers()` reference,
 //! including chunk-promotion boundaries.
+//!
+//! # Kemeny scan
+//!
+//! [`ProfileTally::kemeny_cost_x2`] reads `strict` alone, one
+//! branch-free mask-and-add per cell summed in overflow-free `u32`
+//! runs (the identity is on the method). It is pinned to the former
+//! two-matrix branchy scan, kept as `bucketrank_bench::oracle`, by
+//! `tests/tally_conformance.rs` and the `bench_aggregate_tally` gate.
 
 use crate::error::check_inputs;
 use crate::AggregateError;
@@ -465,6 +473,17 @@ impl ProfileTally {
     /// candidate ties costs 1 (×2 scale) per voter ordering it either
     /// way.
     ///
+    /// One branch-free pass over `strict` alone. Writing the ordered
+    /// pairs' cost `w2(l, w) = m + s(l, w) − s(w, l)` out, the total is
+    /// `m·P + Σ_{l,w} s(l, w)·(b_w ≤ b_l ? +1 : −1)` with `P` the
+    /// number of pairs the candidate orders strictly (`b` = candidate
+    /// bucket index; the diagonal is zero). Each of those `P` pairs
+    /// has exactly one cell with `b_w > b_l`, so folding its `m` into
+    /// that cell makes every term a cell value in `0..=m`:
+    /// `Σ_{l,w} (b_w ≤ b_l ? s(l, w) : m − s(l, w))`. Rows are summed
+    /// in `u32` runs of `u32::MAX / max(m, 1)` cells — no run can
+    /// overflow — each widened once into the `u64` total.
+    ///
     /// Agrees exactly with summing
     /// [`kendall::kprof_x2`](bucketrank_metrics::kendall::kprof_x2)
     /// over the voters (enforced by `tests/tally_conformance.rs`).
@@ -480,22 +499,23 @@ impl ProfileTally {
                 found: candidate.len(),
             });
         }
+        if n == 0 {
+            return Ok(0);
+        }
         let buckets = candidate.bucket_indices();
+        let m = self.m as u32;
+        let run = (u32::MAX / m.max(1)) as usize;
         let mut total = 0u64;
-        // Row-contiguous scans: the pair (winner w, loser l) costs
-        // w2[l][w]; a candidate-tied pair (a, b) costs
-        // strict(a, b) + strict(b, a), split across both rows.
-        for l in 0..n {
-            let bl = buckets[l];
-            let row_w2 = &self.w2[l * n..(l + 1) * n];
-            let row_s = &self.strict[l * n..(l + 1) * n];
-            for w in 0..n {
-                let bw = buckets[w];
-                if bw < bl {
-                    total += u64::from(row_w2[w]);
-                } else if bw == bl && w != l {
-                    total += u64::from(row_s[w]);
+        for (row, &bl) in self.strict.chunks_exact(n).zip(buckets) {
+            for (cells, bws) in row.chunks(run).zip(buckets.chunks(run)) {
+                let mut sum = 0u32;
+                for (&s, &bw) in cells.iter().zip(bws) {
+                    // All ones when the candidate puts `w` after `l`:
+                    // the cell is then `(s ^ !0) + (m + 1) = m − s`.
+                    let later = 0u32.wrapping_sub(u32::from(bw > bl));
+                    sum += (s ^ later).wrapping_add(later & (m + 1));
                 }
+                total += u64::from(sum);
             }
         }
         Ok(total)
@@ -677,5 +697,85 @@ mod tests {
         );
         let t = ProfileTally::build(&[BucketOrder::trivial(2)]).unwrap();
         assert!(t.kemeny_cost_x2(&BucketOrder::trivial(3)).is_err());
+    }
+
+    /// The two-matrix formula in `u128`: ordered pairs cost
+    /// `w2(loser, winner)`, candidate-tied pairs `strict` both ways.
+    fn wide_two_matrix_cost(t: &ProfileTally, candidate: &BucketOrder) -> u128 {
+        let (n, b) = (t.len(), candidate.bucket_indices());
+        let mut total = 0u128;
+        for l in 0..n {
+            for w in 0..n {
+                if b[w] < b[l] {
+                    total += u128::from(t.w2[l * n + w]);
+                } else if b[w] == b[l] && w != l {
+                    total += u128::from(t.strict[l * n + w]);
+                }
+            }
+        }
+        total
+    }
+
+    /// A consistent synthetic tally over `m` voters: per unordered
+    /// pair, `s(a, b) + s(b, a) ≤ m`, with the extremes (unanimous
+    /// either way, all tied) drawn often so cells sit at `m`.
+    fn synthetic(n: usize, m: usize, seed: u64) -> ProfileTally {
+        let mut x = seed;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 33
+        };
+        let m32 = m as u32;
+        let mut strict = vec![0u32; n * n];
+        let mut w2 = vec![0u32; n * n];
+        for a in 0..n {
+            for b in a + 1..n {
+                let (sab, sba) = match next() % 4 {
+                    0 => (m32, 0),
+                    1 => (0, m32),
+                    2 => (0, 0),
+                    _ => {
+                        let sab = (next() % (u64::from(m32) + 1)) as u32;
+                        (sab, (next() % u64::from(m32 - sab + 1)) as u32)
+                    }
+                };
+                strict[a * n + b] = sab;
+                strict[b * n + a] = sba;
+                w2[a * n + b] = m32 + sab - sba;
+                w2[b * n + a] = m32 + sba - sab;
+            }
+        }
+        ProfileTally::from_parts(n, m, strict, w2)
+    }
+
+    #[test]
+    fn kemeny_cost_is_exact_across_u32_run_boundaries() {
+        use crate::dynamic::DynamicProfile;
+        let max = DynamicProfile::MAX_VOTERS;
+        // Near the voter cap a run is 2 cells (`max`, `max − 1`) or 6
+        // (`max / 3`), so runs split rows: a row ends on a full run or
+        // on a partial one depending on `n mod run`, and n < run keeps
+        // one run per row. m = 0 gives the widest run.
+        for m in [max, max - 1, max / 3, 0] {
+            let run = (u32::MAX / (m as u32).max(1)) as usize;
+            for n in [2usize, 3, 4, 5, 7, 13] {
+                let t = synthetic(n, m, (m * 31 + n) as u64);
+                let cands = [
+                    BucketOrder::trivial(n),
+                    BucketOrder::from_keys(&(0..n as i64).collect::<Vec<_>>()),
+                    BucketOrder::from_keys(&(0..n as i64).map(|e| (e * 7) % 3).collect::<Vec<_>>()),
+                    BucketOrder::from_keys(&(0..n as i64).map(|e| e / 2).rev().collect::<Vec<_>>()),
+                ];
+                for cand in &cands {
+                    assert_eq!(
+                        u128::from(t.kemeny_cost_x2(cand).unwrap()),
+                        wide_two_matrix_cost(&t, cand),
+                        "m = {m}, n = {n}, run = {run}, {cand:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -17,7 +17,8 @@
 //!   prepared-kernel path (`O(m·n log n)` per candidate) vs the
 //!   tally-backed `O(n²)` evaluation (tally prebuilt, amortized). This
 //!   primitive has a genuine crossover: the tally read wins once
-//!   `m ≳ n / log n` and loses below it, which is why
+//!   `m ≳ n / log n` and loses below it (the one-matrix branch-free
+//!   scan moved that point below m = 16 at n = 512), which is why
 //!   `cost::total_cost_x2_tally` is an opt-in fast path rather than a
 //!   replacement. It is reported as a scaling trajectory, separate from
 //!   the aggregator regression check.
@@ -32,14 +33,19 @@
 //! bench_aggregate_tally`. Results go to the perf trajectory file
 //! `BENCH_aggregate.json` (override with `BUCKETRANK_BENCH_OUT`);
 //! `BUCKETRANK_BENCH_FAST=1` runs the smoke-gate pass on shrunken
-//! shapes. Two hard gates run at the 256×512 acceptance shape in both
-//! modes: the single-thread tiled build must hold ≥4× over the naive
-//! scan (always), and the 8-thread build must hold ≥1.5× over
-//! sequential (SKIPped below 8 cores, where threads cannot scale).
+//! shapes. Three hard gates run in both modes. At the 256×512
+//! acceptance shape the single-thread tiled build must hold ≥4× over
+//! the naive scan (always), and the 8-thread build must hold ≥1.5× over
+//! sequential (SKIPped below 8 cores, where threads cannot scale). On
+//! the same profile cut to its first 16 voters, `kemeny_cost_x2` of a
+//! 16-level tied candidate must equal
+//! `bucketrank_bench::oracle::kemeny_cost_x2` and run ≥3× faster than
+//! it (always).
 
 use bucketrank_aggregate::cost::{total_cost_x2, AggMetric};
 use bucketrank_aggregate::local::local_kemenize_with_tally;
 use bucketrank_aggregate::tally::ProfileTally;
+use bucketrank_bench::oracle;
 use bucketrank_bench::report::{fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
 use bucketrank_bench::timing::{group, Measurement, Sampler};
@@ -155,6 +161,16 @@ fn tiled_build_bytes(m: usize, n: usize) -> f64 {
 /// read-modify-write of an `n²` `u32` matrix per voter.
 fn naive_build_bytes(m: usize, n: usize) -> f64 {
     (m * n * n * 4) as f64
+}
+
+/// Seconds per call of `f`, timed over a batch of 64 calls.
+fn per_call<T>(mut f: impl FnMut() -> T) -> f64 {
+    const BATCH: u32 = 64;
+    let t0 = std::time::Instant::now();
+    for _ in 0..BATCH {
+        std::hint::black_box(f());
+    }
+    t0.elapsed().as_secs_f64() / f64::from(BATCH)
 }
 
 fn random_full(rng: &mut Pcg32, n: usize) -> BucketOrder {
@@ -391,12 +407,44 @@ fn main() {
         )
     };
 
+    // Gate 3 (always): the one-matrix Kemeny scan must return exactly
+    // what the two-matrix oracle returns and hold ≥ 3× over it, at the
+    // gate's 512-element shape with m = 16 voters and a 16-level tied
+    // candidate — the shape the served `kemeny_cost` reads take.
+    let tally16 = ProfileTally::build(&profile[..16]).unwrap();
+    let tied = random_few_valued(&mut rng, gn, 16);
+    let scan = tally16.kemeny_cost_x2(&tied).unwrap();
+    let reference = oracle::kemeny_cost_x2(&tally16, &tied).unwrap();
+    let kemeny_exact = scan == reference;
+    // Interleaved best-of-7, 64 calls per timing, so both sides see the
+    // same machine state.
+    let (mut oracle_s, mut scan_s) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        oracle_s = oracle_s.min(per_call(|| {
+            oracle::kemeny_cost_x2(&tally16, &tied).unwrap()
+        }));
+        scan_s = scan_s.min(per_call(|| tally16.kemeny_cost_x2(&tied).unwrap()));
+    }
+    let kemeny_ratio = oracle_s / scan_s;
+    let kemeny_pass = kemeny_exact && kemeny_ratio >= 3.0;
+    let verdict = if kemeny_pass { "PASS" } else { "FAIL" };
+    println!(
+        "kemeny gate (16x512, 16-level candidate, == oracle and >= 3x oracle): \
+         {scan} vs oracle {reference}, oracle {:.1}us vs scan {:.1}us = {kemeny_ratio:.2}x [{verdict}]",
+        oracle_s * 1e6,
+        scan_s * 1e6
+    );
+
     report
         .field_raw("seq_gate", format!("{{\"ratio\": {seq_ratio:.3}}}"))
         .field_raw("par8_gate", par8_gate)
+        .field_raw(
+            "kemeny_gate",
+            format!("{{\"exact\": {kemeny_exact}, \"ratio\": {kemeny_ratio:.3}}}"),
+        )
         .write(&out_path("BENCH_aggregate.json"));
 
-    if !seq_pass || !par8_pass {
+    if !seq_pass || !par8_pass || !kemeny_pass {
         std::process::exit(1);
     }
 }

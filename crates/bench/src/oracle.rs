@@ -1,6 +1,10 @@
 //! Naive reference implementations kept out of the library, for
 //! differential tests and bench gates.
 //!
+//! [`kemeny_cost_x2`] is the tally's Kemeny scan as first written: a
+//! three-way branch per cell over both the `w2` and `strict` matrices,
+//! read through `ProfileTally`'s public accessors.
+//!
 //! [`minmax_aggregate`] and [`minmax_local_search`] are the minmax
 //! heuristic pipeline as first written: every candidate swap rescans
 //! all `m` voters, and every constrained swap recounts the prefix. They
@@ -102,6 +106,42 @@ pub fn minmax_local_search(
         BucketOrder::from_permutation(&out).expect("local search permutes"),
         cost,
     ))
+}
+
+/// The oracle for `ProfileTally::kemeny_cost_x2`: a candidate-ordered
+/// pair (winner `w`, loser `l`) costs `w2[l][w]`, a candidate-tied pair
+/// costs `strict` both ways, split across the two rows.
+///
+/// # Errors
+/// As the library method.
+pub fn kemeny_cost_x2(
+    tally: &ProfileTally,
+    candidate: &BucketOrder,
+) -> Result<u64, AggregateError> {
+    let n = tally.len();
+    if candidate.len() != n {
+        return Err(AggregateError::DomainMismatch {
+            expected: n,
+            found: candidate.len(),
+        });
+    }
+    let buckets = candidate.bucket_indices();
+    let (w2, strict) = (tally.weights_x2(), tally.strict_counts());
+    let mut total = 0u64;
+    for l in 0..n {
+        let bl = buckets[l];
+        let row_w2 = &w2[l * n..(l + 1) * n];
+        let row_s = &strict[l * n..(l + 1) * n];
+        for w in 0..n {
+            let bw = buckets[w];
+            if bw < bl {
+                total += u64::from(row_w2[w]);
+            } else if bw == bl && w != l {
+                total += u64::from(row_s[w]);
+            }
+        }
+    }
+    Ok(total)
 }
 
 fn check_constraints(

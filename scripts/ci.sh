@@ -135,11 +135,13 @@ echo "==> bench_aggregate_tally smoke gate"
 # the tally-vs-direct bench runs end to end (its worst-aggregator line
 # is the regression canary, and it reports bytes/s + roofline like the
 # batch bench) and seeds the aggregate baseline if absent. The pass
-# ends with two hard gates at 256×512: the single-thread tiled build
+# ends with three hard gates. At 256×512: the single-thread tiled build
 # must hold ≥ 4× over the naive scan (always asserted — the
 # anti-regression floor on the kernel, never below the seed's ratio),
 # and par8 ≥ 1.5× seq, asserted only on machines with ≥ 8 cores (SKIP
-# otherwise).
+# otherwise). At 16×512 with a 16-level candidate (always asserted):
+# kemeny_cost_x2 must equal the two-matrix bucketrank_bench::oracle
+# scan and run ≥ 3× faster than it.
 agg_smoke_out="target/BENCH_aggregate.smoke.json"
 BUCKETRANK_BENCH_FAST=1 BUCKETRANK_BENCH_OUT="$agg_smoke_out" \
   cargo run --release --offline -p bucketrank-bench --bin bench_aggregate_tally

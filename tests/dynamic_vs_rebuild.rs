@@ -5,10 +5,12 @@
 //! asserting after **every step** that the dynamic tally, median-rank
 //! vector and majority digraph are byte-identical to a from-scratch
 //! rebuild over the live voters. The dirty-row contract is pinned
-//! exactly: rows outside a drained set must be untouched in both
-//! matrix directions, and refreshing only the drained rows must leave
-//! every row-local consumer (majority digraph, MC4 transition matrix)
-//! equal to a full rebuild. Unknown-voter edits must be typed errors
+//! exactly: a drained set must equal its definition (all rows after a
+//! push or remove; after a replace, the endpoints of the pairs the old
+//! and new ranking order differently, ascending), rows outside it must
+//! be untouched in both matrix directions, and refreshing only the
+//! drained rows must leave every row-local consumer (majority digraph,
+//! MC4 transition matrix) equal to a full rebuild. Unknown-voter edits must be typed errors
 //! that leave the engine byte-identical — never a panic or underflow.
 
 use bucketrank::access::medrank::top_k_from_medians;
@@ -81,6 +83,26 @@ fn apply_op(dp: &mut DynamicProfile, live: &mut Vec<(VoterId, BucketOrder)>, op:
                 live[k].1 = r.clone();
             }
         }
+    }
+}
+
+/// The dirty set an op must leave, by definition: every row after a
+/// push or a successful remove (the voter count enters every weight),
+/// none after a failed edit, and after a replace the endpoints of the
+/// pairs the old and new ranking order differently.
+fn expected_dirty(live: &[(VoterId, BucketOrder)], op: &EditOp, n: usize) -> Vec<u32> {
+    match op {
+        EditOp::Push(_) => (0..n as u32).collect(),
+        EditOp::Remove(_) if !live.is_empty() => (0..n as u32).collect(),
+        EditOp::Replace(i, new) if !live.is_empty() => {
+            let ob = live[i % live.len()].1.bucket_indices();
+            let nb = new.bucket_indices();
+            (0..n)
+                .filter(|&a| (0..n).any(|b| ob[a].cmp(&ob[b]) != nb[a].cmp(&nb[b])))
+                .map(|a| a as u32)
+                .collect()
+        }
+        _ => Vec::new(),
     }
 }
 
@@ -157,8 +179,12 @@ fn dirty_rows_are_precise_and_refresh_consumers_to_a_full_rebuild() {
             dp.take_dirty();
             for op in script {
                 let prev = dp.clone();
+                let expected = expected_dirty(&live, op, n);
                 apply_op(&mut dp, &mut live, op);
                 let dirty = dp.take_dirty();
+                // Exactness: the drained set is the naive definition,
+                // in ascending row order.
+                assert_eq!(dirty.rows(), &expected[..], "dirty rows after {op:?}");
                 // Precision: a clean row is untouched in both matrix
                 // directions and keeps its median.
                 for a in 0..n as u32 {

@@ -4,7 +4,10 @@
 //! the naive per-pair `prefers()`/`is_tied()` loops it replaced, and the
 //! total Kemeny objective must equal the `kendall::kprof_x2` sum over
 //! the voters — on degenerate-heavy profiles (singleton domains,
-//! all-tied voters, unanimous full profiles). The parallel tally build
+//! all-tied voters, unanimous full profiles). The one-matrix Kemeny
+//! scan is also pinned to the two-matrix scan it replaced
+//! (`bucketrank_bench::oracle::kemeny_cost_x2`) on every candidate
+//! shape its select distinguishes. The parallel tally build
 //! is pinned to the sequential one, and the rewired aggregators
 //! (majority digraph, local Kemenization) are pinned to in-test copies
 //! of their pre-tally reference implementations.
@@ -23,6 +26,7 @@ use bucketrank::aggregate::tally::{ProfileTally, CHUNK_VOTERS, TILE_ROWS};
 use bucketrank::aggregate::AggregateError;
 use bucketrank::metrics::kendall;
 use bucketrank::{BucketOrder, ElementId};
+use bucketrank_bench::oracle;
 use bucketrank_testkit::prelude::*;
 
 /// The degenerate-heavy profile stream shared by every property.
@@ -108,6 +112,67 @@ fn kemeny_cost_matches_kprof_sum_and_fast_path() {
             for metric in [AggMetric::FProf, AggMetric::KHaus, AggMetric::FHaus] {
                 assert!(!metric.tally_expressible());
                 assert!(cost::total_cost_x2_tally(metric, cand, &t).is_none());
+            }
+        },
+    );
+}
+
+/// The profile restricted to its first `k` elements (bucket indices
+/// as keys keep every voter's order on them).
+fn project(profile: &[BucketOrder], k: usize) -> Vec<BucketOrder> {
+    profile
+        .iter()
+        .map(|s| BucketOrder::from_keys(&s.bucket_indices()[..k]))
+        .collect()
+}
+
+#[test]
+fn kemeny_cost_matches_the_two_matrix_oracle() {
+    // The one-matrix scan against the branchy two-matrix scan it
+    // replaced, on every candidate shape the select arms distinguish:
+    // all tied (every cell on the `≤` arm), full (no tied pair), few
+    // valued, two buckets, full but for one tied adjacent pair, and
+    // each voter itself. Projections onto n ∈ {0, 1, 2} cover the
+    // empty and single-cell domains.
+    check(
+        "kemeny_cost_matches_the_two_matrix_oracle",
+        profiles(),
+        |profile| {
+            let n = profile[0].len();
+            let assert_exact = |t: &ProfileTally, cand: &BucketOrder| {
+                assert_eq!(
+                    t.kemeny_cost_x2(cand).unwrap(),
+                    oracle::kemeny_cost_x2(t, cand).unwrap(),
+                    "{cand:?}"
+                );
+            };
+            let t = ProfileTally::build(profile).unwrap();
+            let full = profile[0].arbitrary_full_refinement();
+            let mut cands = vec![
+                BucketOrder::trivial(n),
+                full.reverse(),
+                BucketOrder::from_keys(&(0..n).map(|e| (e * 5) % 3).collect::<Vec<_>>()),
+                BucketOrder::from_keys(&(0..n).map(|e| e % 2).collect::<Vec<_>>()),
+                full.clone(),
+            ];
+            if n >= 2 {
+                cands.push(gen::merge_adjacent(&full, n / 2 - 1));
+            }
+            cands.extend(profile.iter().cloned());
+            for cand in &cands {
+                assert_exact(&t, cand);
+            }
+            for k in 0..=n.min(2) {
+                let small = project(profile, k);
+                let t = ProfileTally::build(&small).unwrap();
+                let mut cands = vec![BucketOrder::trivial(k)];
+                if k == 2 {
+                    cands.push(BucketOrder::from_keys(&[0, 1]));
+                    cands.push(BucketOrder::from_keys(&[1, 0]));
+                }
+                for cand in &cands {
+                    assert_exact(&t, cand);
+                }
             }
         },
     );
