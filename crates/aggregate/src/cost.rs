@@ -5,9 +5,7 @@ use crate::tally::ProfileTally;
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId, Pos};
 use bucketrank_metrics::batch::{BatchMetric, WeightedMetric};
-use bucketrank_metrics::{
-    footrule, hausdorff, kendall, prepared, MetricsError, PairArena, PreparedRanking, Weights,
-};
+use bucketrank_metrics::{footrule, hausdorff, kendall, MetricsError, PreparedRanking, Weights};
 
 /// Which of the paper's four partial-ranking metrics to aggregate under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,22 +116,6 @@ pub fn distance_x2_prepared(
     Ok(scale * bm.prepared(a, b)?)
 }
 
-/// [`distance_x2_prepared`] against a caller-held [`PairArena`]: the
-/// arena-pooled entry the scoring loops use — one arena serves every
-/// pair of a sweep instead of bouncing through thread-local scratch.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn distance_x2_prepared_in(
-    metric: AggMetric,
-    arena: &mut PairArena,
-    a: &PreparedRanking<'_>,
-    b: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    let (bm, scale) = metric.batch_metric();
-    Ok(scale * bm.prepared_in(arena, a, b)?)
-}
-
 /// The aggregation objective `2·Σ_i d(candidate, σ_i)` under `metric`.
 ///
 /// The candidate is prepared once and scored against prepared input
@@ -147,7 +129,7 @@ pub fn total_cost_x2(
     inputs: &[BucketOrder],
 ) -> Result<u64, AggregateError> {
     check_inputs(inputs)?;
-    let cand = prepared::PreparedRanking::new(candidate);
+    let cand = PreparedRanking::new(candidate);
     let prepared_inputs: Vec<PreparedRanking<'_>> =
         inputs.iter().map(PreparedRanking::new).collect();
     total_cost_x2_prepared(metric, &cand, &prepared_inputs)
@@ -167,11 +149,9 @@ pub fn total_cost_x2_prepared(
     if inputs.is_empty() {
         return Err(AggregateError::NoInputs);
     }
-    // One arena for the whole candidate-vs-profile sweep.
-    let mut arena = PairArena::new();
     let mut total = 0u64;
     for s in inputs {
-        total += distance_x2_prepared_in(metric, &mut arena, candidate, s)?;
+        total += distance_x2_prepared(metric, candidate, s)?;
     }
     Ok(total)
 }
@@ -180,17 +160,10 @@ pub fn total_cost_x2_prepared(
 /// `metric`'s canonical scale (`weighted_footrule_x2` is doubled,
 /// `top_diff` unscaled; see [`bucketrank_metrics::weighted`]).
 ///
-/// Weight structure decides the evaluation path — the weighted
-/// analogue of the tally-expressibility rule:
-///
-/// * **Uniform weights `w ≡ c`** make the weighted footrule exactly
-///   `c ×` the unweighted `Fprof` (cumulative masses are `W(p) = c·p`),
-///   so the objective collapses onto the existing prepared `Fprof`
-///   sweep scaled once at the end.
-/// * Anything else (and `top_diff`, which has no unweighted
-///   counterpart in the paper's family) takes the direct path: the
-///   candidate's score vector is computed **once**, then each voter
-///   costs one score-vector build plus an `O(n)` zip.
+/// The candidate's score vector is computed **once**, then each voter
+/// costs one score-vector build plus an `O(n)` zip. The path is exact
+/// for every weight vector; with uniform weights `w ≡ c` the weighted
+/// footrule objective equals `c ×` the `Fprof` objective.
 ///
 /// # Errors
 /// [`AggregateError::NoInputs`] / [`AggregateError::DomainMismatch`]
@@ -207,13 +180,6 @@ pub fn weighted_total_cost(
             expected: n,
             found: candidate.len(),
         });
-    }
-    if metric == WeightedMetric::WeightedFootruleX2 {
-        if let Some(c) = w.is_uniform() {
-            if w.len() == n {
-                return Ok(c * total_cost_x2(AggMetric::FProf, candidate, inputs)?);
-            }
-        }
     }
     let cand_scores = metric.element_scores(candidate, w)?;
     let mut total = 0u64;
@@ -339,13 +305,6 @@ mod tests {
                 "{} pair",
                 metric.name()
             );
-            let mut arena = PairArena::new();
-            assert_eq!(
-                distance_x2_prepared_in(metric, &mut arena, &pc, &pin[0]).unwrap(),
-                distance_x2(metric, &cand, &inputs[0]).unwrap(),
-                "{} pair (arena)",
-                metric.name()
-            );
         }
     }
 
@@ -377,7 +336,7 @@ mod tests {
                     w.units()
                 );
             }
-            // The uniform fast path is the identity c·Fprof.
+            // Uniform weights w ≡ c give exactly c·Fprof.
             if let Some(c) = w.is_uniform() {
                 assert_eq!(
                     weighted_total_cost(
@@ -407,8 +366,8 @@ mod tests {
                 weighted_total_cost(metric, &BucketOrder::trivial(4), &inputs, &Weights::uniform(3)),
                 Err(AggregateError::DomainMismatch { expected: 3, found: 4 })
             );
-            // A weights/domain length gap maps onto DomainMismatch —
-            // including under the uniform fast path.
+            // A weights/domain length gap maps onto DomainMismatch,
+            // uniform weights included.
             assert_eq!(
                 weighted_total_cost(metric, &cand, &inputs, &Weights::uniform(5)),
                 Err(AggregateError::DomainMismatch { expected: 3, found: 5 })

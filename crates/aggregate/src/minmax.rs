@@ -8,7 +8,7 @@
 //! "Multiclass MinMax Rank Aggregation" (arXiv 1701.08305):
 //!
 //! * [`MinMaxObjective`] — the per-voter analogue of
-//!   [`ProfileTally`](crate::ProfileTally): an element-major
+//!   [`ProfileTally`]: an element-major
 //!   bucket-index table giving O(1) pair costs, O(1)-per-voter
 //!   adjacent-swap deltas, and one branch-free kernel scoring every
 //!   voter against a whole candidate;

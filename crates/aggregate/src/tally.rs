@@ -234,9 +234,7 @@ impl ProfileTally {
     /// [`std::thread::available_parallelism`] before chunking — asking
     /// for more workers than the machine has cores used to *slow the
     /// build down* (the oversubscribed partials thrash one core and the
-    /// merge pays for every extra matrix). Benchmarks that need
-    /// fixed-width scaling rows regardless of the host use
-    /// [`ProfileTally::build_parallel_unclamped`].
+    /// merge pays for every extra matrix).
     ///
     /// # Errors
     /// [`AggregateError::NoInputs`] /
@@ -246,22 +244,21 @@ impl ProfileTally {
     /// As [`ProfileTally::build`].
     pub fn build_parallel(inputs: &[BucketOrder], threads: usize) -> Result<Self, AggregateError> {
         let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        Self::build_parallel_unclamped(inputs, threads.min(avail))
+        Self::build_split(inputs, threads.min(avail), CHUNK_VOTERS)
     }
 
-    /// [`ProfileTally::build_parallel`] without the
-    /// available-parallelism clamp: spawns exactly `min(threads, m)`
-    /// workers even on a narrower machine. This exists for benchmarks
-    /// that measure fixed thread-width scaling rows; library callers
-    /// want the clamped entry point.
-    ///
-    /// # Errors
-    /// # Panics
-    /// As [`ProfileTally::build_parallel`].
-    pub fn build_parallel_unclamped(
+    /// The splitter behind [`ProfileTally::build_parallel`] and
+    /// [`ProfileTally::build_with_chunk`], without the core clamp: spawns
+    /// exactly `min(threads, m)` workers even on a narrower machine, so
+    /// the unit tests reach every split width. Each worker (or the
+    /// sequential pass) accumulates `chunk_voters ≤ CHUNK_VOTERS` voters
+    /// per `u16` partial.
+    fn build_split(
         inputs: &[BucketOrder],
         threads: usize,
+        chunk_voters: usize,
     ) -> Result<Self, AggregateError> {
+        debug_assert!((1..=CHUNK_VOTERS).contains(&chunk_voters));
         let n = check_inputs(inputs)?;
         let m = inputs.len();
         assert!(
@@ -272,7 +269,7 @@ impl ProfileTally {
         let mut w2 = vec![0u32; n * n];
         let threads = threads.clamp(1, m);
         if threads <= 1 || m < 4 {
-            accumulate_seq(&mut strict, &mut w2, n, inputs, CHUNK_VOTERS);
+            accumulate_seq(&mut strict, &mut w2, n, inputs, chunk_voters);
         } else {
             let per = m.div_ceil(threads);
             let mut partials: Vec<Vec<u32>> = Vec::with_capacity(threads);
@@ -283,7 +280,7 @@ impl ProfileTally {
                         scope.spawn(move || {
                             let mut acc = vec![0u32; n * n];
                             let mut partial = vec![0u16; n * n];
-                            for chunk in voters.chunks(CHUNK_VOTERS) {
+                            for chunk in voters.chunks(chunk_voters) {
                                 partial.fill(0);
                                 accumulate_chunk(&mut partial, n, chunk);
                                 widen_into(&mut acc, &partial);
@@ -323,22 +320,7 @@ impl ProfileTally {
         inputs: &[BucketOrder],
         chunk_voters: usize,
     ) -> Result<Self, AggregateError> {
-        let n = check_inputs(inputs)?;
-        let m = inputs.len();
-        assert!(
-            m <= (u32::MAX / 2) as usize,
-            "profile too large for u32 tally cells ({m} voters)"
-        );
-        let mut strict = vec![0u32; n * n];
-        let mut w2 = vec![0u32; n * n];
-        accumulate_seq(
-            &mut strict,
-            &mut w2,
-            n,
-            inputs,
-            chunk_voters.clamp(1, CHUNK_VOTERS),
-        );
-        Ok(ProfileTally { n, m, strict, w2 })
+        Self::build_split(inputs, 1, chunk_voters.clamp(1, CHUNK_VOTERS))
     }
 
     /// Assembles a tally from already-consistent matrices — the hook the
@@ -670,9 +652,9 @@ mod tests {
                 "threads = {threads}"
             );
             assert_eq!(
-                ProfileTally::build_parallel_unclamped(&inputs, threads).unwrap(),
+                ProfileTally::build_split(&inputs, threads, CHUNK_VOTERS).unwrap(),
                 seq,
-                "unclamped threads = {threads}"
+                "split threads = {threads}"
             );
         }
         for chunk in [1usize, 2, 3, 5, 13, 1000] {
@@ -680,6 +662,26 @@ mod tests {
                 ProfileTally::build_with_chunk(&inputs, chunk).unwrap(),
                 seq,
                 "chunk = {chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn split_build_matches_sequential_across_the_promotion_boundary() {
+        // Three workers at profile sizes straddling CHUNK_VOTERS, where
+        // the sequential build's u16 partial hits its ceiling and rolls
+        // into a second chunk: the merged worker partials must equal it.
+        let pool = [
+            BucketOrder::from_permutation(&[0, 1, 2, 3]).unwrap(),
+            keys(&[1, 1, 2, 2]),
+            BucketOrder::from_permutation(&[0, 1, 2, 3]).unwrap(),
+        ];
+        for m in [CHUNK_VOTERS - 1, CHUNK_VOTERS, CHUNK_VOTERS + 1, CHUNK_VOTERS + 2] {
+            let profile: Vec<BucketOrder> = (0..m).map(|i| pool[i % pool.len()].clone()).collect();
+            assert_eq!(
+                ProfileTally::build_split(&profile, 3, CHUNK_VOTERS).unwrap(),
+                ProfileTally::build(&profile).unwrap(),
+                "m = {m}"
             );
         }
     }

@@ -72,7 +72,7 @@ pub fn aggregate_topk_lists(
 
 /// Embeds the lists over their union domain and exposes the bucket
 /// orders plus the universe mapping — the hook for running any other
-/// aggregator (exact optima, Markov chains, …) in the [10] scenario.
+/// aggregator (exact optima, Markov chains, …) in the \[10\] scenario.
 ///
 /// # Errors
 /// [`AggregateError::NoInputs`].

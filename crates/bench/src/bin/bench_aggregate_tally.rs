@@ -7,7 +7,8 @@
 //! * **build**: the old per-pair `prefers()`/`is_tied()` double loop
 //!   (what kwiksort/Schulze/MC4/the majority digraph each used to pay
 //!   privately) vs [`ProfileTally::build`], sequential and parallel at
-//!   fixed widths 2/4/8 so the trajectory records a scaling curve;
+//!   widths 2/4/8 — each width only on hosts with at least that many
+//!   cores (the skipped widths are recorded with the core count);
 //! * **mc4**: the MC4 transition-matrix build end to end — the old
 //!   per-entry voter filter (`O(m·n²)`) vs tally build + `O(1)`
 //!   strict-majority reads;
@@ -192,13 +193,20 @@ fn main() {
     } else {
         &[(16, 128), (16, 512), (256, 128), (256, 512)]
     };
-    // The parallel build is measured at fixed widths 2/4/8 at every
-    // shape (not just whatever this box has), so the trajectory file
-    // records a scaling curve that is comparable across machines. The
-    // rows use the unclamped entry: the public `build_parallel` clamps
-    // to `available_parallelism`, which would silently collapse the
-    // curve on small boxes.
-    let par_widths: [usize; 3] = [2, 4, 8];
+    // The parallel build is measured at widths 2/4/8, each only where
+    // the host has that many cores: a wider row would only measure
+    // oversubscription (`build_parallel` clamps to the core count).
+    // Skipped widths are recorded with the core count, as `par8_gate`
+    // records its SKIP, so a missing row never reads as "never
+    // measured".
+    let cores = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    let (par_widths, skipped_widths): (Vec<usize>, Vec<usize>) =
+        [2usize, 4, 8].into_iter().partition(|&t| t <= cores);
+    for &t in &skipped_widths {
+        println!("tally/build/par{t}: SKIP ({cores} cores < {t})");
+    }
 
     let s = Sampler::default();
     let mut all: Vec<Measurement> = Vec::new();
@@ -225,7 +233,7 @@ fn main() {
             .iter()
             .map(|&t| {
                 s.bench(&format!("tally/build/par{t}/{m}x{n}"), || {
-                    ProfileTally::build_parallel_unclamped(&profile, t).unwrap()
+                    ProfileTally::build_parallel(&profile, t).unwrap()
                 })
             })
             .collect();
@@ -317,6 +325,10 @@ fn main() {
         .measurements(&all)
         .ratios("tally_speedups", &speedups)
         .ratios("tally_par_scaling", &par_scaling)
+        .field_raw(
+            "par_skipped",
+            format!("{{\"cores\": {cores}, \"widths\": {skipped_widths:?}}}"),
+        )
         .bandwidths("effective_bandwidth", &bandwidths)
         .field_raw("roofline", roofline.json());
 
@@ -376,13 +388,10 @@ fn main() {
     // Gate 2: the 8-thread tally build must beat the sequential build
     // by ≥1.5×, but only on hardware with at least 8 cores —
     // oversubscribed threads cannot scale, so fewer cores SKIPs the
-    // gate rather than failing it. (Unclamped entry for the same
-    // reason as the scaling rows.) A SKIP is still *recorded* in the
-    // trajectory file — an omitted row reads as "never measured",
+    // gate rather than failing it; where it runs, `build_parallel`'s
+    // core clamp leaves all 8 workers. A SKIP is still *recorded* in
+    // the trajectory file — an omitted row reads as "never measured",
     // which is a different claim than "measured on a small box".
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
     let (par8_gate, par8_pass) = if cores < 8 {
         println!("par8 gate (256x512, par8 >= 1.5x seq): SKIP ({cores} cores < 8)");
         (format!("{{\"skipped\": true, \"cores\": {cores}}}"), true)
@@ -390,7 +399,7 @@ fn main() {
         let mut par_s = f64::INFINITY;
         for _ in 0..3 {
             let t0 = std::time::Instant::now();
-            std::hint::black_box(ProfileTally::build_parallel_unclamped(&profile, 8).unwrap());
+            std::hint::black_box(ProfileTally::build_parallel(&profile, 8).unwrap());
             par_s = par_s.min(t0.elapsed().as_secs_f64());
         }
         let ratio = seq_s / par_s;

@@ -29,22 +29,21 @@ use bucketrank_metrics::batch::{
     pairwise_matrix_with, prepare_all, weighted_pairwise_matrix,
     weighted_pairwise_matrix_parallel, BatchMetric, WeightedMetric,
 };
-use bucketrank_metrics::prepared::pair_counts_sweep_in;
-use bucketrank_metrics::{PairArena, PreparedRanking, Weights};
+use bucketrank_metrics::prepared::pair_counts_sweep;
+use bucketrank_metrics::{PreparedRanking, Weights};
 use bucketrank_workloads::random::{random_few_valued, random_full_ranking};
 use bucketrank_workloads::rng::{Pcg32, SeedableRng};
 
 /// The `Kprof` matrix with the pair-statistics lane pinned to the
 /// sweep kernel — the baseline the lane gate measures against. Mirrors
-/// `pairwise_matrix_prepared` shape-for-shape: one arena, one dense
-/// upper-triangle pass.
+/// `pairwise_matrix_prepared` shape-for-shape: the thread's scratch,
+/// one dense upper-triangle pass.
 fn kprof_matrix_sweep(prepared: &[PreparedRanking<'_>]) -> Vec<u64> {
-    let mut arena = PairArena::new();
     let m = prepared.len();
     let mut out = vec![0u64; m * m];
     for i in 0..m {
         for j in i + 1..m {
-            let c = pair_counts_sweep_in(&mut arena, &prepared[i], &prepared[j]).unwrap();
+            let c = pair_counts_sweep(&prepared[i], &prepared[j]).unwrap();
             let d = 2 * c.discordant + c.tied_exactly_one();
             out[i * m + j] = d;
             out[j * m + i] = d;

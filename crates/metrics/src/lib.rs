@@ -66,5 +66,5 @@ pub mod weighted;
 
 pub use error::MetricsError;
 pub use pairs::PairCounts;
-pub use prepared::{PairArena, PreparedRanking};
+pub use prepared::PreparedRanking;
 pub use weighted::Weights;

@@ -25,25 +25,22 @@
 //! sizes were computed at preparation) and reported as
 //! [`MetricsError::DomainMismatch`] — never a panic.
 //!
-//! # Arena
+//! # Scratch
 //!
 //! Per-pair working memory (the τ-bucket run array, the suffix-count
-//! tree, the contingency table, the witness rank arrays) lives in a
-//! [`PairArena`]: batch drivers allocate **one** arena per worker
-//! thread per matrix and thread it through the `*_prepared_in`
-//! kernels, so a whole `m×m` matrix reuses the same few buffers. The
-//! suffix-less convenience kernels (`kprof_x2_prepared`, …) fall back
-//! to a thread-local arena, so one-off calls stay allocation-free in
-//! steady state too.
+//! tree, the contingency table, the witness rank arrays) is per-thread:
+//! every kernel borrows its thread's workspace once per call, so a whole
+//! `m×m` matrix on one thread, or one worker of a parallel matrix,
+//! reuses the same few buffers and allocates nothing in steady state.
 //!
 //! # Pair-statistics lanes
 //!
 //! The pair-counts engine picks between two exact lanes on bucket
-//! structure: a **counting lane** ([`pair_counts_table_in`]) that
+//! structure: a **counting lane** ([`pair_counts_table`]) that
 //! builds the `kσ × kτ` bucket contingency table in `O(n)` and reads
 //! every statistic off it in `O(kσ·kτ)` — the winner whenever ties
 //! compress the rankings into few buckets — and the **sweep lane**
-//! ([`pair_counts_sweep_in`]), one pass over the domain in σ-rank
+//! ([`pair_counts_sweep`]), one pass over the domain in σ-rank
 //! order against a branch-free 16-ary suffix-count tree over the
 //! τ-buckets, `O(n log₁₆ kτ)` with no sort, which handles full rankings
 //! (`kσ·kτ = n²` would blow the table up). Both lanes are public and
@@ -175,14 +172,12 @@ pub fn check_prepared_domain(
     Ok(())
 }
 
-/// A reusable kernel workspace: cleared-and-refilled buffers so the
-/// prepared kernels allocate nothing in steady state. One arena serves
-/// any number of pairs and any mix of kernels — batch drivers hold one
-/// per worker thread per matrix ([`crate::batch`]) and pass it to the
-/// `*_prepared_in` kernels; the suffix-less kernels fall back to a
-/// thread-local arena for one-off calls.
-#[derive(Debug, Default)]
-pub struct PairArena {
+/// The kernel workspace: cleared-and-refilled buffers so the prepared
+/// kernels allocate nothing in steady state. Each thread owns one (see
+/// [`with_arena`]); it serves any number of pairs and any mix of
+/// kernels.
+#[derive(Debug)]
+pub(crate) struct PairArena {
     /// τ-bucket of each element, laid out in σ-rank order (sweep lane).
     tb: Vec<u32>,
     /// Counts of the τ-buckets of strictly earlier σ-buckets (sweep
@@ -209,11 +204,20 @@ pub struct PairArena {
 }
 
 impl PairArena {
-    /// An empty arena. Buffers grow on first use and are reused by
+    /// The empty arena. Buffers grow on first use and are reused by
     /// every later call, whatever the domain sizes.
-    pub fn new() -> Self {
-        Self::default()
-    }
+    const EMPTY: PairArena = PairArena {
+        tb: Vec::new(),
+        tree: SuffixCounts::EMPTY,
+        run: Vec::new(),
+        table: Vec::new(),
+        above: Vec::new(),
+        cursor: Vec::new(),
+        rank_a: Vec::new(),
+        rank_b: Vec::new(),
+        wbucket_a: Vec::new(),
+        wbucket_b: Vec::new(),
+    };
 }
 
 /// log₂ of the fan-out of a [`SuffixCounts`] level.
@@ -252,7 +256,7 @@ const BELOW: [[u32; FANOUT]; FANOUT] = {
 /// insert adds 1 to the lanes below its digit in one 16-wide group per
 /// level, a fixed masked add. Both walk every level whatever the value,
 /// so neither has a data-dependent exit.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SuffixCounts {
     cells: Vec<u32>,
     /// Offset of each level in `cells`, leaf level first; the first
@@ -262,6 +266,12 @@ struct SuffixCounts {
 }
 
 impl SuffixCounts {
+    const EMPTY: SuffixCounts = SuffixCounts {
+        cells: Vec::new(),
+        level_start: [0; MAX_LEVELS],
+        levels: 0,
+    };
+
     /// Empties the tree and sizes it for the values `0..k`: one level
     /// per base-16 digit of `k − 1`, at least one.
     fn reset(&mut self, k: usize) {
@@ -311,9 +321,13 @@ impl SuffixCounts {
 }
 
 thread_local! {
-    static ARENA: RefCell<PairArena> = RefCell::new(PairArena::default());
+    // `const`: no lazy-init check on the per-pair path.
+    static ARENA: RefCell<PairArena> = const { RefCell::new(PairArena::EMPTY) };
 }
 
+/// Runs `f` against this thread's [`PairArena`]. Every kernel enters it
+/// once, after its domain checks, and never calls another arena-using
+/// kernel inside `f` (the `RefCell` would panic on the second borrow).
 pub(crate) fn with_arena<T>(f: impl FnOnce(&mut PairArena) -> T) -> T {
     ARENA.with(|s| f(&mut s.borrow_mut()))
 }
@@ -354,9 +368,9 @@ fn pair_counts_into(
     t: &PreparedRanking<'_>,
 ) -> PairCounts {
     if s.num_buckets() * t.num_buckets() <= TABLE_CELLS_PER_ELEMENT * s.len() {
-        pair_counts_table(arena, s, t)
+        table_lane(arena, s, t)
     } else {
-        pair_counts_sweep(arena, s, t)
+        sweep_lane(arena, s, t)
     }
 }
 
@@ -369,7 +383,7 @@ fn pair_counts_into(
 /// elements in a strictly later τ-bucket are exactly their discordant
 /// partners — and count their tied-both partners in `run`; then they
 /// are inserted and `run` is cleared behind them.
-fn pair_counts_sweep(
+fn sweep_lane(
     arena: &mut PairArena,
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
@@ -415,7 +429,7 @@ fn pair_counts_sweep(
 /// per-column `above[j] = Σ_{i′<i} C[i′][j]` and a right-to-left
 /// suffix scalar accumulates `Σ_{i,j} C[i][j] · Σ_{i′<i, j′>j}
 /// C[i′][j′]` — no sorting and no per-element `log` factor.
-fn pair_counts_table(
+fn table_lane(
     arena: &mut PairArena,
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
@@ -473,20 +487,8 @@ pub fn pair_counts_prepared(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<PairCounts, MetricsError> {
-    with_arena(|a| pair_counts_prepared_in(a, s, t))
-}
-
-/// [`pair_counts_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn pair_counts_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<PairCounts, MetricsError> {
     check_prepared_domain(s, t)?;
-    Ok(pair_counts_into(arena, s, t))
+    Ok(with_arena(|a| pair_counts_into(a, s, t)))
 }
 
 /// The sweep lane, forced — always applicable, never builds the table.
@@ -495,29 +497,27 @@ pub fn pair_counts_prepared_in(
 ///
 /// # Errors
 /// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn pair_counts_sweep_in(
-    arena: &mut PairArena,
+pub fn pair_counts_sweep(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<PairCounts, MetricsError> {
     check_prepared_domain(s, t)?;
-    Ok(pair_counts_sweep(arena, s, t))
+    Ok(with_arena(|a| sweep_lane(a, s, t)))
 }
 
 /// The counting lane, forced. Allocates (and reuses) `kσ·kτ` table
-/// cells in the arena — callers forcing this lane on fine-bucketed
-/// pairs pay that memory; the dispatcher only picks it under the
-/// `O(n)` admission bound.
+/// cells in the thread's scratch — callers forcing this lane on
+/// fine-bucketed pairs pay that memory; the dispatcher only picks it
+/// under the `O(n)` admission bound.
 ///
 /// # Errors
 /// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn pair_counts_table_in(
-    arena: &mut PairArena,
+pub fn pair_counts_table(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<PairCounts, MetricsError> {
     check_prepared_domain(s, t)?;
-    Ok(pair_counts_table(arena, s, t))
+    Ok(with_arena(|a| table_lane(a, s, t)))
 }
 
 /// Prepared `2·Kprof`; equals [`kendall::kprof_x2`](crate::kendall::kprof_x2)
@@ -529,19 +529,7 @@ pub fn kprof_x2_prepared(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<u64, MetricsError> {
-    with_arena(|a| kprof_x2_prepared_in(a, s, t))
-}
-
-/// [`kprof_x2_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn kprof_x2_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    let c = pair_counts_prepared_in(arena, s, t)?;
+    let c = pair_counts_prepared(s, t)?;
     Ok(2 * c.discordant + c.tied_exactly_one())
 }
 
@@ -554,19 +542,7 @@ pub fn kavg_x2_prepared(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<u64, MetricsError> {
-    with_arena(|a| kavg_x2_prepared_in(a, s, t))
-}
-
-/// [`kavg_x2_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn kavg_x2_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    let c = pair_counts_prepared_in(arena, s, t)?;
+    let c = pair_counts_prepared(s, t)?;
     Ok(2 * c.discordant + c.tied_exactly_one() + c.tied_both)
 }
 
@@ -597,19 +573,7 @@ pub fn khaus_prepared(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<u64, MetricsError> {
-    with_arena(|a| khaus_prepared_in(a, s, t))
-}
-
-/// [`khaus_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn khaus_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    let c = pair_counts_prepared_in(arena, s, t)?;
+    let c = pair_counts_prepared(s, t)?;
     Ok(c.discordant + c.tied_left_only.max(c.tied_right_only))
 }
 
@@ -623,18 +587,6 @@ pub fn khaus_x2_prepared(
     t: &PreparedRanking<'_>,
 ) -> Result<u64, MetricsError> {
     Ok(2 * khaus_prepared(s, t)?)
-}
-
-/// [`khaus_x2_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn khaus_x2_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    Ok(2 * khaus_prepared_in(arena, s, t)?)
 }
 
 /// Fill `rank` with the position of each element in the Theorem 5
@@ -682,9 +634,9 @@ fn witness_ranks(
 /// Prepared `FHaus` (unscaled, like [`hausdorff::fhaus`](crate::hausdorff::fhaus)).
 ///
 /// The Theorem 5 witness pairs `(σ1, τ1) = (ρ∗τᴿ∗σ, ρ∗σ∗τ)` and
-/// `(σ2, τ2) = (ρ∗τ∗σ, ρ∗σᴿ∗τ)` are computed as rank arrays directly
-/// (see [`witness_ranks`]); the footrule of two full rankings is then
-/// the `L1` distance of their rank arrays.
+/// `(σ2, τ2) = (ρ∗τ∗σ, ρ∗σᴿ∗τ)` are computed as rank arrays directly,
+/// each with one counting scatter; the footrule of two full rankings is
+/// then the `L1` distance of their rank arrays.
 ///
 /// # Errors
 /// [`MetricsError::DomainMismatch`] on differing domains.
@@ -692,20 +644,8 @@ pub fn fhaus_prepared(
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
 ) -> Result<u64, MetricsError> {
-    with_arena(|a| fhaus_prepared_in(a, s, t))
-}
-
-/// [`fhaus_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn fhaus_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
     check_prepared_domain(s, t)?;
-    Ok({
+    Ok(with_arena(|arena| {
         let PairArena {
             cursor,
             rank_a,
@@ -729,7 +669,7 @@ pub fn fhaus_prepared_in(
             .map(|(x, y)| u64::from(x.abs_diff(*y)))
             .sum();
         f1.max(f2)
-    })
+    }))
 }
 
 /// Prepared `2·FHaus`, on the common `_x2` integer scale used by the
@@ -742,18 +682,6 @@ pub fn fhaus_x2_prepared(
     t: &PreparedRanking<'_>,
 ) -> Result<u64, MetricsError> {
     Ok(2 * fhaus_prepared(s, t)?)
-}
-
-/// [`fhaus_x2_prepared`] against a caller-held [`PairArena`].
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn fhaus_x2_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    Ok(2 * fhaus_prepared_in(arena, s, t)?)
 }
 
 #[cfg(test)]
@@ -865,44 +793,15 @@ mod tests {
         let orders = all_bucket_orders(4);
         let prepared: Vec<PreparedRanking<'_>> =
             orders.iter().map(PreparedRanking::new).collect();
-        let mut arena = PairArena::new();
         for pa in &prepared {
             for pb in &prepared {
-                let dispatched = pair_counts_prepared_in(&mut arena, pa, pb).unwrap();
-                let table = pair_counts_table_in(&mut arena, pa, pb).unwrap();
-                let sweep = pair_counts_sweep_in(&mut arena, pa, pb).unwrap();
+                let dispatched = pair_counts_prepared(pa, pb).unwrap();
+                let table = pair_counts_table(pa, pb).unwrap();
+                let sweep = pair_counts_sweep(pa, pb).unwrap();
                 assert_eq!(table, sweep, "{:?} {:?}", pa.order(), pb.order());
                 assert_eq!(dispatched, table);
             }
         }
-    }
-
-    #[test]
-    fn arena_kernels_match_thread_local_wrappers() {
-        let a = BucketOrder::from_keys(&[1, 1, 2, 3, 2, 1]);
-        let b = BucketOrder::from_keys(&[3, 1, 2, 2, 1, 1]);
-        let (pa, pb) = (PreparedRanking::new(&a), PreparedRanking::new(&b));
-        let mut arena = PairArena::new();
-        assert_eq!(
-            pair_counts_prepared_in(&mut arena, &pa, &pb).unwrap(),
-            pair_counts_prepared(&pa, &pb).unwrap()
-        );
-        assert_eq!(
-            kprof_x2_prepared_in(&mut arena, &pa, &pb).unwrap(),
-            kprof_x2_prepared(&pa, &pb).unwrap()
-        );
-        assert_eq!(
-            kavg_x2_prepared_in(&mut arena, &pa, &pb).unwrap(),
-            kavg_x2_prepared(&pa, &pb).unwrap()
-        );
-        assert_eq!(
-            khaus_x2_prepared_in(&mut arena, &pa, &pb).unwrap(),
-            khaus_x2_prepared(&pa, &pb).unwrap()
-        );
-        assert_eq!(
-            fhaus_x2_prepared_in(&mut arena, &pa, &pb).unwrap(),
-            fhaus_x2_prepared(&pa, &pb).unwrap()
-        );
     }
 
     #[test]

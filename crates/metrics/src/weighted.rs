@@ -40,11 +40,18 @@
 //!
 //! [`Weights::from_units`] enforces an overflow-safety bound
 //! (`2·n·W(n) ≤ u64::MAX`), so no kernel in this module can overflow.
+//!
+//! # Prepared kernels
+//!
+//! [`weighted_footrule_x2_prepared`] and [`top_diff_prepared`] build
+//! their per-bucket score tables in the per-thread scratch of
+//! [`crate::prepared`], like every other prepared kernel. The weighted
+//! matrix builders in [`crate::batch`] compute each ranking's score
+//! vector once and fill the matrix through the same loop as the
+//! unweighted ones.
 
 use crate::error::check_same_domain;
-use crate::prepared::{
-    check_prepared_domain, fprof_x2_prepared, with_arena, PairArena, PreparedRanking,
-};
+use crate::prepared::{check_prepared_domain, fprof_x2_prepared, with_arena, PreparedRanking};
 use crate::{footrule, MetricsError};
 use bucketrank_core::BucketOrder;
 
@@ -137,9 +144,8 @@ impl Weights {
         &self.cum
     }
 
-    /// `Some(c)` when every entry equals `c` (the tally-expressible /
-    /// fast-path shape: `d(·; c·1) = c · d(·; 1)`), `None` otherwise or
-    /// when empty.
+    /// `Some(c)` when every entry equals `c` (the shape where
+    /// `d(·; c·1) = c · d(·; 1)`), `None` otherwise or when empty.
     pub fn is_uniform(&self) -> Option<u64> {
         let (&first, rest) = self.units.split_first()?;
         rest.iter().all(|&w| w == first).then_some(first)
@@ -293,50 +299,29 @@ fn fill_bucket_top_mass(buf: &mut Vec<u64>, p: &PreparedRanking<'_>, cum: &[u64]
 }
 
 /// Shared body of the two prepared kernels: per-bucket score tables
-/// into the arena scratch, then one zip over the element → bucket maps.
+/// into the thread's scratch, then one zip over the element → bucket
+/// maps.
 fn l1_of_bucket_scores(
-    arena: &mut PairArena,
     s: &PreparedRanking<'_>,
     t: &PreparedRanking<'_>,
     cum: &[u64],
     fill: impl Fn(&mut Vec<u64>, &PreparedRanking<'_>, &[u64]),
 ) -> u64 {
-    fill(&mut arena.wbucket_a, s, cum);
-    fill(&mut arena.wbucket_b, t, cum);
-    let (wa, wb) = (&arena.wbucket_a, &arena.wbucket_b);
-    s.bucket_of()
-        .iter()
-        .zip(t.bucket_of())
-        .map(|(&bs, &bt)| wa[bs as usize].abs_diff(wb[bt as usize]))
-        .sum()
+    with_arena(|arena| {
+        fill(&mut arena.wbucket_a, s, cum);
+        fill(&mut arena.wbucket_b, t, cum);
+        let (wa, wb) = (&arena.wbucket_a, &arena.wbucket_b);
+        s.bucket_of()
+            .iter()
+            .zip(t.bucket_of())
+            .map(|(&bs, &bt)| wa[bs as usize].abs_diff(wb[bt as usize]))
+            .sum()
+    })
 }
 
-/// [`weighted_footrule_x2`] over prepared views against a caller-held
-/// arena: per-bucket weighted prefix sums (`O(k)` scratch), then a
-/// zero-alloc `O(n)` zip — the matrix and aggregation loops' kernel.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] /
-/// [`MetricsError::WeightsLengthMismatch`].
-pub fn weighted_footrule_x2_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-    w: &Weights,
-) -> Result<u64, MetricsError> {
-    check_prepared_domain(s, t)?;
-    w.check_len(s.len())?;
-    let total = l1_of_bucket_scores(arena, s, t, w.cumulative(), fill_bucket_wpos_x2);
-    // The w ≡ 1 collapse is an exact identity; hold it on every debug
-    // evaluation.
-    debug_assert!(
-        w.is_uniform() != Some(1) || total == fprof_x2_prepared(s, t)?,
-        "w ≡ 1 weighted footrule diverged from fprof_x2"
-    );
-    Ok(total)
-}
-
-/// [`weighted_footrule_x2_prepared_in`] with the thread-local arena.
+/// [`weighted_footrule_x2`] over prepared views: per-bucket weighted
+/// prefix sums (`O(k)` scratch), then a zero-alloc `O(n)` zip — the
+/// matrix and aggregation loops' kernel.
 ///
 /// # Errors
 /// [`MetricsError::DomainMismatch`] /
@@ -346,35 +331,19 @@ pub fn weighted_footrule_x2_prepared(
     t: &PreparedRanking<'_>,
     w: &Weights,
 ) -> Result<u64, MetricsError> {
-    with_arena(|arena| weighted_footrule_x2_prepared_in(arena, s, t, w))
-}
-
-/// [`top_diff`] over prepared views against a caller-held arena.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] /
-/// [`MetricsError::WeightsLengthMismatch`].
-pub fn top_diff_prepared_in(
-    arena: &mut PairArena,
-    s: &PreparedRanking<'_>,
-    t: &PreparedRanking<'_>,
-    w: &Weights,
-) -> Result<u64, MetricsError> {
     check_prepared_domain(s, t)?;
     w.check_len(s.len())?;
-    let total = l1_of_bucket_scores(arena, s, t, w.cumulative(), fill_bucket_top_mass);
-    // On full rankings with w ≡ 1, the top difference is exactly half
-    // the (even) profile footrule.
+    let total = l1_of_bucket_scores(s, t, w.cumulative(), fill_bucket_wpos_x2);
+    // The w ≡ 1 collapse is an exact identity; hold it on every debug
+    // evaluation.
     debug_assert!(
-        w.is_uniform() != Some(1)
-            || !(s.order().is_full() && t.order().is_full())
-            || 2 * total == fprof_x2_prepared(s, t)?,
-        "w ≡ 1 full-ranking top_diff diverged from fprof_x2 / 2"
+        w.is_uniform() != Some(1) || total == fprof_x2_prepared(s, t)?,
+        "w ≡ 1 weighted footrule diverged from fprof_x2"
     );
     Ok(total)
 }
 
-/// [`top_diff_prepared_in`] with the thread-local arena.
+/// [`top_diff`] over prepared views.
 ///
 /// # Errors
 /// [`MetricsError::DomainMismatch`] /
@@ -384,7 +353,18 @@ pub fn top_diff_prepared(
     t: &PreparedRanking<'_>,
     w: &Weights,
 ) -> Result<u64, MetricsError> {
-    with_arena(|arena| top_diff_prepared_in(arena, s, t, w))
+    check_prepared_domain(s, t)?;
+    w.check_len(s.len())?;
+    let total = l1_of_bucket_scores(s, t, w.cumulative(), fill_bucket_top_mass);
+    // On full rankings with w ≡ 1, the top difference is exactly half
+    // the (even) profile footrule.
+    debug_assert!(
+        w.is_uniform() != Some(1)
+            || !(s.order().is_full() && t.order().is_full())
+            || 2 * total == fprof_x2_prepared(s, t)?,
+        "w ≡ 1 full-ranking top_diff diverged from fprof_x2 / 2"
+    );
+    Ok(total)
 }
 
 /// The paper's `F^(ℓ)` identity, as a reusable test oracle: two top-`k`

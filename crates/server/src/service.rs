@@ -1,6 +1,8 @@
-//! Request handlers over named [`DynamicProfile`] sessions.
+//! Request handlers over named
+//! [`DynamicProfile`](bucketrank_aggregate::dynamic::DynamicProfile)
+//! sessions.
 //!
-//! A [`Service`] routes every request to one of N [`shard`]s by a
+//! A [`Service`] routes every request to one of N shards by a
 //! stable hash of the session name; each shard owns its sessions'
 //! edit locks, WAL and checkpoint files, so edits on different shards
 //! never contend (DESIGN.md §3.3e). Within a session the shape is

@@ -42,6 +42,11 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+echo "==> rustdoc, warnings denied"
+# A doc link to a deleted or private item, or a stray `[x]` read as a
+# link, fails the gate here instead of lingering in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> prepared-kernel conformance suite (256 cases per property)"
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test prepared_vs_direct
 

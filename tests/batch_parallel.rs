@@ -5,8 +5,10 @@
 
 use bucketrank::metrics::batch::{
     pairwise_matrix, pairwise_matrix_parallel, pairwise_matrix_parallel_with,
-    pairwise_matrix_with, BatchMetric,
+    pairwise_matrix_with, weighted_pairwise_matrix, weighted_pairwise_matrix_parallel,
+    BatchMetric, WeightedMetric,
 };
+use bucketrank::metrics::{MetricsError, Weights};
 use bucketrank::BucketOrder;
 use bucketrank_testkit::prelude::*;
 
@@ -55,16 +57,68 @@ fn prepared_matrix_matches_naive_double_loop_wide_profile() {
 
 #[test]
 fn parallel_matrix_error_matches_sequential() {
-    // Mismatched domains: both paths must report the failure (the
-    // parallel path checks domains up front, before spawning).
-    let p = vec![
+    // Every matrix entry point reports the sequential path's error,
+    // equal in value, at every thread count.
+    let threads = [2usize, 3, 8];
+
+    // Mismatched domains in the prepared matrix (checked up front,
+    // before spawning).
+    let mixed = vec![
         BucketOrder::trivial(5),
         BucketOrder::trivial(5),
         BucketOrder::trivial(5),
         BucketOrder::trivial(6),
     ];
-    assert!(pairwise_matrix(&p, BatchMetric::KProfX2).is_err());
-    for threads in [2usize, 3, 8] {
-        assert!(pairwise_matrix_parallel(&p, BatchMetric::KProfX2, threads).is_err());
+    let domain = MetricsError::DomainMismatch { left: 5, right: 6 };
+    assert_eq!(pairwise_matrix(&mixed, BatchMetric::KProfX2).unwrap_err(), domain);
+    for t in threads {
+        assert_eq!(
+            pairwise_matrix_parallel(&mixed, BatchMetric::KProfX2, t).unwrap_err(),
+            domain,
+            "threads = {t}"
+        );
+    }
+
+    // A distance failing on two chosen pairs, (1, 4) and then (3, 5) in
+    // pair order: whichever worker finishes first, the first error by
+    // pair order wins. Each failing pair names itself in its error.
+    let profile: Vec<BucketOrder> = (0..7)
+        .map(|i| BucketOrder::from_keys(&[i, 3, i % 2, 1]))
+        .collect();
+    let index = |o: &BucketOrder| profile.iter().position(|p| std::ptr::eq(p, o)).unwrap();
+    let d = |a: &BucketOrder, b: &BucketOrder| match (index(a), index(b)) {
+        (i, j) if [(1, 4), (3, 5)].contains(&(i, j)) => {
+            Err(MetricsError::DomainMismatch { left: i, right: j })
+        }
+        _ => Ok(0),
+    };
+    let first = MetricsError::DomainMismatch { left: 1, right: 4 };
+    assert_eq!(pairwise_matrix_with(&profile, d).unwrap_err(), first);
+    for t in threads {
+        assert_eq!(
+            pairwise_matrix_parallel_with(&profile, d, t).unwrap_err(),
+            first,
+            "threads = {t}"
+        );
+    }
+
+    // The weighted matrices: mixed domains, then weights that do not
+    // cover the domain.
+    let w5 = Weights::uniform(5);
+    let short = Weights::uniform(3);
+    let same: Vec<BucketOrder> = mixed[..3].iter().chain(&mixed[..2]).cloned().collect();
+    let length = MetricsError::WeightsLengthMismatch { weights: 3, domain: 5 };
+    for metric in WeightedMetric::ALL {
+        for (orders, w, expected) in [(&mixed, &w5, &domain), (&same, &short, &length)] {
+            assert_eq!(weighted_pairwise_matrix(orders, metric, w).unwrap_err(), *expected);
+            for t in threads {
+                assert_eq!(
+                    weighted_pairwise_matrix_parallel(orders, metric, w, t).unwrap_err(),
+                    *expected,
+                    "{}, threads = {t}",
+                    metric.name()
+                );
+            }
+        }
     }
 }

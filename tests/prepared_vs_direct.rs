@@ -8,10 +8,9 @@
 //! The pair-statistics dispatcher gets its own lane: the counting
 //! (contingency-table) and sweep (suffix-count tree) lanes are held
 //! bit-identical on every generated pair, the sweep lane is driven
-//! across every level boundary of its 16-ary tree, and one
-//! [`PairArena`] is reused across pairs of shrinking and growing sizes
-//! and tree depths to prove the pooled scratch carries no state between
-//! calls. The `fhaus` witness scatter is pinned on the shapes where a
+//! across every level boundary of its 16-ary tree, and the thread's
+//! kernel scratch is reused across pairs of shrinking and growing sizes
+//! and tree depths to prove it carries no state between calls. The `fhaus` witness scatter is pinned on the shapes where a
 //! counting scatter can go wrong: no ties, one bucket, a ranking
 //! against its own reversal, and many-bucket pairs in both directions.
 
@@ -20,15 +19,11 @@ use bucketrank::metrics::batch::{
     weighted_pairwise_matrix, weighted_pairwise_matrix_parallel, BatchMetric, WeightedMetric,
 };
 use bucketrank::metrics::prepared::{
-    fhaus_prepared, fhaus_prepared_in, fhaus_x2_prepared, fprof_x2_prepared, kavg_x2_prepared,
-    khaus_prepared, khaus_x2_prepared, kprof_x2_prepared, pair_counts_prepared,
-    pair_counts_prepared_in, pair_counts_sweep_in, pair_counts_table_in, PairArena,
-    PreparedRanking,
+    fhaus_prepared, fhaus_x2_prepared, fprof_x2_prepared, kavg_x2_prepared, khaus_prepared,
+    khaus_x2_prepared, kprof_x2_prepared, pair_counts_prepared, pair_counts_sweep,
+    pair_counts_table, PreparedRanking,
 };
-use bucketrank::metrics::weighted::{
-    top_diff_prepared, top_diff_prepared_in, weighted_footrule_x2_prepared,
-    weighted_footrule_x2_prepared_in, Weights,
-};
+use bucketrank::metrics::weighted::{top_diff_prepared, weighted_footrule_x2_prepared, Weights};
 use bucketrank::metrics::{footrule, hausdorff, kendall, pairs, MetricsError};
 use bucketrank::BucketOrder;
 use bucketrank_testkit::prelude::*;
@@ -147,30 +142,28 @@ fn batch_matrix_equals_direct_double_loop_sequential_and_parallel() {
 #[test]
 fn counting_and_sort_lanes_agree_on_degenerate_heavy_pairs() {
     // Both forced lanes and the dispatcher, against the direct
-    // reference, on the degenerate-weighted pair stream. One arena
-    // serves the whole run — reuse across pairs (and across lanes)
-    // must never leak state. (`RefCell` because the runner takes `Fn`.)
-    let arena = std::cell::RefCell::new(PairArena::new());
+    // reference, on the degenerate-weighted pair stream. The thread's
+    // scratch serves the whole run — reuse across pairs (and across
+    // lanes) must never leak state.
     check(
         "counting_and_sort_lanes_agree_on_degenerate_heavy_pairs",
         gen::order_pair_with_degenerates(12, 4),
         |(a, b)| {
-            let arena = &mut *arena.borrow_mut();
             let expected = pairs::pair_counts(a, b).unwrap();
             let pa = PreparedRanking::new(a);
             let pb = PreparedRanking::new(b);
             assert_eq!(
-                pair_counts_table_in(arena, &pa, &pb).unwrap(),
+                pair_counts_table(&pa, &pb).unwrap(),
                 expected,
                 "table lane: {a:?} vs {b:?}"
             );
             assert_eq!(
-                pair_counts_sweep_in(arena, &pa, &pb).unwrap(),
+                pair_counts_sweep(&pa, &pb).unwrap(),
                 expected,
                 "sweep lane: {a:?} vs {b:?}"
             );
             assert_eq!(
-                pair_counts_prepared_in(arena, &pa, &pb).unwrap(),
+                pair_counts_prepared(&pa, &pb).unwrap(),
                 expected,
                 "dispatcher: {a:?} vs {b:?}"
             );
@@ -180,7 +173,7 @@ fn counting_and_sort_lanes_agree_on_degenerate_heavy_pairs() {
 
 #[test]
 fn arena_reuse_across_shrinking_and_growing_sizes() {
-    // Pin the stale-scratch hazard directly: the same arena answers a
+    // Pin the stale-scratch hazard directly: the same scratch answers a
     // large fine-bucketed pair (sweep lane, big count tree), then a small
     // coarse pair (counting lane, table smaller than the previous
     // buffers), then a large pair again. Each answer must match the
@@ -189,15 +182,14 @@ fn arena_reuse_across_shrinking_and_growing_sizes() {
     let big_b = BucketOrder::from_permutation(&[3, 8, 0, 5, 9, 1, 7, 2, 6, 4]).unwrap();
     let small_a = BucketOrder::from_keys(&[1, 2, 1]);
     let small_b = BucketOrder::from_keys(&[2, 1, 1]);
-    let mut arena = PairArena::new();
     for _ in 0..3 {
         for (a, b) in [(&big_a, &big_b), (&small_a, &small_b), (&big_b, &big_a)] {
             let expected = pairs::pair_counts(a, b).unwrap();
             let pa = PreparedRanking::new(a);
             let pb = PreparedRanking::new(b);
-            assert_eq!(pair_counts_prepared_in(&mut arena, &pa, &pb).unwrap(), expected);
-            assert_eq!(pair_counts_table_in(&mut arena, &pa, &pb).unwrap(), expected);
-            assert_eq!(pair_counts_sweep_in(&mut arena, &pa, &pb).unwrap(), expected);
+            assert_eq!(pair_counts_prepared(&pa, &pb).unwrap(), expected);
+            assert_eq!(pair_counts_table(&pa, &pb).unwrap(), expected);
+            assert_eq!(pair_counts_sweep(&pa, &pb).unwrap(), expected);
         }
     }
 }
@@ -216,19 +208,19 @@ fn order_with_buckets(rng: &mut Pcg32, n: usize, k: usize) -> BucketOrder {
 
 /// The forced sweep lane and the dispatcher, both directions, against
 /// the direct reference.
-fn assert_sweep_matches(arena: &mut PairArena, a: &BucketOrder, b: &BucketOrder) {
+fn assert_sweep_matches(a: &BucketOrder, b: &BucketOrder) {
     for (x, y) in [(a, b), (b, a)] {
         let expected = pairs::pair_counts(x, y).unwrap();
         let (px, py) = (PreparedRanking::new(x), PreparedRanking::new(y));
         let (kx, ky) = (x.num_buckets(), y.num_buckets());
         assert_eq!(
-            pair_counts_sweep_in(arena, &px, &py).unwrap(),
+            pair_counts_sweep(&px, &py).unwrap(),
             expected,
             "sweep lane, n = {}, buckets {kx} vs {ky}",
             x.len()
         );
         assert_eq!(
-            pair_counts_prepared_in(arena, &px, &py).unwrap(),
+            pair_counts_prepared(&px, &py).unwrap(),
             expected,
             "dispatcher, n = {}, buckets {kx} vs {ky}",
             x.len()
@@ -244,40 +236,37 @@ fn sweep_lane_across_count_tree_level_boundaries() {
     // lane's main customer) or fine-bucketed (segments of about three,
     // so queries and inserts interleave within a σ-bucket's run).
     let mut rng = Pcg32::seed_from_u64(0x5eed_7ee5);
-    let mut arena = PairArena::new();
     for kt in [1usize, 15, 16, 17, 255, 256, 257, 4097] {
         let n = kt + kt / 3 + 2;
         let tau = order_with_buckets(&mut rng, n, kt);
         let full = order_with_buckets(&mut rng, n, n);
         let fine = order_with_buckets(&mut rng, n, n.div_ceil(3));
-        assert_sweep_matches(&mut arena, &full, &tau);
-        assert_sweep_matches(&mut arena, &fine, &tau);
+        assert_sweep_matches(&full, &tau);
+        assert_sweep_matches(&fine, &tau);
         // Full against full: kσ = kτ = n, the widest tree at this n.
         let other_full = order_with_buckets(&mut rng, kt, kt);
         let full_kt = order_with_buckets(&mut rng, kt, kt);
-        assert_sweep_matches(&mut arena, &full_kt, &other_full);
+        assert_sweep_matches(&full_kt, &other_full);
     }
 }
 
 #[test]
 fn sweep_arena_reuse_across_tree_depths() {
-    // One arena through a 3-level tree (kτ = 300), then a 1-level tree
+    // One scratch through a 3-level tree (kτ = 300), then a 1-level tree
     // (kτ = 5), then a 2-level tree (kτ = 40): a shallower tree must not
     // read the deeper tree's leftover cells or levels.
     let mut rng = Pcg32::seed_from_u64(0xa7e7_a000);
-    let mut arena = PairArena::new();
     for _ in 0..2 {
         for (n, kt) in [(400, 300), (12, 5), (90, 40)] {
             let tau = order_with_buckets(&mut rng, n, kt);
             let full = order_with_buckets(&mut rng, n, n);
-            assert_sweep_matches(&mut arena, &full, &tau);
+            assert_sweep_matches(&full, &tau);
         }
     }
 }
 
-/// `fhaus` prepared (thread-local arena and a caller-held one) against
-/// the direct witness construction.
-fn assert_fhaus_matches(arena: &mut PairArena, a: &BucketOrder, b: &BucketOrder) {
+/// `fhaus` prepared against the direct witness construction.
+fn assert_fhaus_matches(a: &BucketOrder, b: &BucketOrder) {
     let (pa, pb) = (PreparedRanking::new(a), PreparedRanking::new(b));
     let expected = hausdorff::fhaus(a, b).unwrap();
     assert_eq!(
@@ -285,33 +274,27 @@ fn assert_fhaus_matches(arena: &mut PairArena, a: &BucketOrder, b: &BucketOrder)
         expected,
         "fhaus: {a:?} vs {b:?}"
     );
-    assert_eq!(
-        fhaus_prepared_in(arena, &pa, &pb).unwrap(),
-        expected,
-        "fhaus (arena): {a:?} vs {b:?}"
-    );
 }
 
 #[test]
 fn fhaus_scatter_on_full_single_bucket_and_reversed_orders() {
     let mut rng = Pcg32::seed_from_u64(0xf4a0_5ca7);
-    let mut arena = PairArena::new();
     for n in [1usize, 2, 5, 16, 63] {
         let full = order_with_buckets(&mut rng, n, n);
         let other_full = order_with_buckets(&mut rng, n, n);
         let tied = BucketOrder::trivial(n);
         let bucketed = order_with_buckets(&mut rng, n, n.div_ceil(4));
         // Full rankings: every witness is the ranking itself.
-        assert_fhaus_matches(&mut arena, &full, &other_full);
+        assert_fhaus_matches(&full, &other_full);
         // A single bucket: the whole witness comes from the other side.
-        assert_fhaus_matches(&mut arena, &tied, &tied);
-        assert_fhaus_matches(&mut arena, &tied, &full);
-        assert_fhaus_matches(&mut arena, &bucketed, &tied);
+        assert_fhaus_matches(&tied, &tied);
+        assert_fhaus_matches(&tied, &full);
+        assert_fhaus_matches(&bucketed, &tied);
         // σ against its own reversal: the reversed walk meets the
         // buckets exactly mirrored.
         for o in [&full, &bucketed] {
-            assert_fhaus_matches(&mut arena, o, &o.reverse());
-            assert_fhaus_matches(&mut arena, &o.reverse(), o);
+            assert_fhaus_matches(o, &o.reverse());
+            assert_fhaus_matches(&o.reverse(), o);
         }
     }
 }
@@ -321,21 +304,20 @@ fn fhaus_scatter_on_many_bucket_pairs() {
     // Forty levels over 64 elements: many buckets on both sides, small
     // ties everywhere, so both `reverse_other` walks place elements
     // into many base buckets out of order.
-    let arena = std::cell::RefCell::new(PairArena::new());
     check(
         "fhaus_scatter_on_many_bucket_pairs",
         gen::order_pair(64, 40),
-        |(a, b)| assert_fhaus_matches(&mut arena.borrow_mut(), a, b),
+        |(a, b)| assert_fhaus_matches(a, b),
     );
 }
 
 #[test]
 fn weighted_prepared_equals_naive_on_degenerate_heavy_pairs() {
     // The weighted lane: both prepared weighted kernels against their
-    // naive references, under every degenerate weight class, with one
-    // arena shared across the whole run (stale weighted scratch must
-    // never leak between calls, same hazard as the pair-counts lanes).
-    let arena = std::cell::RefCell::new(PairArena::new());
+    // naive references, under every degenerate weight class, with the
+    // thread's scratch shared across the whole run (stale weighted
+    // scratch must never leak between calls, same hazard as the
+    // pair-counts lanes).
     check(
         "weighted_prepared_equals_naive_on_degenerate_heavy_pairs",
         gen::pair(
@@ -349,16 +331,15 @@ fn weighted_prepared_equals_naive_on_degenerate_heavy_pairs() {
                 return;
             }
             let w = Weights::from_units(units.clone()).unwrap();
-            let arena = &mut *arena.borrow_mut();
             let pa = PreparedRanking::new(a);
             let pb = PreparedRanking::new(b);
             assert_eq!(
-                weighted_footrule_x2_prepared_in(arena, &pa, &pb, &w).unwrap(),
+                weighted_footrule_x2_prepared(&pa, &pb, &w).unwrap(),
                 WeightedMetric::WeightedFootruleX2.naive(a, b, &w).unwrap(),
                 "weighted footrule: {a:?} vs {b:?} under {units:?}"
             );
             assert_eq!(
-                top_diff_prepared_in(arena, &pa, &pb, &w).unwrap(),
+                top_diff_prepared(&pa, &pb, &w).unwrap(),
                 WeightedMetric::TopDiff.naive(a, b, &w).unwrap(),
                 "top diff: {a:?} vs {b:?} under {units:?}"
             );

@@ -17,7 +17,9 @@
 //! sizes pinned to the single-chunk build, and a deterministic
 //! `u16`→`u32` promotion check at profiles straddling `CHUNK_VOTERS`
 //! (= `u16::MAX`) voters, where the narrow partial cells hit their
-//! ceiling exactly.
+//! ceiling exactly. (The three-worker split at the same sizes is pinned
+//! by a tally unit test, which reaches the unclamped splitter on any
+//! core count.)
 
 use bucketrank::aggregate::condorcet::MajorityGraph;
 use bucketrank::aggregate::cost::{self, AggMetric};
@@ -273,8 +275,6 @@ fn promotion_boundary_is_exact_at_chunk_voters() {
     for m in [CHUNK_VOTERS - 1, CHUNK_VOTERS, CHUNK_VOTERS + 1, CHUNK_VOTERS + 2] {
         let profile: Vec<BucketOrder> = (0..m).map(|i| pool[i % pool.len()].clone()).collect();
         let t = ProfileTally::build(&profile).unwrap();
-        let par = ProfileTally::build_parallel_unclamped(&profile, 3).unwrap();
-        assert_eq!(par, t, "parallel promotion at m = {m}");
         let (cycles, rem) = (m / pool.len(), m % pool.len());
         for a in 0..4 {
             for b in 0..4 {
