@@ -36,8 +36,9 @@ impl MajorityGraph {
 
     /// Builds the majority digraph from a prebuilt pairwise tally: one
     /// pass over the upper triangle fills **both** directions of each
-    /// pair from one margin read (the voter scan was already paid by
-    /// the tally build, once for all consumers).
+    /// pair from one margin (the pair's two strict cells; the voter
+    /// scan was already paid by the tally build, once for all
+    /// consumers).
     pub fn from_tally(tally: &ProfileTally) -> Self {
         let n = tally.len();
         let mut beats = vec![false; n * n];

@@ -25,28 +25,31 @@
 //!   Kemenization, the CLI) a consistent read view: a
 //!   [`DynamicSnapshot`] owns its tally and median vector, so held
 //!   snapshots never observe later edits, even from other threads.
+//!   [`snapshot_reusing`](DynamicProfile::snapshot_reusing) copies the
+//!   same view into a retired snapshot's buffers, so a republish after
+//!   every edit need not allocate.
 //!
 //! # Update algebra
 //!
-//! The tally stores `strict(a, b)` and the ×2 weight
-//! `w2(a, b) = 2·strict(a, b) + ties(a, b)`. One voter contributes, for
-//! each pair it orders `(a` ahead of `b)`, `+1` to `strict(a, b)` and
-//! `+2` to `w2(a, b)`; for each pair it ties, `+1` to both `w2(a, b)`
-//! and `w2(b, a)`. Pushing applies that signed pass with `+1`, removal
-//! with `−1` on the stored ranking — the same branchless comparison
-//! kernel as the batch build (strict wins are `bucket(b) > bucket(a)`
-//! over the contiguous bucket-index map, ties the equality lane), so
-//! the maintained matrices stay **byte-identical**
-//! to `ProfileTally::build` over the live voters (enforced by
+//! The tally stores one matrix, `strict(a, b)`; the ×2 weights are
+//! derived from it on read (`w2(a, b) = m + strict(a, b) −
+//! strict(b, a)`, see [`ProfileTally`]). One voter contributes `+1` to
+//! `strict(a, b)` for each pair it orders `a` ahead of `b`, and nothing
+//! for a pair it ties. Pushing applies that signed pass with `+1`,
+//! removal with `−1` on the stored ranking — the same branchless
+//! comparison kernel as the batch build (a strict win is
+//! `bucket(b) > bucket(a)` over the contiguous bucket-index map), so
+//! the maintained matrix stays **byte-identical** to
+//! `ProfileTally::build` over the live voters (enforced by
 //! `tests/dynamic_vs_rebuild.rs` at every step of random edit scripts).
-//! The invariant `w2(a, b) = m + strict(a, b) − strict(b, a)` holds
-//! after every edit because each voter's contribution satisfies it.
+//! The diagonal needs no special case: `bucket(a) > bucket(a)` is
+//! false.
 //!
 //! Replace is **one fused pass** over the rows: each cell moves by the
 //! new contribution minus the old one (wrapping `u32` arithmetic; the
 //! final cell is a live-voter count, so it is exact), and the same
 //! sweep finds whether any pair in the row changed relation. It reads
-//! and writes each matrix once — half the traffic of a retract pass
+//! and writes the matrix once — half the traffic of a retract pass
 //! plus an add pass — and needs no separate dirty scan.
 //!
 //! Median ranks use one counting array per element over the half-unit
@@ -171,77 +174,48 @@ impl DirtyRows {
     }
 }
 
-/// One signed row pass of [`apply_voter`]: for every `b` in the run,
-/// `strict(a, b)` moves by 1 when the voter ranks `b` strictly later
-/// than `a` (`bb > ba`) and `w2(a, b)` by `2·win + tie` — the ×2
-/// weight gains 2 per strict win and 1 per tie, the `p = ½` penalty.
-/// Branchless compare-and-add over zipped slices, the same comparison
-/// formulation as the batch build's kernel, so the maintained matrices
-/// stay **byte-identical** to a fresh [`ProfileTally::build`].
-#[inline]
-fn apply_run(strict: &mut [u32], w2: &mut [u32], bof: &[u32], ba: u32, add: bool) {
-    if add {
-        for ((s, w), &bb) in strict.iter_mut().zip(w2.iter_mut()).zip(bof) {
-            let win = u32::from(bb > ba);
-            *s += win;
-            *w += 2 * win + u32::from(bb == ba);
-        }
-    } else {
-        for ((s, w), &bb) in strict.iter_mut().zip(w2.iter_mut()).zip(bof) {
-            let win = u32::from(bb > ba);
-            *s -= win;
-            *w -= 2 * win + u32::from(bb == ba);
-        }
-    }
-}
-
-/// Applies one voter's contribution to the tally matrices with sign
-/// `+1` (`add`) or `−1`: the same branchless comparison kernel as the
-/// batch build, extended to maintain `w2` alongside `strict`. Each row
-/// is split at the diagonal so the self-pair is never touched (an
-/// element ties itself, which must not count), with the two halves
-/// walked as contiguous zipped slices — no flattened `by_rank` scratch
-/// and no double walk over `voter.buckets()`. Subtraction cannot
-/// underflow when retracting a stored contribution: every cell is a
-/// sum over live voters' contributions.
-fn apply_voter(strict: &mut [u32], w2: &mut [u32], n: usize, voter: &BucketOrder, add: bool) {
+/// Applies one voter's contribution to the strict-count matrix with
+/// sign `+1` (`add`) or `−1`: row `a` moves by 1 at every `b` the voter
+/// ranks strictly later than `a` (`bb > ba`) — the same branchless
+/// compare-and-add over zipped slices as the batch build's kernel, so
+/// the maintained matrix stays **byte-identical** to a fresh
+/// [`ProfileTally::build`]. The self-pair is never touched, because
+/// `ba > ba` is false. Subtraction cannot underflow when retracting a
+/// stored contribution: every cell is a sum over live voters'
+/// contributions.
+fn apply_voter(strict: &mut [u32], n: usize, voter: &BucketOrder, add: bool) {
     let bof = voter.bucket_indices();
-    for a in 0..n {
-        let ba = bof[a];
-        let (s_lo, s_rest) = strict[a * n..(a + 1) * n].split_at_mut(a);
-        let (w_lo, w_rest) = w2[a * n..(a + 1) * n].split_at_mut(a);
-        apply_run(s_lo, w_lo, &bof[..a], ba, add);
-        apply_run(&mut s_rest[1..], &mut w_rest[1..], &bof[a + 1..], ba, add);
+    // `max(1)`: an empty domain has no rows, but a chunk width must be
+    // nonzero.
+    for (row, &ba) in strict.chunks_exact_mut(n.max(1)).zip(bof) {
+        if add {
+            for (s, &bb) in row.iter_mut().zip(bof) {
+                *s += u32::from(bb > ba);
+            }
+        } else {
+            for (s, &bb) in row.iter_mut().zip(bof) {
+                *s -= u32::from(bb > ba);
+            }
+        }
     }
 }
 
 /// One fused row pass of [`DynamicProfile::replace_voter`]: retracts
 /// the old ranking's contribution to row `a` and adds the new one's in
 /// the same sweep (`oa`/`na` = element `a`'s old/new bucket index), and
-/// reports whether any pair in the row changed relation. `strict`
-/// moves by `win_new − win_old` and `w2` by
-/// `(2·win_new + tie_new) − (2·win_old + tie_old)` in wrapping `u32`
-/// arithmetic — the true cell after the edit is a live-voter count, so
-/// the wrapped result is exact. The diagonal needs no split: an
-/// element ties itself in both rankings, so its deltas and its
-/// changed-relation bit are zero.
+/// reports whether any pair in the row changed relation (order or tie).
+/// `strict` moves by `win_new − win_old` in wrapping `u32` arithmetic —
+/// the true cell after the edit is a live-voter count, so the wrapped
+/// result is exact. The diagonal needs no split: an element ties itself
+/// in both rankings, so its delta and its changed-relation bit are
+/// zero.
 #[inline]
-fn replace_row(
-    strict: &mut [u32],
-    w2: &mut [u32],
-    old: &[u32],
-    new: &[u32],
-    oa: u32,
-    na: u32,
-) -> bool {
+fn replace_row(strict: &mut [u32], old: &[u32], new: &[u32], oa: u32, na: u32) -> bool {
     let mut changed = 0u32;
-    for (((s, w), &ob), &nb) in strict.iter_mut().zip(w2.iter_mut()).zip(old).zip(new) {
+    for ((s, &ob), &nb) in strict.iter_mut().zip(old).zip(new) {
         let (win_old, tie_old) = (u32::from(ob > oa), u32::from(ob == oa));
         let (win_new, tie_new) = (u32::from(nb > na), u32::from(nb == na));
         *s = s.wrapping_add(win_new).wrapping_sub(win_old);
-        *w = w
-            .wrapping_add(2 * win_new + tie_new)
-            .wrapping_sub(2 * win_old + tie_old);
         changed |= (win_new ^ win_old) | (tie_new ^ tie_old);
     }
     changed != 0
@@ -365,7 +339,7 @@ impl DynamicProfile {
     pub fn new(n: usize, policy: MedianPolicy) -> Self {
         let span = 2 * n + 1;
         DynamicProfile {
-            tally: ProfileTally::from_parts(n, 0, vec![0; n * n], vec![0; n * n]),
+            tally: ProfileTally::from_parts(n, 0, vec![0; n * n]),
             policy,
             voters: HashMap::new(),
             next_id: 0,
@@ -495,11 +469,8 @@ impl DynamicProfile {
     }
 
     /// The maintained median vector as positions.
-    fn medians_vec(&self) -> Vec<Pos> {
-        self.med
-            .iter()
-            .map(|&v| Pos::from_half_units(v as i64))
-            .collect()
+    fn medians(&self) -> impl Iterator<Item = Pos> + '_ {
+        self.med.iter().map(|&v| Pos::from_half_units(v as i64))
     }
 
     /// Pushes a new voter; `O(n²)`.
@@ -522,10 +493,7 @@ impl DynamicProfile {
                 limit: Self::MAX_VOTERS,
             });
         }
-        {
-            let (strict, w2) = self.tally.parts_mut();
-            apply_voter(strict, w2, n, &ranking, true);
-        }
+        apply_voter(self.tally.parts_mut(), n, &ranking, true);
         self.tally.set_voters(m + 1);
         let k = target_rank(self.policy, m + 1);
         for (e, p) in ranking.positions().iter().enumerate() {
@@ -560,10 +528,7 @@ impl DynamicProfile {
             .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
         let n = self.tally.len();
         let m = self.tally.voters();
-        {
-            let (strict, w2) = self.tally.parts_mut();
-            apply_voter(strict, w2, n, &ranking, false);
-        }
+        apply_voter(self.tally.parts_mut(), n, &ranking, false);
         self.tally.set_voters(m - 1);
         let k = if m > 1 {
             target_rank(self.policy, m - 1)
@@ -626,14 +591,11 @@ impl DynamicProfile {
         let k_ins = target_rank(self.policy, m);
         {
             let (ob, nb) = (old.bucket_indices(), new.bucket_indices());
-            let (strict, w2) = self.tally.parts_mut();
             // `max(1)`: an empty domain has no rows, but a chunk width
             // must be nonzero.
-            let rows = strict
-                .chunks_exact_mut(n.max(1))
-                .zip(w2.chunks_exact_mut(n.max(1)));
-            for (a, (s_row, w_row)) in rows.enumerate() {
-                if replace_row(s_row, w_row, ob, nb, ob[a], nb[a]) {
+            let rows = self.tally.parts_mut().chunks_exact_mut(n.max(1));
+            for (a, row) in rows.enumerate() {
+                if replace_row(row, ob, nb, ob[a], nb[a]) {
                     self.dirty.mark(a as ElementId);
                 }
             }
@@ -664,7 +626,7 @@ impl DynamicProfile {
         if self.tally.voters() == 0 {
             return Err(AggregateError::NoInputs);
         }
-        Ok(self.medians_vec())
+        Ok(self.medians().collect())
     }
 
     /// The partial ranking induced by the maintained median vector
@@ -698,14 +660,39 @@ impl DynamicProfile {
     /// [`AggregateError::NoInputs`] when no voter is live (matching
     /// the batch builders' contract).
     pub fn snapshot(&self) -> Result<DynamicSnapshot, AggregateError> {
+        self.snapshot_reusing(None)
+    }
+
+    /// [`snapshot`](DynamicProfile::snapshot), copied into the buffers
+    /// of `spare` — a retired snapshot of this or any other engine —
+    /// instead of freshly allocated ones. The result equals
+    /// `snapshot()` exactly; only the allocation is saved. A spare of
+    /// the same domain size takes the copy at memcpy speed with no
+    /// allocation; a spare of another size is grown or trimmed to fit,
+    /// so it never keeps a larger domain's memory alive. `None` is the
+    /// plain `snapshot()` path.
+    ///
+    /// # Errors
+    /// [`AggregateError::NoInputs`] when no voter is live; the spare is
+    /// dropped.
+    pub fn snapshot_reusing(
+        &self,
+        spare: Option<DynamicSnapshot>,
+    ) -> Result<DynamicSnapshot, AggregateError> {
         if self.tally.voters() == 0 {
             return Err(AggregateError::NoInputs);
         }
-        Ok(DynamicSnapshot {
-            generation: self.generation,
-            medians: self.medians_vec(),
-            tally: self.tally.clone(),
-        })
+        let mut snap = spare.unwrap_or_else(|| DynamicSnapshot {
+            generation: 0,
+            tally: ProfileTally::from_parts(0, 0, Vec::new()),
+            medians: Vec::new(),
+        });
+        snap.generation = self.generation;
+        snap.tally.clone_from(&self.tally);
+        snap.medians.clear();
+        snap.medians.extend(self.medians());
+        snap.medians.shrink_to_fit();
+        Ok(snap)
     }
 }
 

@@ -47,13 +47,14 @@ pub fn kwiksort_with_tally(
     let mut rng = SplitMix64::new(seed);
     let mut items: Vec<ElementId> = (0..n as ElementId).collect();
     let mut out = Vec::with_capacity(n);
-    quick(&mut items, tally.weights_x2(), n, &mut rng, &mut out);
+    quick(&mut items, tally.strict_counts(), n, &mut rng, &mut out);
     BucketOrder::from_permutation(&out).map_err(Into::into)
 }
 
+/// `strict` is the tally's strict-count matrix (`n × n`, row-major).
 fn quick(
     items: &mut [ElementId],
-    w2: &[u32],
+    strict: &[u32],
     n: usize,
     rng: &mut SplitMix64,
     out: &mut Vec<ElementId>,
@@ -73,20 +74,22 @@ fn quick(
         if e == pivot {
             continue;
         }
-        // e goes ahead of the pivot iff the weight for (e before pivot)
-        // is at least the weight for (pivot before e); ties broken by id
-        // for determinism given the seed.
-        let ep = w2[e as usize * n + pivot as usize];
-        let pe = w2[pivot as usize * n + e as usize];
+        // e goes ahead of the pivot iff the ×2 weight for (e before
+        // pivot) is at least the weight for (pivot before e); ties
+        // broken by id for determinism given the seed. The weights
+        // differ by `2·(s(e, p) − s(p, e))`, so comparing the two
+        // strict counts makes the same split.
+        let ep = strict[e as usize * n + pivot as usize];
+        let pe = strict[pivot as usize * n + e as usize];
         if ep > pe || (ep == pe && e < pivot) {
             ahead.push(e);
         } else {
             behind.push(e);
         }
     }
-    quick(&mut ahead, w2, n, rng, out);
+    quick(&mut ahead, strict, n, rng, out);
     out.push(pivot);
-    quick(&mut behind, w2, n, rng, out);
+    quick(&mut behind, strict, n, rng, out);
 }
 
 /// Runs KwikSort `restarts` times with derived seeds and keeps the output

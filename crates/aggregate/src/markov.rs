@@ -206,10 +206,11 @@ fn transition_matrix(inputs: &[BucketOrder], chain: MarkovChain, n: usize) -> Ve
 
 /// Writes MC4's transition row for state `u` into `row` (length `n`):
 /// pick `v` uniformly; move iff a strict majority prefers `v` — the
-/// whole column of majority tests comes from the tally's row-local
-/// query (sequential reads, not a stride-n walk down the strict
-/// matrix). Written branchless: the majority bit is data, not control,
-/// so the ~50% unpredictable branch per entry disappears.
+/// whole column `u` of majority tests comes from one stride-`n` walk
+/// down the tally's strict matrix
+/// ([`ProfileTally::strict_majorities_against`]). Written branchless:
+/// the majority bit is data, not control, so the ~50% unpredictable
+/// branch per entry disappears.
 fn mc4_row_into(t: &ProfileTally, u: ElementId, row: &mut [f64]) {
     let n = t.len();
     let inv = 1.0 / n as f64;

@@ -9,8 +9,8 @@
 //! method calls apiece, repeated per algorithm. [`ProfileTally`] builds
 //! it **once** per profile and hands every consumer `O(1)` reads:
 //!
-//! * [`kwiksort`](crate::kwiksort::kwiksort_with_tally) pivots on the
-//!   ×2 weights;
+//! * [`kwiksort`](crate::kwiksort::kwiksort_with_tally) pivots on
+//!   strict-count comparisons;
 //! * [`MajorityGraph`](crate::condorcet::MajorityGraph::from_tally)
 //!   reads majority margins;
 //! * [`schulze`](crate::schulze::schulze_with_tally) reads strict
@@ -25,13 +25,21 @@
 //!
 //! # Scaling convention
 //!
-//! The weight matrix is ×2-scaled so ties stay exact in integers:
+//! The tally stores one `n × n` matrix, `strict(a, b)` = the number of
+//! voters strictly preferring `a` over `b`. The `Kprof` weights are ×2
+//! scaled so ties stay exact in integers:
 //! `weight_x2(a, b) = 2·#{voters strictly preferring a over b} +
-//! #{voters tying the pair}`. For every pair,
-//! `weight_x2(a, b) + weight_x2(b, a) = 2m`. Placing `a` strictly ahead
-//! of `b` in a candidate costs `weight_x2(b, a)` on the `Kprof` ×2
-//! scale (2 per voter preferring `b`, 1 per tying voter — the `p = ½`
-//! penalty of Section 3.1).
+//! #{voters tying the pair}`. Every voter either orders a pair or ties
+//! it, so `ties(a, b) = m − strict(a, b) − strict(b, a)` and the weight
+//! is a function of the two strict cells alone:
+//! `weight_x2(a, b) = m + strict(a, b) − strict(b, a)`. The accessors
+//! derive it on read, adding before subtracting so no `u32`
+//! intermediate underflows, and `m + strict(a, b) ≤ 2m` fits at
+//! [`DynamicProfile::MAX_VOTERS`](crate::dynamic::DynamicProfile::MAX_VOTERS).
+//! For every pair, `weight_x2(a, b) + weight_x2(b, a) = 2m`. Placing
+//! `a` strictly ahead of `b` in a candidate costs `weight_x2(b, a)` on
+//! the `Kprof` ×2 scale (2 per voter preferring `b`, 1 per tying voter
+//! — the `p = ½` penalty of Section 3.1).
 //!
 //! # Build
 //!
@@ -50,9 +58,9 @@
 //! from overflow by the chunk bound (see [`CHUNK_VOTERS`]). Rows are
 //! blocked into [`TILE_ROWS`]-row slabs with the voter loop *inside*
 //! the tile loop, so the slab being written stays cache-resident
-//! while a whole chunk streams past. The last partial is widened to
-//! `u32` and the ×2 weight matrix derived in one fused sweep over the
-//! pair triangles — the `w2` derivation costs no extra pass.
+//! while a whole chunk streams past. Each partial, the last one
+//! included, is then widened into `strict` in one sequential pass —
+//! there is no second matrix to derive.
 //!
 //! The parallel path ([`ProfileTally::build_parallel`]) splits voters
 //! across scoped threads (clamped to the machine's available
@@ -94,17 +102,35 @@ pub const CHUNK_VOTERS: usize = u16::MAX as usize;
 
 /// The pairwise-preference tally of a profile; see the [module
 /// docs](self).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct ProfileTally {
     n: usize,
     m: usize,
     /// `strict[a·n + b]` = number of voters strictly preferring `a`
-    /// over `b`.
+    /// over `b` — the only matrix; every weight is derived from it.
     strict: Vec<u32>,
-    /// `w2[a·n + b]` = `2·strict(a, b) + ties(a, b)` — the ×2-scaled
-    /// pairwise weight. Derived: `w2(a, b) = m + strict(a, b) −
-    /// strict(b, a)`.
-    w2: Vec<u32>,
+}
+
+impl Clone for ProfileTally {
+    fn clone(&self) -> Self {
+        ProfileTally {
+            n: self.n,
+            m: self.m,
+            strict: self.strict.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s existing buffer — no allocation
+    /// when the capacity suffices, which is how a recycled snapshot
+    /// ([`crate::dynamic::DynamicProfile::snapshot_reusing`]) avoids
+    /// fresh pages. The buffer is then trimmed to the source's size, so
+    /// a copy never keeps a larger profile's memory alive.
+    fn clone_from(&mut self, source: &Self) {
+        self.n = source.n;
+        self.m = source.m;
+        self.strict.clone_from(&source.strict);
+        self.strict.shrink_to_fit();
+    }
 }
 
 /// Accumulates one chunk of voters into a `u16` strict-count partial.
@@ -153,60 +179,21 @@ fn widen_into(acc: &mut [u32], partial: &[u16]) {
     }
 }
 
-/// Folds the final partial into `strict` and derives the ×2 weights in
-/// the same sweep: each unordered pair's two strict cells are
-/// finalized together and both `w2` triangles written from them
-/// (`w2(a, b) = m + s(a, b) − s(b, a)`), so the `O(n²)` `w2`
-/// derivation is fused into the merge instead of costing a separate
-/// pass over both matrices. Generic over the partial's cell width: the
-/// sequential path feeds the last `u16` chunk, the parallel path the
-/// last worker's `u32` partial.
-fn merge_last_and_derive<C: Copy + Into<u32>>(
-    strict: &mut [u32],
-    w2: &mut [u32],
-    last: &[C],
-    n: usize,
-    m: usize,
-) {
-    debug_assert_eq!(last.len(), n * n);
-    let m32 = m as u32;
-    for a in 0..n {
-        for b in a + 1..n {
-            let ab = a * n + b;
-            let ba = b * n + a;
-            let sab = strict[ab] + last[ab].into();
-            let sba = strict[ba] + last[ba].into();
-            strict[ab] = sab;
-            strict[ba] = sba;
-            w2[ab] = m32 + sab - sba;
-            w2[ba] = m32 + sba - sab;
-        }
-    }
-}
-
-/// The sequential build pass: chunk the voters, accumulate each chunk
-/// in a reused `u16` partial, promote every chunk but the last into
-/// `strict`, and fold the last chunk into the fused `w2` sweep.
-fn accumulate_seq(
-    strict: &mut [u32],
-    w2: &mut [u32],
-    n: usize,
-    inputs: &[BucketOrder],
-    chunk_voters: usize,
-) {
-    let m = inputs.len();
-    let nchunks = m.div_ceil(chunk_voters);
+/// Accumulates `voters` into a fresh `u32` strict-count matrix: each
+/// chunk of at most `chunk_voters` voters fills a reused `u16` partial,
+/// which is then widened into the result. The sequential build and
+/// every parallel worker run this same pass.
+fn accumulate(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u32> {
+    let mut acc = vec![0u32; n * n];
     let mut partial = vec![0u16; n * n];
-    for (i, chunk) in inputs.chunks(chunk_voters).enumerate() {
+    for (i, chunk) in voters.chunks(chunk_voters).enumerate() {
         if i > 0 {
             partial.fill(0);
         }
         accumulate_chunk(&mut partial, n, chunk);
-        if i + 1 < nchunks {
-            widen_into(strict, &partial);
-        }
+        widen_into(&mut acc, &partial);
     }
-    merge_last_and_derive(strict, w2, &partial, n, m);
+    acc
 }
 
 impl ProfileTally {
@@ -226,9 +213,8 @@ impl ProfileTally {
     /// Builds the tally with up to `threads` scoped worker threads:
     /// voters are split into contiguous chunks, each thread runs the
     /// chunked `u16` kernel into a private partial, and the partials
-    /// are merged (the last one fused with the `w2` derivation).
-    /// `threads ≤ 1` (or a small profile) falls back to the sequential
-    /// pass.
+    /// are summed into `strict`. `threads ≤ 1` (or a small profile)
+    /// falls back to the sequential pass.
     ///
     /// `threads` is clamped to
     /// [`std::thread::available_parallelism`] before chunking — asking
@@ -265,45 +251,29 @@ impl ProfileTally {
             m <= (u32::MAX / 2) as usize,
             "profile too large for u32 tally cells ({m} voters)"
         );
-        let mut strict = vec![0u32; n * n];
-        let mut w2 = vec![0u32; n * n];
         let threads = threads.clamp(1, m);
-        if threads <= 1 || m < 4 {
-            accumulate_seq(&mut strict, &mut w2, n, inputs, chunk_voters);
+        let strict = if threads <= 1 || m < 4 {
+            accumulate(n, inputs, chunk_voters)
         } else {
             let per = m.div_ceil(threads);
-            let mut partials: Vec<Vec<u32>> = Vec::with_capacity(threads);
             std::thread::scope(|scope| {
                 let handles: Vec<_> = inputs
                     .chunks(per)
-                    .map(|voters| {
-                        scope.spawn(move || {
-                            let mut acc = vec![0u32; n * n];
-                            let mut partial = vec![0u16; n * n];
-                            for chunk in voters.chunks(chunk_voters) {
-                                partial.fill(0);
-                                accumulate_chunk(&mut partial, n, chunk);
-                                widen_into(&mut acc, &partial);
-                            }
-                            acc
-                        })
-                    })
+                    .map(|voters| scope.spawn(move || accumulate(n, voters, chunk_voters)))
                     .collect();
-                for h in handles {
-                    partials.push(h.join().expect("tally worker panicked"));
+                let mut partials = handles
+                    .into_iter()
+                    .map(|h| h.join().expect("tally worker panicked"));
+                let mut strict = partials.next().expect("at least one tally worker");
+                for partial in partials {
+                    for (cell, add) in strict.iter_mut().zip(partial) {
+                        *cell += add;
+                    }
                 }
-            });
-            // Sum all but the last worker's partial into `strict`, then
-            // fold the last one into the fused w2-derivation sweep.
-            let last = partials.pop().expect("at least one tally worker");
-            for partial in &partials {
-                for (cell, &add) in strict.iter_mut().zip(partial) {
-                    *cell += add;
-                }
-            }
-            merge_last_and_derive(&mut strict, &mut w2, &last, n, m);
-        }
-        Ok(ProfileTally { n, m, strict, w2 })
+                strict
+            })
+        };
+        Ok(ProfileTally { n, m, strict })
     }
 
     /// Sequential build with an explicit voter-chunk size — the
@@ -323,23 +293,21 @@ impl ProfileTally {
         Self::build_split(inputs, 1, chunk_voters.clamp(1, CHUNK_VOTERS))
     }
 
-    /// Assembles a tally from already-consistent matrices — the hook the
-    /// dynamic engine ([`crate::dynamic`]) uses to start from an empty
-    /// profile and to clone snapshots. Callers must uphold the build
-    /// invariants: both matrices are `n × n` row-major,
-    /// `w2(a, b) = m + strict(a, b) − strict(b, a)` off the diagonal,
-    /// and both diagonals are zero.
-    pub(crate) fn from_parts(n: usize, m: usize, strict: Vec<u32>, w2: Vec<u32>) -> Self {
+    /// Assembles a tally from an already-consistent strict-count
+    /// matrix — the hook the dynamic engine ([`crate::dynamic`]) uses to
+    /// start from an empty profile. Callers must uphold the build
+    /// invariants: `strict` is `n × n` row-major with a zero diagonal,
+    /// and `strict(a, b) + strict(b, a) ≤ m` for every pair.
+    pub(crate) fn from_parts(n: usize, m: usize, strict: Vec<u32>) -> Self {
         debug_assert_eq!(strict.len(), n * n);
-        debug_assert_eq!(w2.len(), n * n);
-        ProfileTally { n, m, strict, w2 }
+        ProfileTally { n, m, strict }
     }
 
-    /// Mutable access to `(strict, w2)` for in-place incremental
-    /// maintenance by [`crate::dynamic`]; the caller must restore the
-    /// build invariants before any query runs.
-    pub(crate) fn parts_mut(&mut self) -> (&mut [u32], &mut [u32]) {
-        (&mut self.strict, &mut self.w2)
+    /// Mutable access to `strict` for in-place incremental maintenance
+    /// by [`crate::dynamic`]; the caller must restore the build
+    /// invariants before any query runs.
+    pub(crate) fn parts_mut(&mut self) -> &mut [u32] {
+        &mut self.strict
     }
 
     /// Sets the voter count after an incremental edit ([`crate::dynamic`]).
@@ -362,9 +330,11 @@ impl ProfileTally {
         self.m
     }
 
-    /// The ×2-scaled pairwise weight: `2·strict(a, b) + ties(a, b)`.
+    /// The ×2-scaled pairwise weight: `2·strict(a, b) + ties(a, b)`,
+    /// derived as `m + strict(a, b) − strict(b, a)` (see the [module
+    /// docs](self#scaling-convention)).
     pub fn weight_x2(&self, a: ElementId, b: ElementId) -> u32 {
-        self.w2[a as usize * self.n + b as usize]
+        self.m as u32 + self.strict_count(a, b) - self.strict_count(b, a)
     }
 
     /// Number of voters strictly preferring `a` over `b`.
@@ -374,18 +344,12 @@ impl ProfileTally {
 
     /// Number of voters tying the pair (`a ≠ b`).
     pub fn tie_count(&self, a: ElementId, b: ElementId) -> u32 {
-        self.m as u32
-            - self.strict[a as usize * self.n + b as usize]
-            - self.strict[b as usize * self.n + a as usize]
+        self.m as u32 - self.strict_count(a, b) - self.strict_count(b, a)
     }
 
     /// Signed majority margin `strict(a, b) − strict(b, a)`.
-    ///
-    /// A single load: `w2(a, b) = m + strict(a, b) − strict(b, a)`, so
-    /// the margin is `w2(a, b) − m` without touching the transposed
-    /// cell.
     pub fn margin(&self, a: ElementId, b: ElementId) -> i64 {
-        i64::from(self.w2[a as usize * self.n + b as usize]) - self.m as i64
+        i64::from(self.strict_count(a, b)) - i64::from(self.strict_count(b, a))
     }
 
     /// Whether strictly more voters prefer `a` over `b` than the
@@ -404,44 +368,48 @@ impl ProfileTally {
     }
 
     /// [`ProfileTally::strict_majority`]`(a, b)` for every `a` at once,
-    /// yielded in element order — the whole column of strict-majority
-    /// tests against a fixed `b`, computed from **row** `b` alone via
-    /// `strict(a, b) = m + strict(b, a) − w2(b, a)`. The naive column
-    /// walk strides by `n` per element (a cache miss each on profile
-    /// -scale matrices); this reads two sequential rows instead. The
-    /// MC4 transition rows are built from it.
+    /// yielded in element order — the whole column `b` of `strict`,
+    /// walked with stride `n`. The MC4 transition rows are built from
+    /// it.
     ///
-    /// The diagonal entry (`a == b`) is meaningless and yielded as
-    /// `true` for any non-empty profile; callers skip it.
-    pub fn strict_majorities_against(
-        &self,
-        b: ElementId,
-    ) -> impl Iterator<Item = bool> + '_ {
-        let row_s = &self.strict[b as usize * self.n..(b as usize + 1) * self.n];
-        let row_w = &self.w2[b as usize * self.n..(b as usize + 1) * self.n];
-        let m = self.m as i64;
-        row_s
+    /// The diagonal entry (`a == b`) is meaningless (it reads the zero
+    /// self-cell, so `false`); callers skip it.
+    pub fn strict_majorities_against(&self, b: ElementId) -> impl Iterator<Item = bool> + '_ {
+        let m = self.m as u64;
+        self.strict[b as usize..]
             .iter()
-            .zip(row_w)
-            .map(move |(&s_ba, &w_ba)| 2 * (m + i64::from(s_ba) - i64::from(w_ba)) > m)
+            .step_by(self.n)
+            .map(move |&s_ab| 2 * u64::from(s_ab) > m)
     }
 
     /// The ×2 `Kprof` cost of placing `ahead` strictly ahead of
     /// `behind`: 2 per voter preferring `behind`, 1 per tying voter.
     pub fn pair_cost_x2(&self, ahead: ElementId, behind: ElementId) -> u32 {
-        self.w2[behind as usize * self.n + ahead as usize]
+        self.weight_x2(behind, ahead)
     }
 
     /// The ×2 objective change from swapping an adjacent pair currently
     /// ordered `(ahead, behind)` to `(behind, ahead)`; negative means
-    /// the swap improves the candidate.
+    /// the swap improves the candidate. Equals
+    /// `pair_cost_x2(behind, ahead) − pair_cost_x2(ahead, behind)`,
+    /// which the `m` terms cancel out of: `2·margin(ahead, behind)`.
     pub fn swap_delta_x2(&self, ahead: ElementId, behind: ElementId) -> i64 {
-        i64::from(self.pair_cost_x2(behind, ahead)) - i64::from(self.pair_cost_x2(ahead, behind))
+        2 * self.margin(ahead, behind)
     }
 
-    /// The flat ×2 weight matrix (`n × n`, row-major).
-    pub fn weights_x2(&self) -> &[u32] {
-        &self.w2
+    /// The ×2 weight matrix (`n × n`, row-major, zero diagonal),
+    /// derived from `strict` on every call — an `O(n²)` allocation for
+    /// callers that want the whole matrix; queries should use
+    /// [`ProfileTally::weight_x2`].
+    pub fn weights_x2(&self) -> Vec<u32> {
+        let n = self.n as ElementId;
+        let mut w2 = Vec::with_capacity(self.n * self.n);
+        for a in 0..n {
+            for b in 0..n {
+                w2.push(if a == b { 0 } else { self.weight_x2(a, b) });
+            }
+        }
+        w2
     }
 
     /// The flat strict-count matrix (`n × n`, row-major).
@@ -543,7 +511,7 @@ mod tests {
             BucketOrder::from_permutation(&[4, 2, 0, 3, 1]).unwrap(),
         ];
         let t = ProfileTally::build(&inputs).unwrap();
-        assert_eq!(t.weights_x2(), naive_weights(&inputs).as_slice());
+        assert_eq!(t.weights_x2(), naive_weights(&inputs));
         assert_eq!(t.voters(), 4);
         assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
@@ -709,7 +677,8 @@ mod tests {
         for l in 0..n {
             for w in 0..n {
                 if b[w] < b[l] {
-                    total += u128::from(t.w2[l * n + w]);
+                    total += t.m as u128 + u128::from(t.strict[l * n + w])
+                        - u128::from(t.strict[w * n + l]);
                 } else if b[w] == b[l] && w != l {
                     total += u128::from(t.strict[l * n + w]);
                 }
@@ -731,7 +700,6 @@ mod tests {
         };
         let m32 = m as u32;
         let mut strict = vec![0u32; n * n];
-        let mut w2 = vec![0u32; n * n];
         for a in 0..n {
             for b in a + 1..n {
                 let (sab, sba) = match next() % 4 {
@@ -745,11 +713,9 @@ mod tests {
                 };
                 strict[a * n + b] = sab;
                 strict[b * n + a] = sba;
-                w2[a * n + b] = m32 + sab - sba;
-                w2[b * n + a] = m32 + sba - sab;
             }
         }
-        ProfileTally::from_parts(n, m, strict, w2)
+        ProfileTally::from_parts(n, m, strict)
     }
 
     #[test]
@@ -776,6 +742,42 @@ mod tests {
                         wide_two_matrix_cost(&t, cand),
                         "m = {m}, n = {n}, run = {run}, {cand:?}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_accessors_are_exact_at_the_u32_boundary() {
+        use crate::dynamic::DynamicProfile;
+        // At m = MAX_VOTERS a unanimous pair has `s(b, a) = m`, so
+        // subtracting before adding `m` would underflow the `u32`.
+        for m in [0, 1, DynamicProfile::MAX_VOTERS] {
+            for n in [1usize, 2, 5, 9] {
+                let t = synthetic(n, m, (m + n) as u64);
+                let m64 = m as u64;
+                for a in 0..n as ElementId {
+                    let col: Vec<bool> = t.strict_majorities_against(a).collect();
+                    assert_eq!(col.len(), n);
+                    for b in 0..n as ElementId {
+                        let (sab, sba) = (t.strict_count(a, b), t.strict_count(b, a));
+                        let w_ab = m64 + u64::from(sab) - u64::from(sba);
+                        let w_ba = m64 + u64::from(sba) - u64::from(sab);
+                        // Column `a`: does a strict majority prefer `b` over `a`?
+                        assert_eq!(col[b as usize], 2 * u64::from(sba) > m64, "m = {m}");
+                        if a == b {
+                            continue;
+                        }
+                        assert_eq!(u64::from(t.weight_x2(a, b)), w_ab, "m = {m}, ({a},{b})");
+                        assert_eq!(u64::from(t.pair_cost_x2(a, b)), w_ba, "m = {m}, ({a},{b})");
+                        assert_eq!(t.margin(a, b), i64::from(sab) - i64::from(sba));
+                        assert_eq!(t.swap_delta_x2(a, b), w_ab as i64 - w_ba as i64);
+                        assert_eq!(w_ab + w_ba, 2 * m64);
+                        assert_eq!(
+                            u64::from(t.tie_count(a, b)),
+                            m64 - u64::from(sab) - u64::from(sba)
+                        );
+                    }
                 }
             }
         }

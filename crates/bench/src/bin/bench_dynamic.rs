@@ -30,10 +30,22 @@
 //!   never reads) costs more than sorting 16 positions per element.
 //!   Reported as a scaling trajectory, separate from the regression
 //!   check.
-//! * **snapshot**: the cost of cloning a consistent read view off the
+//! * **snapshot**: the cost of copying a consistent read view off the
 //!   live engine (reported as a trajectory, not gated — it is the price
 //!   of isolation, paid only by consumers that hold views across
-//!   edits).
+//!   edits). `snapshot/clone` allocates a fresh view (`snapshot()`);
+//!   `snapshot/recycle` copies into the view the previous iteration
+//!   retired (`snapshot_reusing`), which is what the server's republish
+//!   does. A view is one `n²` `u32` matrix plus `n` medians: 1 MiB at
+//!   n = 512, the same bytes at m = 16 and m = 256. The clone row's
+//!   cost depends on the allocator, not on `m`: when glibc hands the
+//!   freed matrix back to the OS, the next clone faults in 256 fresh
+//!   pages. That is why `clone/16x512` once read about 5× `256x512`
+//!   (the two-matrix view freed 2 MiB per drop); with one matrix both
+//!   read about 45–60 µs, and forcing every 1 MiB block through mmap
+//!   (`MALLOC_MMAP_THRESHOLD_=131072`) puts both at about 500 µs. The
+//!   recycle row reuses warm pages, so it reads about 43 µs, memcpy
+//!   speed for 1 MiB, under either setting.
 //!
 //! The crossover: an update-then-query cycle saves a factor `Θ(m)`
 //! over rebuild-then-query, so the dynamic path wins whenever more
@@ -150,6 +162,13 @@ fn main() {
         let snapshot = s.bench(&format!("snapshot/clone/{m}x{n}"), || {
             dp.snapshot().unwrap()
         });
+        // The server's republish: each copy lands in the buffers of the
+        // snapshot the previous iteration retired.
+        let mut spare = dp.snapshot().ok();
+        let recycle = s.bench(&format!("snapshot/recycle/{m}x{n}"), || {
+            let snap = dp.snapshot_reusing(spare.take()).unwrap();
+            spare = Some(std::hint::black_box(snap));
+        });
 
         let medians_speedup = upd_med_rebuild.min_ns / upd_med_dyn.min_ns;
         println!(
@@ -159,7 +178,7 @@ fn main() {
         speedups.push((format!("update_medians/{m}x{n}"), medians_speedup));
         all.push(replace);
         all.extend(kemeny_rows);
-        all.extend([upd_med_dyn, upd_med_rebuild, snapshot]);
+        all.extend([upd_med_dyn, upd_med_rebuild, snapshot, recycle]);
     }
 
     BenchReport::new("bench_dynamic")

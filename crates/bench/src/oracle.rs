@@ -2,8 +2,12 @@
 //! differential tests and bench gates.
 //!
 //! [`kemeny_cost_x2`] is the tally's Kemeny scan as first written: a
-//! three-way branch per cell over both the `w2` and `strict` matrices,
-//! read through `ProfileTally`'s public accessors.
+//! three-way branch per cell over both the `w2` and `strict` matrices.
+//! The tally no longer stores `w2`, so the scan itself,
+//! [`two_matrix_cost_x2`], takes a prebuilt `w2` matrix — from
+//! [`naive_weights_x2`], the per-pair `prefers()` builder every tally
+//! consumer used before the tally existed — and a timed caller builds
+//! it once, outside its loop.
 //!
 //! [`minmax_aggregate`] and [`minmax_local_search`] are the minmax
 //! heuristic pipeline as first written: every candidate swap rescans
@@ -108,9 +112,37 @@ pub fn minmax_local_search(
     ))
 }
 
-/// The oracle for `ProfileTally::kemeny_cost_x2`: a candidate-ordered
-/// pair (winner `w`, loser `l`) costs `w2[l][w]`, a candidate-tied pair
-/// costs `strict` both ways, split across the two rows.
+/// The pre-tally ×2 weight build: one `prefers`/`is_tied` scan per
+/// ordered pair per voter (kwiksort's old private `w2` loop, and the
+/// same access pattern the majority digraph, Schulze and MC4 each
+/// repeated). `w2[a·n + b] = 2·strict(a, b) + ties(a, b)`, zero
+/// diagonal.
+///
+/// # Panics
+/// On an empty profile.
+pub fn naive_weights_x2(inputs: &[BucketOrder]) -> Vec<u32> {
+    let n = inputs[0].len();
+    let mut w2 = vec![0u32; n * n];
+    for s in inputs {
+        for a in 0..n as ElementId {
+            for b in 0..n as ElementId {
+                if a == b {
+                    continue;
+                }
+                let cell = &mut w2[a as usize * n + b as usize];
+                if s.prefers(a, b) {
+                    *cell += 2;
+                } else if s.is_tied(a, b) {
+                    *cell += 1;
+                }
+            }
+        }
+    }
+    w2
+}
+
+/// The oracle for `ProfileTally::kemeny_cost_x2`: the two-matrix scan
+/// ([`two_matrix_cost_x2`]) over the tally's derived `w2` matrix.
 ///
 /// # Errors
 /// As the library method.
@@ -125,8 +157,23 @@ pub fn kemeny_cost_x2(
             found: candidate.len(),
         });
     }
+    Ok(two_matrix_cost_x2(
+        &tally.weights_x2(),
+        tally.strict_counts(),
+        candidate,
+    ))
+}
+
+/// The two-matrix Kemeny scan: a candidate-ordered pair (winner `w`,
+/// loser `l`) costs `w2[l][w]`, a candidate-tied pair costs `strict`
+/// both ways, split across the two rows. `w2` and `strict` are the
+/// candidate's `n × n` row-major matrices.
+///
+/// # Panics
+/// If either matrix is shorter than `n × n` for the candidate's `n`.
+pub fn two_matrix_cost_x2(w2: &[u32], strict: &[u32], candidate: &BucketOrder) -> u64 {
+    let n = candidate.len();
     let buckets = candidate.bucket_indices();
-    let (w2, strict) = (tally.weights_x2(), tally.strict_counts());
     let mut total = 0u64;
     for l in 0..n {
         let bl = buckets[l];
@@ -141,7 +188,7 @@ pub fn kemeny_cost_x2(
             }
         }
     }
-    Ok(total)
+    total
 }
 
 fn check_constraints(

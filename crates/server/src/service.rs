@@ -11,7 +11,10 @@
 //! * edits (`push_voter` / `remove_voter` / `replace_voter`) take the
 //!   shard mutex to resolve the session, log a write-ahead record when
 //!   durability is on, apply the `O(n²)` incremental update under the
-//!   session's edit mutex, and publish a fresh [`DynamicSnapshot`];
+//!   session's edit mutex, and publish a new [`DynamicSnapshot`] —
+//!   copied into the worker thread's spare (the last retired snapshot
+//!   no reader held) rather than into fresh allocations, so a steady
+//!   edit stream republishes at memcpy speed;
 //! * reads (`median_order`, `top_k`, `kemeny_cost`) clone the
 //!   published `Arc` and compute entirely on the owned snapshot — a
 //!   read **never holds the edit mutex**, so a slow or numerous read

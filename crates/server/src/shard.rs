@@ -47,6 +47,7 @@ use crate::wal::{self, Checkpoint, WalError, WalOp, WalRecord, WalWriter};
 use bucketrank_aggregate::dynamic::{DynamicProfile, DynamicSnapshot, VoterId};
 use bucketrank_aggregate::{AggregateError, MedianPolicy};
 use bucketrank_core::BucketOrder;
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fs;
 use std::io;
@@ -65,6 +66,13 @@ pub(crate) fn shard_index(name: &str, shards: usize) -> usize {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     (h % shards as u64) as usize
+}
+
+thread_local! {
+    /// This thread's retired snapshot, recycled by the next
+    /// [`Session::publish`] it runs (`const`: no lazy-init check on the
+    /// publish path).
+    static SPARE: Cell<Option<DynamicSnapshot>> = const { Cell::new(None) };
 }
 
 /// One named session: the live engine plus its published read view.
@@ -91,9 +99,25 @@ impl Session {
 
     /// Republishes the snapshot after an edit (called with the edit
     /// mutex held, so publications are ordered with the edits).
+    ///
+    /// The new snapshot is copied into this thread's spare — a retired
+    /// snapshot of any session — so a steady edit stream allocates no
+    /// fresh matrix per edit. The new `Arc` is swapped in under the
+    /// write lock; after the lock is released the old one is unwrapped,
+    /// and if no reader still holds it, it becomes the thread's next
+    /// spare. A snapshot a reader holds is left to that reader, who
+    /// drops it when done, so a held view is never overwritten. Each
+    /// thread keeps at most one spare, so the retained copies are
+    /// bounded by the worker count, not the session count.
     pub(crate) fn publish(&self, dp: &DynamicProfile) {
-        let fresh = dp.snapshot().ok().map(Arc::new);
-        *self.snap.write().expect("snapshot lock") = fresh;
+        let fresh = SPARE
+            .with(|spare| dp.snapshot_reusing(spare.take()))
+            .ok()
+            .map(Arc::new);
+        let old = std::mem::replace(&mut *self.snap.write().expect("snapshot lock"), fresh);
+        if let Some(retired) = old.and_then(|arc| Arc::try_unwrap(arc).ok()) {
+            SPARE.with(|spare| spare.set(Some(retired)));
+        }
     }
 
     /// The published read view, if any voter is live.
@@ -1079,5 +1103,34 @@ fn apply_edit(dp: &mut DynamicProfile, edit: Edit) -> Result<Response, Aggregate
         Edit::Replace { voter, ranking } => dp
             .replace_voter(VoterId::from_raw(voter), ranking)
             .map(|_| Response::VoterReplaced),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn publish_recycles_only_views_no_reader_holds() {
+        let mut dp = DynamicProfile::new(4, MedianPolicy::Lower);
+        let id = dp
+            .push_voter(BucketOrder::from_keys(&[1, 2, 3, 4]))
+            .unwrap();
+        let session = Session::new(dp);
+        let held = session.read_view().unwrap();
+        let bytes = (*held).clone();
+        for round in 0..3i64 {
+            let mut dp = session.profile.lock().unwrap();
+            dp.replace_voter(id, BucketOrder::from_keys(&[round, 2, 1, 0]))
+                .unwrap();
+            session.publish(&dp);
+            assert_eq!(*session.read_view().unwrap(), dp.snapshot().unwrap());
+            assert_eq!(*held, bytes, "held view changed under a republish");
+            // The first republish retires the held view, which stays
+            // with its reader; later ones retire unheld views.
+            let spare = SPARE.with(Cell::take);
+            assert_eq!(spare.is_some(), round >= 1, "round {round}");
+            SPARE.with(|s| s.set(spare));
+        }
     }
 }

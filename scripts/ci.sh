@@ -42,6 +42,13 @@ cargo build --workspace --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 
+echo "==> perfbench build + tests (its own workspace)"
+# perfbench has its own manifest and lockfile, so the workspace build
+# above never compiles it: without this step a library API change could
+# break the benchmark unseen.
+CARGO_TARGET_DIR=target/perfbench cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml
+CARGO_TARGET_DIR=target/perfbench cargo test -q --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "==> rustdoc, warnings denied"
 # A doc link to a deleted or private item, or a stray `[x]` read as a
 # link, fails the gate here instead of lingering in the docs.
