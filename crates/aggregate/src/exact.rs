@@ -13,6 +13,7 @@
 use crate::cost::{total_cost_x2, AggMetric};
 use crate::error::check_inputs;
 use crate::hungarian::solve_assignment;
+use crate::tally::ProfileTally;
 use crate::AggregateError;
 use bucketrank_core::consistent::all_bucket_orders;
 use bucketrank_core::{BucketOrder, ElementId, Pos, TypeSeq};
@@ -206,33 +207,23 @@ pub fn footrule_optimal_full(
 /// A lower bound on the `Kprof` cost of **any** aggregation (full or
 /// partial): for each pair, every output must pay at least
 /// `min(cost of a ahead, cost of b ahead, cost of tie)` summed over the
-/// inputs. `O(n²·m)`; sound at any domain size, which makes it the
-/// reference point for quality experiments beyond the exact optimizers'
-/// reach.
+/// inputs. All three are read from the [`ProfileTally`]: a tie costs 1
+/// per voter ordering the pair strictly. `O(m·n²)` for the tally build,
+/// then `O(n²)`; sound at any domain size, which makes it the reference
+/// point for quality experiments beyond the exact optimizers' reach.
 ///
 /// # Errors
 /// [`AggregateError::NoInputs`] / [`AggregateError::DomainMismatch`].
 pub fn kprof_lower_bound_x2(inputs: &[BucketOrder]) -> Result<u64, AggregateError> {
     let n = check_inputs(inputs)?;
+    let tally = ProfileTally::build(inputs)?;
     let mut total = 0u64;
     for a in 0..n as ElementId {
         for b in a + 1..n as ElementId {
-            let mut ahead_a = 0u64; // cost ×2 of ranking a ahead of b
-            let mut ahead_b = 0u64;
-            let mut tie = 0u64;
-            for s in inputs {
-                if s.prefers(a, b) {
-                    ahead_b += 2;
-                    tie += 1;
-                } else if s.prefers(b, a) {
-                    ahead_a += 2;
-                    tie += 1;
-                } else {
-                    ahead_a += 1;
-                    ahead_b += 1;
-                }
-            }
-            total += ahead_a.min(ahead_b).min(tie);
+            let ahead_a = tally.pair_cost_x2(a, b);
+            let ahead_b = tally.pair_cost_x2(b, a);
+            let tie = tally.strict_count(a, b) + tally.strict_count(b, a);
+            total += u64::from(ahead_a.min(ahead_b).min(tie));
         }
     }
     Ok(total)
@@ -496,6 +487,57 @@ mod tests {
         // tie-heavy profiles often lack — a handful of exact matches over
         // 30 trials is the expected regime.
         assert!(tight >= 3, "bound should sometimes be tight: {tight}/30");
+    }
+
+    /// The bound by a per-voter `prefers()` scan: an independent
+    /// reference for the tally read.
+    fn lower_bound_by_rescan(inputs: &[BucketOrder]) -> u64 {
+        let n = inputs[0].len() as ElementId;
+        let mut total = 0u64;
+        for a in 0..n {
+            for b in a + 1..n {
+                let (mut ahead_a, mut ahead_b, mut tie) = (0u64, 0u64, 0u64);
+                for s in inputs {
+                    if s.prefers(a, b) {
+                        ahead_b += 2;
+                        tie += 1;
+                    } else if s.prefers(b, a) {
+                        ahead_a += 2;
+                        tie += 1;
+                    } else {
+                        ahead_a += 1;
+                        ahead_b += 1;
+                    }
+                }
+                total += ahead_a.min(ahead_b).min(tie);
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn lower_bound_matches_the_rescan_on_tied_profiles() {
+        let mut state = 7u64;
+        let mut next = move |m: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % m
+        };
+        for _ in 0..40 {
+            let n = (next(12) + 1) as usize;
+            let m = (next(9) + 1) as usize;
+            // 1 level is all-tied; n levels is mostly full.
+            let levels = next(n as u64) + 1;
+            let inputs: Vec<BucketOrder> = (0..m)
+                .map(|_| {
+                    let ks: Vec<i64> = (0..n).map(|_| next(levels) as i64).collect();
+                    keys(&ks)
+                })
+                .collect();
+            assert_eq!(
+                kprof_lower_bound_x2(&inputs).unwrap(),
+                lower_bound_by_rescan(&inputs)
+            );
+        }
     }
 
     #[test]

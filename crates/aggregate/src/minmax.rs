@@ -12,9 +12,9 @@
 //!   bucket-index table giving O(1) pair costs, O(1)-per-voter
 //!   adjacent-swap deltas, and one branch-free kernel scoring every
 //!   voter against a whole candidate;
-//! * [`minmax_optimal_bb`] — exact small-n solving in the style of
-//!   [`crate::bb`], with a per-voter tied-pairs lower bound driving a
-//!   max-distance prune;
+//! * [`minmax_optimal_bb`] — exact small-n solving on the crate's one
+//!   exact search ([`crate::bb`]) with one lane per voter: a per-voter
+//!   tied-pairs lower bound drives a max-distance prune;
 //! * [`minmax_kwiksort_best_of`] / [`minmax_local_search`] /
 //!   [`minmax_aggregate`] — heuristics: KwikSort restarts scored by
 //!   max-cost, plus a minmax-aware local search that moves the current
@@ -40,13 +40,12 @@
 //! minmax optima are directly comparable with every sum-objective
 //! aggregator in the crate.
 
-use crate::bb::BbStats;
+use crate::bb::{self, BbStats, Lanes};
 use crate::error::check_inputs;
 use crate::kwiksort::kwiksort_with_tally;
 use crate::tally::ProfileTally;
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId};
-use std::cmp::Ordering;
 
 /// Hard cap on the domain size the exact solver accepts (the minmax
 /// bound is weaker than the Kemeny pairwise bound, so the searchable
@@ -438,6 +437,46 @@ impl ClassConstraints {
         true
     }
 
+    /// Number of distinct classes (the exact search's per-class
+    /// prefix counts are this long).
+    pub(crate) fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    /// Dense class index of candidate `e`.
+    pub(crate) fn class_index(&self, e: usize) -> usize {
+        self.dense[e] as usize
+    }
+
+    /// Exact-search hook: would placing `e` at position `depth` bust a
+    /// cap whose window is still open, given the prefix's per-class
+    /// counts `placed`?
+    pub(crate) fn cap_blocked(&self, placed: &[u32], e: usize, depth: usize) -> bool {
+        let cls = self.labels[e];
+        let placed = placed[self.dense[e] as usize];
+        self.rules
+            .iter()
+            .any(|r| r.class == cls && r.window as usize > depth && placed + 1 > r.max)
+    }
+
+    /// Exact-search hook, after extending the prefix to length `w`:
+    /// every rule whose window just closed must hold exactly, and every
+    /// still-open floor must remain reachable in its remaining slots.
+    pub(crate) fn windows_ok(&self, placed: &[u32], w: usize) -> bool {
+        for r in &self.rules {
+            let placed = placed[self.dense_of_class(r.class)];
+            let rw = r.window as usize;
+            if rw == w {
+                if placed < r.min || placed > r.max {
+                    return false;
+                }
+            } else if rw > w && (r.min.saturating_sub(placed)) as usize > rw - w {
+                return false;
+            }
+        }
+        true
+    }
+
     /// Reorders `order` (a full ranking) into the feasible permutation
     /// closest to it in the greedy sense: positions are filled
     /// left-to-right with the earliest `order`-candidate whose
@@ -509,239 +548,29 @@ impl ClassConstraints {
 /// optional [`ClassConstraints`] pruned in-search. Returns
 /// `(optimum, max_cost_x2, stats)`.
 ///
-/// The bound: each voter's distance is at least its cost on the fixed
-/// prefix plus the number of still-unordered pairs it ties (a tied pair
-/// costs 1 whichever way the output orders it); a node dies when the
-/// max over voters of that bound reaches the incumbent. Warm-started by
+/// Runs the [`crate::bb`] prefix search with one lane per voter. Each
+/// voter's distance is at least its cost on the fixed prefix plus the
+/// number of still-unordered pairs it ties (a tied pair costs 1
+/// whichever way the output orders it); a node dies when the max over
+/// voters of that bound reaches the incumbent. Warm-started by
 /// [`minmax_aggregate`].
 ///
 /// # Errors
 /// [`AggregateError::DomainTooLarge`] beyond [`MAX_MINMAX_N`];
 /// [`AggregateError::InfeasibleConstraints`] when no permutation
 /// satisfies the rules; [`AggregateError::DomainMismatch`] when the
-/// constraint labels don't cover the profile's domain; plus the errors
-/// of [`MinMaxObjective::build`].
+/// constraint labels don't cover the profile's domain (the empty
+/// domain included); plus the errors of [`MinMaxObjective::build`].
 pub fn minmax_optimal_bb(
     inputs: &[BucketOrder],
     constraints: Option<&ClassConstraints>,
 ) -> Result<(BucketOrder, u64, BbStats), AggregateError> {
-    let n = check_inputs(inputs)?;
-    if n > MAX_MINMAX_N {
-        return Err(AggregateError::DomainTooLarge {
-            n,
-            max: MAX_MINMAX_N,
-        });
-    }
-    if n == 0 {
-        return Ok((
-            BucketOrder::trivial(0),
-            0,
-            BbStats {
-                nodes: 0,
-                pruned: 0,
-            },
-        ));
-    }
-    // The warm start also validates the constraints and proves
-    // feasibility (or raises the typed infeasibility error).
-    let (warm, warm_cost) = minmax_aggregate(inputs, constraints, DEFAULT_SEED)?;
-    let obj = MinMaxObjective::build(inputs)?;
-    let m = inputs.len();
-
-    // lb[v] starts at voter v's tied pairs, which cost 1 whichever way
-    // they are placed. pending[u*m + v] starts at 2 × the elements v
-    // ranks strictly ahead of u; beats[(a*n + u)*m + v] is a's share.
-    let mut beats = vec![0u32; n * n * m];
-    let mut lb = vec![0u64; m];
-    let mut pending = vec![0u32; n * m];
-    for a in 0..n {
-        for u in 0..n {
-            for v in 0..m {
-                match obj
-                    .bucket_of(v, a as ElementId)
-                    .cmp(&obj.bucket_of(v, u as ElementId))
-                {
-                    Ordering::Less => {
-                        beats[(a * n + u) * m + v] = 2;
-                        pending[u * m + v] += 2;
-                    }
-                    Ordering::Equal if a < u => lb[v] += 1,
-                    _ => {}
-                }
-            }
-        }
-    }
-
-    let mut search = Search {
-        n,
-        m,
-        beats: &beats,
-        cons: constraints,
-        prefix: Vec::with_capacity(n),
-        in_prefix: vec![false; n],
-        lb,
-        pending,
-        placed: vec![0u32; constraints.map_or(0, |c| c.classes.len())],
-        best_perm: warm.as_permutation().expect("heuristic emits full rankings"),
-        best_cost: warm_cost,
-        stats: BbStats {
-            nodes: 0,
-            pruned: 0,
-        },
-    };
-    search.dfs();
-    let order = BucketOrder::from_permutation(&search.best_perm).expect("permutation preserved");
-    Ok((order, search.best_cost, search.stats))
-}
-
-/// The exact search's state. Placing `e` next charges each voter `v`
-/// the ties `e` has with the unplaced set (already inside `lb[v]`) plus
-/// 2 for every unplaced element `v` ranks strictly ahead of `e` — the
-/// `pending[e*m + v]` kept up to date across placements — so a
-/// candidate's bound is an `O(m)` max and a placement is one `O(n·m)`
-/// pass over `beats`.
-struct Search<'a> {
-    n: usize,
-    m: usize,
-    beats: &'a [u32],
-    cons: Option<&'a ClassConstraints>,
-    prefix: Vec<ElementId>,
-    in_prefix: Vec<bool>,
-    /// Per-voter lower bound: cost of the fixed prefix plus the tied
-    /// pairs wholly inside the unplaced set. At a leaf it is the cost.
-    lb: Vec<u64>,
-    /// `pending[e*m + v]`: 2 × the unplaced elements voter `v` ranks
-    /// strictly ahead of `e` (kept for placed `e` too, never read).
-    pending: Vec<u32>,
-    /// Per-dense-class prefix counts (empty when unconstrained).
-    placed: Vec<u32>,
-    best_perm: Vec<ElementId>,
-    best_cost: u64,
-    stats: BbStats,
-}
-
-impl Search<'_> {
-    fn dfs(&mut self) {
-        self.stats.nodes += 1;
-        let depth = self.prefix.len();
-        if depth == self.n {
-            let total = self.lb.iter().copied().max().unwrap_or(0);
-            if total < self.best_cost {
-                self.best_cost = total;
-                self.best_perm = self.prefix.clone();
-            }
-            return;
-        }
-        // Candidate next elements, cheapest optimistic bound first.
-        let mut cands = [(0u64, 0 as ElementId); MAX_MINMAX_N];
-        let mut k = 0;
-        for e in 0..self.n {
-            if self.in_prefix[e] {
-                continue;
-            }
-            if let Some(cc) = self.cons {
-                if self.cap_blocked(cc, e, depth) {
-                    self.stats.pruned += 1;
-                    continue;
-                }
-            }
-            let pending = &self.pending[e * self.m..(e + 1) * self.m];
-            let bound = self
-                .lb
-                .iter()
-                .zip(pending)
-                .map(|(&l, &p)| l + u64::from(p))
-                .max()
-                .unwrap_or(0);
-            if bound >= self.best_cost {
-                self.stats.pruned += 1;
-                continue;
-            }
-            cands[k] = (bound, e as ElementId);
-            k += 1;
-        }
-        cands[..k].sort_unstable();
-        for &(bound, e) in &cands[..k] {
-            // Recheck: the incumbent may have improved since collection.
-            if bound >= self.best_cost {
-                self.stats.pruned += 1;
-                continue;
-            }
-            self.place(e as usize);
-            self.prefix.push(e);
-            self.in_prefix[e as usize] = true;
-            let mut ok = true;
-            if let Some(cc) = self.cons {
-                self.placed[cc.dense[e as usize] as usize] += 1;
-                ok = self.windows_ok(cc, depth + 1);
-            }
-            if ok {
-                self.dfs();
-            } else {
-                self.stats.pruned += 1;
-            }
-            if let Some(cc) = self.cons {
-                self.placed[cc.dense[e as usize] as usize] -= 1;
-            }
-            self.in_prefix[e as usize] = false;
-            self.prefix.pop();
-            self.unplace(e as usize);
-        }
-    }
-
-    /// Places `e` next: its pending penalty joins `lb`, and its `beats`
-    /// row leaves every element's pending penalty. (Its own penalty is
-    /// untouched by its own row, so [`Self::unplace`] reads the same.)
-    fn place(&mut self, e: usize) {
-        let (m, nm) = (self.m, self.n * self.m);
-        for (l, &p) in self.lb.iter_mut().zip(&self.pending[e * m..(e + 1) * m]) {
-            *l += u64::from(p);
-        }
-        let row = &self.beats[e * nm..(e + 1) * nm];
-        for (p, &b) in self.pending.iter_mut().zip(row) {
-            *p -= b;
-        }
-    }
-
-    /// Undoes [`Self::place`].
-    fn unplace(&mut self, e: usize) {
-        let (m, nm) = (self.m, self.n * self.m);
-        let row = &self.beats[e * nm..(e + 1) * nm];
-        for (p, &b) in self.pending.iter_mut().zip(row) {
-            *p += b;
-        }
-        for (l, &p) in self.lb.iter_mut().zip(&self.pending[e * m..(e + 1) * m]) {
-            *l -= u64::from(p);
-        }
-    }
-
-    /// Would placing `e` at position `depth` bust a cap whose window is
-    /// still open?
-    fn cap_blocked(&self, cc: &ClassConstraints, e: usize, depth: usize) -> bool {
-        let cls = cc.labels[e];
-        let placed = self.placed[cc.dense[e] as usize];
-        cc.rules
-            .iter()
-            .any(|r| r.class == cls && r.window as usize > depth && placed + 1 > r.max)
-    }
-
-    /// After extending the prefix to length `w`: every rule whose
-    /// window just closed must hold exactly, and every still-open floor
-    /// must remain reachable in its remaining slots.
-    fn windows_ok(&self, cc: &ClassConstraints, w: usize) -> bool {
-        for r in &cc.rules {
-            let placed = self.placed[cc.dense_of_class(r.class)];
-            let rw = r.window as usize;
-            if rw == w {
-                if placed < r.min || placed > r.max {
-                    return false;
-                }
-            } else if rw > w && (r.min.saturating_sub(placed)) as usize > rw - w {
-                return false;
-            }
-        }
-        true
-    }
+    bb::solve(inputs, MAX_MINMAX_N, constraints, |n| {
+        let (warm, warm_cost) = minmax_aggregate(inputs, constraints, DEFAULT_SEED)?;
+        let obj = MinMaxObjective::build(inputs)?;
+        let lanes = Lanes::<u32>::new(n, obj.m, |v, x, y| obj.pair_cost_x2(v, x, y) as u32);
+        Ok((warm, warm_cost, lanes))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -840,12 +669,7 @@ pub fn minmax_aggregate(
     seed: u64,
 ) -> Result<(BucketOrder, u64), AggregateError> {
     let n = check_inputs(inputs)?;
-    check_constraints(n, constraints)?;
-    if let Some(cc) = constraints {
-        if !cc.is_feasible() {
-            return Err(AggregateError::InfeasibleConstraints);
-        }
-    }
+    check_feasible(n, constraints)?;
     if n == 0 {
         return Ok((BucketOrder::trivial(0), 0));
     }
@@ -902,6 +726,20 @@ fn check_constraints(
                 found: cc.labels.len(),
             });
         }
+    }
+    Ok(())
+}
+
+/// [`check_constraints`], then feasibility: the gate of
+/// [`minmax_aggregate`] and of both exact solvers, run before any
+/// empty-domain shortcut.
+pub(crate) fn check_feasible(
+    n: usize,
+    constraints: Option<&ClassConstraints>,
+) -> Result<(), AggregateError> {
+    check_constraints(n, constraints)?;
+    if constraints.is_some_and(|cc| !cc.is_feasible()) {
+        return Err(AggregateError::InfeasibleConstraints);
     }
     Ok(())
 }

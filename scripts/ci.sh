@@ -4,8 +4,9 @@
 # The workspace has a zero-external-dependency policy (DESIGN.md §6):
 # everything must build and test with --offline, and no manifest may
 # declare a dependency that is not a `path` dependency on a sibling
-# crate. Clippy runs as a best-effort final step (it needs the clippy
-# component; the gate does not fail on its absence).
+# crate. Clippy runs as the final step with warnings denied: any lint
+# fails the gate (it needs the clippy component; the gate skips it when
+# the component is absent).
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -201,10 +202,9 @@ echo "==> exp_minmax smoke gate"
 BUCKETRANK_BENCH_FAST=1 \
   cargo run --release --offline -p bucketrank-bench --bin exp_minmax
 
-echo "==> cargo clippy (best effort)"
+echo "==> cargo clippy, warnings denied"
 if cargo clippy --version >/dev/null 2>&1; then
-  cargo clippy --workspace --all-targets --offline -- -D warnings ||
-    echo "WARN: clippy reported issues (non-fatal in this gate)"
+  cargo clippy --workspace --all-targets --offline -- -D warnings
 else
   echo "skipped: clippy not installed"
 fi

@@ -14,6 +14,9 @@
 //! heuristics are pinned the same way (`(permutation fingerprint,
 //! cost)` recorded from the O(m)-per-candidate climb), and checked
 //! case by case against that climb, kept as `bucketrank_bench::oracle`.
+//! The Kemeny lane of the same exact search is pinned on a seeded
+//! near-uniform corpus where it branches, each cost checked against
+//! the Held–Karp optimum.
 //!
 //! Independence: brute force scores candidates with
 //! `metrics::kendall::kprof_x2` directly (never [`MinMaxObjective`])
@@ -21,6 +24,8 @@
 //! [`ClassConstraints::satisfied`]), so the oracle shares no code with
 //! the subsystem under test.
 
+use bucketrank::aggregate::bb::kemeny_optimal_bb;
+use bucketrank::aggregate::exact::kemeny_optimal_full;
 use bucketrank::aggregate::minmax::{
     self, ClassConstraints, MinMaxObjective, WindowRule,
 };
@@ -287,6 +292,69 @@ fn exact_search_tree_is_pinned() {
     }
 }
 
+/// Kemeny pinned case `seed`: `n ∈ 11..=13` elements and `m ∈ 4..=5`
+/// voters, each voter sorting the elements by `e + noise` with noise
+/// uniform in `0..64n` — near-uniform, with a weak pull toward the
+/// identity. Odd seeds are typed: every voter cuts its order into
+/// buckets of one shared width (2 or 3).
+fn kemeny_case(seed: u64) -> Vec<BucketOrder> {
+    let mut s = 0x4B45_0000 ^ seed;
+    let n = 11 + (splitmix(&mut s) % 3) as usize;
+    let m = 4 + (splitmix(&mut s) % 2) as usize;
+    let width = 2 + (splitmix(&mut s) % 2) as usize;
+    (0..m)
+        .map(|_| {
+            let noise: Vec<u64> =
+                (0..n).map(|e| splitmix(&mut s) % (64 * n as u64) + e as u64).collect();
+            let mut perm: Vec<ElementId> = (0..n as ElementId).collect();
+            perm.sort_by_key(|&e| (noise[e as usize], e));
+            if seed.is_multiple_of(2) {
+                return BucketOrder::from_permutation(&perm).unwrap();
+            }
+            let mut keys = vec![0; n];
+            for (pos, &e) in perm.iter().enumerate() {
+                keys[e as usize] = pos / width;
+            }
+            BucketOrder::from_keys(&keys)
+        })
+        .collect()
+}
+
+/// `(seed, permutation, cost_x2, nodes, pruned)` of `kemeny_optimal_bb`
+/// on `kemeny_case(seed)`. The seeds are the ones among the first 64
+/// (full: even, typed: odd) where the search expands at least 85 nodes
+/// (85–529), so the pin covers a search that really branches.
+const PINNED_KEMENY: [(u64, &[ElementId], u64, u64, u64); 12] = [
+    (0, &[10, 5, 6, 7, 0, 2, 11, 8, 9, 3, 4, 1], 246, 492, 3140),
+    (2, &[10, 4, 9, 0, 5, 11, 8, 7, 2, 3, 1, 12, 6], 292, 102, 915),
+    (10, &[7, 2, 4, 8, 10, 0, 1, 9, 3, 5, 6], 158, 152, 842),
+    (20, &[2, 7, 3, 6, 0, 5, 10, 9, 1, 11, 4, 8], 218, 85, 566),
+    (30, &[2, 4, 8, 0, 7, 5, 3, 9, 10, 1, 11, 12, 6], 270, 529, 3936),
+    (36, &[5, 1, 11, 8, 2, 10, 7, 4, 12, 9, 3, 0, 6], 220, 130, 766),
+    (5, &[1, 2, 6, 11, 9, 0, 4, 10, 8, 7, 5, 3], 216, 307, 1424),
+    (15, &[6, 3, 10, 12, 11, 2, 1, 8, 4, 7, 5, 9, 0], 242, 269, 1592),
+    (31, &[0, 3, 1, 2, 5, 11, 6, 12, 4, 9, 10, 7, 8], 274, 91, 701),
+    (47, &[7, 0, 2, 8, 4, 1, 3, 5, 9, 11, 10, 6], 268, 274, 1417),
+    (53, &[1, 6, 0, 8, 4, 9, 3, 11, 2, 5, 10, 7], 262, 275, 1779),
+    (55, &[6, 9, 5, 8, 4, 1, 3, 0, 2, 10, 7], 193, 111, 559),
+];
+
+/// The Kemeny lane of the shared exact search is pinned like the
+/// minmax lanes, and every pinned cost is the Held–Karp optimum.
+#[test]
+fn kemeny_search_tree_is_pinned() {
+    for &(seed, perm, cost, nodes, pruned) in &PINNED_KEMENY {
+        let profile = kemeny_case(seed);
+        let (order, got_cost, stats) = kemeny_optimal_bb(&profile).unwrap();
+        assert_eq!(
+            (order.as_permutation().unwrap(), got_cost, stats.nodes, stats.pruned),
+            (perm.to_vec(), cost, nodes, pruned),
+            "seed {seed}"
+        );
+        assert_eq!(kemeny_optimal_full(&profile).unwrap().1, cost, "seed {seed}");
+    }
+}
+
 /// Heuristic pinned case `i`: `n ∈ 0..=64` (cases 0–3 fix the extremes
 /// 0, 1, 2 and 64), `m ∈ 1..=64` voters, and keys cycling through
 /// all-tied, two-to-four levels, `n` levels and full rankings, plus
@@ -535,6 +603,16 @@ fn constraint_violations_are_rejected_typed() {
         minmax::minmax_optimal_bb(&profile, Some(&cons)).unwrap_err(),
     ] {
         assert_eq!(err, AggregateError::DomainMismatch { expected: 4, found: 3 });
+    }
+
+    // ... the empty domain included: the exact solver's n = 0 shortcut
+    // must not skip the check.
+    let empty = [BucketOrder::trivial(0)];
+    for err in [
+        minmax::minmax_aggregate(&empty, Some(&cons), 0).unwrap_err(),
+        minmax::minmax_optimal_bb(&empty, Some(&cons)).unwrap_err(),
+    ] {
+        assert_eq!(err, AggregateError::DomainMismatch { expected: 0, found: 3 });
     }
 
     // Windows outside 1..=n.
