@@ -19,7 +19,15 @@
 //! counting lane on this bucketed workload) must hold ≥1.5×
 //! single-thread over the forced sweep-lane baseline, and the prepared
 //! `FHaus` matrix ≥20× over the direct one.
+//!
+//! `order/from_keys/…` and `order/clone/…` rows time building and
+//! cloning one `BucketOrder` (`n`x`k`: `n` elements in `k` equal
+//! buckets) against the nested one-`Vec`-per-bucket layout of
+//! `bucketrank_bench::oracle::NestedOrder`. Every row's output must equal
+//! the oracle's, and the flat `from_keys` must hold ≥2× over the nested
+//! one at 512x16 (the decode shape of a served 512-element ranking).
 
+use bucketrank_bench::oracle::NestedOrder;
 use bucketrank_bench::report::{env_usize, fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
 use bucketrank_bench::timing::{group, Measurement, Sampler};
@@ -32,7 +40,27 @@ use bucketrank_metrics::batch::{
 use bucketrank_metrics::prepared::pair_counts_sweep;
 use bucketrank_metrics::{PreparedRanking, Weights};
 use bucketrank_workloads::random::{random_few_valued, random_full_ranking};
-use bucketrank_workloads::rng::{Pcg32, SeedableRng};
+use bucketrank_workloads::rng::{Pcg32, SeedableRng, SliceRandom};
+
+/// The order-layout shapes, `(n, k)`: `n` elements in `k` equal buckets.
+const ORDER_SHAPES: [(usize, usize); 3] = [(512, 16), (512, 512), (256, 128)];
+
+/// Keys placing `n` elements in `k` equal buckets, in shuffled order.
+fn bucket_keys(rng: &mut Pcg32, n: usize, k: usize) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    ids.shuffle(rng);
+    ids.iter().map(|&r| (r as usize * k / n) as u32).collect()
+}
+
+/// Mean seconds per call over a batch of 64 calls.
+fn per_call<T>(mut f: impl FnMut() -> T) -> f64 {
+    const BATCH: u32 = 64;
+    let t0 = std::time::Instant::now();
+    for _ in 0..BATCH {
+        std::hint::black_box(f());
+    }
+    t0.elapsed().as_secs_f64() / f64::from(BATCH)
+}
 
 /// The `Kprof` matrix with the pair-statistics lane pinned to the
 /// sweep kernel — the baseline the lane gate measures against. Mirrors
@@ -164,6 +192,37 @@ fn main() {
     bandwidths.push((sweep.name.clone(), sweep_bytes / (sweep.min_ns * 1e-9)));
     all.push(sweep);
 
+    // Order layout rows: build and clone, flat against the nested
+    // oracle, outputs compared before timing.
+    let mut order_speedups: Vec<(String, f64)> = Vec::new();
+    let mut order_exact = true;
+    for (on, ok) in ORDER_SHAPES {
+        let keys = bucket_keys(&mut rng, on, ok);
+        let flat = BucketOrder::from_keys(&keys);
+        let nested = NestedOrder::from_keys(&keys);
+        order_exact &= flat.num_buckets() == ok
+            && nested.same_as(&flat)
+            && nested.clone().same_as(&flat.clone());
+        group(&format!("order layout ({on} elements × {ok} buckets)"));
+        let build = s.bench(&format!("order/from_keys/{on}x{ok}"), || {
+            BucketOrder::from_keys(&keys)
+        });
+        let build_nested = s.bench(&format!("order/from_keys/nested/{on}x{ok}"), || {
+            NestedOrder::from_keys(&keys)
+        });
+        let clone = s.bench(&format!("order/clone/{on}x{ok}"), || flat.clone());
+        let clone_nested = s.bench(&format!("order/clone/nested/{on}x{ok}"), || nested.clone());
+        order_speedups.push((
+            format!("order/from_keys/{on}x{ok}"),
+            build_nested.min_ns / build.min_ns,
+        ));
+        order_speedups.push((
+            format!("order/clone/{on}x{ok}"),
+            clone_nested.min_ns / clone.min_ns,
+        ));
+        all.extend([build, build_nested, clone, clone_nested]);
+    }
+
     let roofline = memcpy_bandwidth();
     println!(
         "roofline: memcpy {:.2} GiB/s ({} MiB buffer, best of {})",
@@ -180,6 +239,7 @@ fn main() {
         .measurements(&all)
         .ratios("prepared_speedups", &speedups)
         .ratios("weighted_speedups", &weighted_speedups)
+        .ratios("order_speedups", &order_speedups)
         .bandwidths("effective_bandwidth", &bandwidths)
         .field_raw("roofline", roofline.json())
         .write(&out_path("BENCH_metrics.json"));
@@ -250,6 +310,41 @@ fn main() {
         worst_weighted.1, worst_weighted.0
     );
     if worst_weighted.1 < 1.0 {
+        std::process::exit(1);
+    }
+
+    // Order layout gate: every layout row matched the nested oracle
+    // above, and the flat `from_keys` must hold ≥2× over the nested
+    // one at 512x16. The machine's speed can drift by more than that
+    // ratio within a second, so each of 15 rounds times both sides
+    // back to back (alternating which goes first) and the gate reads
+    // the median of the per-round ratios.
+    let keys = bucket_keys(&mut rng, 512, 16);
+    let mut rounds: Vec<(f64, f64)> = (0..15)
+        .map(|i| {
+            let nested = || per_call(|| NestedOrder::from_keys(&keys));
+            let flat = || per_call(|| BucketOrder::from_keys(&keys));
+            if i % 2 == 0 {
+                let n = nested();
+                (n, flat())
+            } else {
+                let f = flat();
+                (nested(), f)
+            }
+        })
+        .collect();
+    rounds.sort_by(|a, b| (a.0 / a.1).partial_cmp(&(b.0 / b.1)).expect("finite"));
+    let (nested_s, flat_s) = rounds[rounds.len() / 2];
+    let order_ratio = nested_s / flat_s;
+    let order_pass = order_exact && order_ratio >= 2.0;
+    let verdict = if order_pass { "PASS" } else { "FAIL" };
+    println!(
+        "order layout gate (512x16, == nested oracle and from_keys >= 2x nested): \
+         exact {order_exact}, median round nested {:.2}us vs flat {:.2}us = {order_ratio:.2}x [{verdict}]",
+        nested_s * 1e6,
+        flat_s * 1e6
+    );
+    if !order_pass {
         std::process::exit(1);
     }
 }

@@ -14,11 +14,94 @@
 //! all `m` voters, and every constrained swap recounts the prefix. They
 //! use only the public surface of `aggregate::minmax`, so the library's
 //! banded scoring and tally sum deltas share no code with them.
+//!
+//! [`NestedOrder`] is the bucket order as first stored: one `Vec` per
+//! bucket, built by [`NestedOrder::from_keys`] exactly as the library's
+//! `from_keys` once did (an id-tiebroken sort, a push per element into
+//! its bucket's `Vec`, then validation). `BucketOrder` now stores the
+//! rank-ordered domain and bucket boundaries as flat arrays; this type
+//! is the baseline its construction and clone are timed against.
 
 use bucketrank_aggregate::kwiksort::kwiksort_with_tally;
 use bucketrank_aggregate::minmax::{ClassConstraints, MinMaxObjective, DEFAULT_RESTARTS};
 use bucketrank_aggregate::{AggregateError, ProfileTally};
-use bucketrank_core::{BucketOrder, ElementId};
+use bucketrank_core::{BucketOrder, ElementId, Pos};
+
+/// A bucket order in the nested layout: buckets in rank order, one
+/// `Vec` each, elements ascending within a bucket.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct NestedOrder {
+    n: usize,
+    buckets: Vec<Vec<ElementId>>,
+    bucket_of: Vec<u32>,
+    bucket_pos: Vec<Pos>,
+}
+
+impl NestedOrder {
+    /// The oracle for `BucketOrder::from_keys`: rank by key ascending,
+    /// equal keys tied.
+    pub fn from_keys<K: Ord>(keys: &[K]) -> NestedOrder {
+        let n = keys.len();
+        let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
+        ids.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(a.cmp(&b)));
+        let mut buckets: Vec<Vec<ElementId>> = Vec::new();
+        for &e in &ids {
+            match buckets.last() {
+                Some(last) if keys[last[0] as usize] == keys[e as usize] => {
+                    buckets.last_mut().expect("nonempty").push(e);
+                }
+                _ => buckets.push(vec![e]),
+            }
+        }
+        NestedOrder::from_buckets(n, buckets)
+    }
+
+    /// Validates the buckets, sorts each and derives the positions.
+    ///
+    /// # Panics
+    /// If the buckets do not partition `0..n` into nonempty buckets.
+    fn from_buckets(n: usize, mut buckets: Vec<Vec<ElementId>>) -> NestedOrder {
+        let mut bucket_of = vec![u32::MAX; n];
+        for (bi, bucket) in buckets.iter().enumerate() {
+            assert!(!bucket.is_empty(), "empty bucket {bi}");
+            for &e in bucket {
+                let slot = &mut bucket_of[e as usize];
+                assert_eq!(*slot, u32::MAX, "duplicate element {e}");
+                *slot = bi as u32;
+            }
+        }
+        assert!(bucket_of.iter().all(|&b| b != u32::MAX), "missing element");
+        for b in &mut buckets {
+            b.sort_unstable();
+        }
+        let mut bucket_pos = Vec::with_capacity(buckets.len());
+        let mut before = 0usize;
+        for b in &buckets {
+            bucket_pos.push(Pos::from_half_units((2 * before + b.len() + 1) as i64));
+            before += b.len();
+        }
+        NestedOrder {
+            n,
+            buckets,
+            bucket_of,
+            bucket_pos,
+        }
+    }
+
+    /// Whether `order` holds the same ranking in its flat layout: the
+    /// same buckets, element→bucket map and bucket positions.
+    pub fn same_as(&self, order: &BucketOrder) -> bool {
+        order.len() == self.n
+            && order.buckets().len() == self.buckets.len()
+            && order
+                .buckets()
+                .iter()
+                .zip(&self.buckets)
+                .all(|(a, b)| a == &b[..])
+            && order.bucket_indices() == &self.bucket_of[..]
+            && (0..self.buckets.len()).all(|i| order.bucket_position(i) == self.bucket_pos[i])
+    }
+}
 
 /// The oracle for `aggregate::minmax::minmax_aggregate`: the same seeds,
 /// repair and selection, over the naive climb.

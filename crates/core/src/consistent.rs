@@ -79,15 +79,18 @@ pub fn project_to_type(f: &[Pos], alpha: &TypeSeq) -> Result<BucketOrder, CoreEr
             domain_size: n,
         });
     }
+    // A stable sort over ascending ids breaks score ties by id.
     let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
-    ids.sort_by(|&a, &b| f[a as usize].cmp(&f[b as usize]).then(a.cmp(&b)));
-    let mut buckets = Vec::with_capacity(alpha.num_buckets());
+    ids.sort_by(|&a, &b| f[a as usize].cmp(&f[b as usize]));
+    let mut starts = Vec::with_capacity(alpha.num_buckets() + 1);
+    starts.push(0u32);
     let mut cursor = 0usize;
     for &s in alpha.sizes() {
-        buckets.push(ids[cursor..cursor + s].to_vec());
+        ids[cursor..cursor + s].sort_unstable();
         cursor += s;
+        starts.push(cursor as u32);
     }
-    BucketOrder::from_buckets(n, buckets)
+    Ok(BucketOrder::from_ranked(ids, starts))
 }
 
 /// Enumerates **every** bucket order on a domain of size `n` (all ordered

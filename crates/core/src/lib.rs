@@ -52,7 +52,7 @@ pub mod profile;
 pub mod refine;
 mod typeseq;
 
-pub use bucket_order::{BucketOrder, BucketOrderBuilder};
+pub use bucket_order::{BucketOrder, BucketOrderBuilder, Buckets, BucketsIter};
 pub use domain::{Domain, ElementId};
 pub use error::CoreError;
 pub use pos::Pos;

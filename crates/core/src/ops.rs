@@ -16,7 +16,7 @@
 //!   coarsening step; every coarsening of `σ` arises this way).
 
 use crate::refine::star;
-use crate::{BucketOrder, CoreError, ElementId};
+use crate::{BucketOrder, CoreError};
 
 /// The coarsest common refinement of `a` and `b`, or `None` when the two
 /// orders conflict (some pair is ordered oppositely — then no common
@@ -65,48 +65,22 @@ pub fn finest_common_coarsening(
             right: b.len(),
         });
     }
-    let n = a.len();
-    if n == 0 {
-        return Ok(BucketOrder::trivial(0));
-    }
-    // Walk a's elements in rank order; prefix of size p is a common
-    // prefix iff it is a union of a-buckets, a union of b-buckets, and
-    // the max b-rank inside equals p (so the same elements fill b's
-    // prefix). Track the running max of positional b-ranks.
-    // b_rank[e] = number of elements strictly ahead-or-tied... we need a
-    // *set* comparison: prefix sets coincide iff max over a-prefix of
-    // (index of e in some fixed b linearization respecting buckets) ...
-    // Use: end of the b-bucket of e (cumulative size through e's bucket);
-    // the a-prefix of size p equals a b-prefix iff that running max == p
-    // and p is an a-bucket boundary.
-    let mut b_bucket_end = vec![0usize; b.num_buckets()];
-    let mut acc = 0usize;
-    for (i, bucket) in b.buckets().iter().enumerate() {
-        acc += bucket.len();
-        b_bucket_end[i] = acc;
-    }
-    let mut boundaries = Vec::new();
-    let mut running_max = 0usize;
-    let mut count = 0usize;
-    for bucket in a.buckets() {
+    // Walk a's buckets in rank order. The a-prefix through a bucket is
+    // also a b-prefix exactly when the furthest b-bucket end reached so
+    // far equals its size; those sizes are the join's boundaries.
+    let b_ends = &b.bucket_starts()[1..];
+    let a_ends = &a.bucket_starts()[1..];
+    let mut starts = vec![0u32];
+    let mut running_max = 0u32;
+    for (bucket, &end) in a.buckets().iter().zip(a_ends) {
         for &e in bucket {
-            count += 1;
-            running_max = running_max.max(b_bucket_end[b.bucket_index(e)]);
+            running_max = running_max.max(b_ends[b.bucket_index(e)]);
         }
-        if running_max == count {
-            boundaries.push(count);
+        if running_max == end {
+            starts.push(end);
         }
     }
-    debug_assert_eq!(boundaries.last(), Some(&n));
-    // Buckets of the join: slices of a's rank order between boundaries.
-    let order: Vec<ElementId> = a.iter_ranked().map(|(_, e)| e).collect();
-    let mut buckets = Vec::with_capacity(boundaries.len());
-    let mut start = 0usize;
-    for &end in &boundaries {
-        buckets.push(order[start..end].to_vec());
-        start = end;
-    }
-    BucketOrder::from_buckets(n, buckets)
+    Ok(a.merge_runs(starts))
 }
 
 /// Coarsens `sigma` by merging runs of adjacent buckets: `runs[i]` is how
@@ -126,17 +100,14 @@ pub fn coarsen_adjacent(sigma: &BucketOrder, runs: &[usize]) -> Result<BucketOrd
             domain_size: sigma.num_buckets(),
         });
     }
-    let mut buckets = Vec::with_capacity(runs.len());
+    let mut starts = Vec::with_capacity(runs.len() + 1);
+    starts.push(0u32);
     let mut cursor = 0usize;
     for &r in runs {
-        let mut merged = Vec::new();
-        for b in &sigma.buckets()[cursor..cursor + r] {
-            merged.extend_from_slice(b);
-        }
         cursor += r;
-        buckets.push(merged);
+        starts.push(sigma.bucket_starts()[cursor]);
     }
-    BucketOrder::from_buckets(sigma.len(), buckets)
+    Ok(sigma.merge_runs(starts))
 }
 
 #[cfg(test)]
@@ -144,6 +115,7 @@ mod tests {
     use super::*;
     use crate::consistent::all_bucket_orders;
     use crate::refine::is_refinement;
+    use crate::ElementId;
 
     fn bo(n: usize, buckets: Vec<Vec<ElementId>>) -> BucketOrder {
         BucketOrder::from_buckets(n, buckets).unwrap()

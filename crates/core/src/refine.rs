@@ -126,7 +126,7 @@ pub fn full_refinements(sigma: &BucketOrder) -> FullRefinements {
     let per_bucket: Vec<Vec<Vec<ElementId>>> = sigma
         .buckets()
         .iter()
-        .map(|b| permutations(b))
+        .map(permutations)
         .collect();
     FullRefinements {
         n: sigma.len(),

@@ -13,11 +13,11 @@
 //! [`PreparedRanking`] hoists everything that depends on **one** ranking
 //! out of the pair loop:
 //!
-//! * the element→bucket index map (borrowed contiguously from the order);
+//! * the element→bucket index map, the domain sorted by rank
+//!   (`by_rank`) and the bucket boundaries over it (`bucket_starts`), all
+//!   three borrowed from the order's own flat arrays;
 //! * the half-unit position vector `⟨pos(B(e))⟩` (reusing
 //!   [`core::pos::Pos`](bucketrank_core::Pos));
-//! * bucket sizes as prefix sums over the rank-sorted domain;
-//! * the domain sorted by rank (`by_rank`);
 //! * the number of within-ranking tied pairs.
 //!
 //! The `*_prepared` kernels consume two `&PreparedRanking`s and skip all
@@ -69,11 +69,6 @@ pub struct PreparedRanking<'a> {
     bucket_of: &'a [u32],
     /// Element id → position, in half-units.
     positions: Vec<Pos>,
-    /// The domain in rank order: bucket 0's elements, then bucket 1's, …
-    by_rank: Vec<u32>,
-    /// Prefix sums of bucket sizes over `by_rank`; bucket `i` occupies
-    /// `by_rank[bucket_starts[i]..bucket_starts[i + 1]]`.
-    bucket_starts: Vec<u32>,
     /// Number of pairs tied within this ranking, `Σ_B |B|(|B|−1)/2`.
     tied_pairs: u64,
 }
@@ -81,28 +76,18 @@ pub struct PreparedRanking<'a> {
 impl<'a> PreparedRanking<'a> {
     /// Prepares `order` for repeated pairwise evaluation. `O(n)`.
     pub fn new(order: &'a BucketOrder) -> Self {
-        let n = order.len();
-        let mut by_rank = Vec::with_capacity(n);
-        let mut bucket_starts = Vec::with_capacity(order.num_buckets() + 1);
-        let mut tied_pairs = 0u64;
-        bucket_starts.push(0);
-        for b in order.buckets() {
-            by_rank.extend_from_slice(b);
-            let s = b.len() as u64;
-            tied_pairs += s * (s - 1) / 2;
-            bucket_starts.push(by_rank.len() as u32);
-        }
-        let bucket_of = order.bucket_indices();
-        let positions = bucket_of
-            .iter()
-            .map(|&b| order.bucket_position(b as usize))
-            .collect();
+        let tied_pairs = order
+            .bucket_starts()
+            .windows(2)
+            .map(|w| {
+                let s = u64::from(w[1] - w[0]);
+                s * (s - 1) / 2
+            })
+            .sum();
         PreparedRanking {
             order,
-            bucket_of,
-            positions,
-            by_rank,
-            bucket_starts,
+            bucket_of: order.bucket_indices(),
+            positions: order.positions(),
             tied_pairs,
         }
     }
@@ -137,15 +122,16 @@ impl<'a> PreparedRanking<'a> {
         &self.positions
     }
 
-    /// The domain in rank order (concatenated buckets).
-    pub fn by_rank(&self) -> &[u32] {
-        &self.by_rank
+    /// The domain in rank order (concatenated buckets), borrowed from
+    /// the order.
+    pub fn by_rank(&self) -> &'a [u32] {
+        self.order.by_rank()
     }
 
-    /// Bucket-size prefix sums over [`Self::by_rank`] (length
-    /// `num_buckets() + 1`).
-    pub fn bucket_starts(&self) -> &[u32] {
-        &self.bucket_starts
+    /// Bucket boundaries over [`Self::by_rank`] (length
+    /// `num_buckets() + 1`), borrowed from the order.
+    pub fn bucket_starts(&self) -> &'a [u32] {
+        self.order.bucket_starts()
     }
 
     /// Number of pairs tied within this ranking.
@@ -396,14 +382,14 @@ fn sweep_lane(
 
     let PairArena { tb, tree, run, .. } = arena;
     tb.clear();
-    tb.extend(s.by_rank.iter().map(|&e| t.bucket_of[e as usize]));
+    tb.extend(s.by_rank().iter().map(|&e| t.bucket_of[e as usize]));
     tree.reset(t.num_buckets());
     run.clear();
     run.resize(t.num_buckets(), 0);
 
     let mut discordant = 0u64;
     let mut tied_both = 0u64;
-    for w in s.bucket_starts.windows(2) {
+    for w in s.bucket_starts().windows(2) {
         let seg = &tb[w[0] as usize..w[1] as usize];
         for &x in seg {
             discordant += tree.count_above(x);
@@ -444,9 +430,9 @@ fn table_lane(
     let PairArena { table, above, .. } = arena;
     table.clear();
     table.resize(s.num_buckets() * kt, 0);
-    for (i, w) in s.bucket_starts.windows(2).enumerate() {
+    for (i, bucket) in s.order.buckets().iter().enumerate() {
         let row = &mut table[i * kt..(i + 1) * kt];
-        for &e in &s.by_rank[w[0] as usize..w[1] as usize] {
+        for &e in bucket {
             row[t.bucket_of[e as usize] as usize] += 1;
         }
     }
@@ -610,7 +596,7 @@ fn witness_ranks(
     reverse_other: bool,
 ) {
     cursor.clear();
-    cursor.extend_from_slice(&base.bucket_starts[..base.num_buckets()]);
+    cursor.extend_from_slice(&base.bucket_starts()[..base.num_buckets()]);
     rank.clear();
     rank.resize(base.len(), 0);
     let place = |bucket: &[u32]| {
@@ -620,10 +606,7 @@ fn witness_ranks(
             *next += 1;
         }
     };
-    let buckets = other
-        .bucket_starts
-        .windows(2)
-        .map(|w| &other.by_rank[w[0] as usize..w[1] as usize]);
+    let buckets = other.order.buckets().iter();
     if reverse_other {
         buckets.rev().for_each(place);
     } else {

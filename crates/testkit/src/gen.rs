@@ -309,7 +309,7 @@ pub fn remove_element(o: &BucketOrder, e: u32) -> BucketOrder {
 /// Merge buckets `i` and `i + 1` of `o` into one (coarsening the
 /// order by adding ties).
 pub fn merge_adjacent(o: &BucketOrder, i: usize) -> BucketOrder {
-    let mut buckets: Vec<Vec<u32>> = o.buckets().to_vec();
+    let mut buckets: Vec<Vec<u32>> = o.buckets().iter().map(<[u32]>::to_vec).collect();
     let upper = buckets.remove(i + 1);
     buckets[i].extend(upper);
     BucketOrder::from_buckets(o.len(), buckets).expect("merging buckets keeps a valid order")
@@ -1248,7 +1248,7 @@ mod tests {
         let r = remove_element(&o, 0);
         assert_eq!(r.len(), 3);
         // Old 2 → new 1, old 3 → new 2, old 1 → new 0.
-        assert_eq!(r.buckets(), &[vec![1], vec![2], vec![0]]);
+        assert_eq!(r.display(), "[1 | 2 | 0]");
     }
 
     #[test]

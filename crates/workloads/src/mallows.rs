@@ -17,6 +17,7 @@
 //! producing noisy *partial* rankings of a prescribed type — the workload
 //! for the aggregation-quality experiments on rankings with ties.
 
+use crate::random::cut_into_type;
 use bucketrank_core::{BucketOrder, ElementId, TypeSeq};
 use bucketrank_testkit::rng::Rng;
 
@@ -134,25 +135,13 @@ impl MallowsWithTies {
 
     /// Draws one noisy partial ranking.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> BucketOrder {
-        let full = self.inner.sample(rng);
-        let perm = full.as_permutation().expect("Mallows samples are full");
-        cut_into_type(&perm, &self.alpha)
+        cut_into_type(self.inner.sample(rng).by_rank(), &self.alpha)
     }
 
     /// Draws `m` independent noisy partial rankings.
     pub fn sample_profile<R: Rng + ?Sized>(&self, rng: &mut R, m: usize) -> Vec<BucketOrder> {
         (0..m).map(|_| self.sample(rng)).collect()
     }
-}
-
-fn cut_into_type(perm: &[ElementId], alpha: &TypeSeq) -> BucketOrder {
-    let mut buckets = Vec::with_capacity(alpha.num_buckets());
-    let mut cursor = 0usize;
-    for &s in alpha.sizes() {
-        buckets.push(perm[cursor..cursor + s].to_vec());
-        cursor += s;
-    }
-    BucketOrder::from_buckets(perm.len(), buckets).expect("type partitions the permutation")
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 //! [`PlackettLuceWithTies`] coarsens samples into a fixed type, as the
 //! Mallows wrapper does.
 
+use crate::random::cut_into_type;
 use bucketrank_core::{BucketOrder, ElementId, TypeSeq};
 use bucketrank_testkit::rng::Rng;
 
@@ -117,29 +118,18 @@ impl PlackettLuceWithTies {
 
     /// The modal ranking coarsened to the type.
     pub fn modal(&self) -> BucketOrder {
-        cut(&self.inner.modal(), &self.alpha)
+        cut_into_type(self.inner.modal().by_rank(), &self.alpha)
     }
 
     /// Draws one noisy partial ranking.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> BucketOrder {
-        cut(&self.inner.sample(rng), &self.alpha)
+        cut_into_type(self.inner.sample(rng).by_rank(), &self.alpha)
     }
 
     /// Draws `m` independent noisy partial rankings.
     pub fn sample_profile<R: Rng + ?Sized>(&self, rng: &mut R, m: usize) -> Vec<BucketOrder> {
         (0..m).map(|_| self.sample(rng)).collect()
     }
-}
-
-fn cut(full: &BucketOrder, alpha: &TypeSeq) -> BucketOrder {
-    let perm = full.as_permutation().expect("PL samples are full");
-    let mut buckets = Vec::with_capacity(alpha.num_buckets());
-    let mut cursor = 0usize;
-    for &s in alpha.sizes() {
-        buckets.push(perm[cursor..cursor + s].to_vec());
-        cursor += s;
-    }
-    BucketOrder::from_buckets(perm.len(), buckets).expect("type partitions the permutation")
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Uniform random ranking generators.
 
-use bucketrank_core::{BucketOrder, ElementId, TypeSeq};
+use bucketrank_core::{BucketOrder, BucketOrderBuilder, ElementId, TypeSeq};
 use bucketrank_testkit::rng::SliceRandom;
 use bucketrank_testkit::rng::Rng;
 
@@ -24,13 +24,20 @@ pub fn random_of_type<R: Rng + ?Sized>(rng: &mut R, n: usize, alpha: &TypeSeq) -
     );
     let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
     ids.shuffle(rng);
-    let mut buckets = Vec::with_capacity(alpha.num_buckets());
-    let mut cursor = 0usize;
+    cut_into_type(&ids, alpha)
+}
+
+/// Cuts `ranked`, the domain in rank order, into consecutive buckets of
+/// the sizes `alpha` prescribes.
+pub(crate) fn cut_into_type(ranked: &[ElementId], alpha: &TypeSeq) -> BucketOrder {
+    let mut order = BucketOrderBuilder::new(ranked.len());
+    let mut rest = ranked;
     for &s in alpha.sizes() {
-        buckets.push(ids[cursor..cursor + s].to_vec());
-        cursor += s;
+        let (bucket, tail) = rest.split_at(s);
+        order.push_bucket(bucket.iter().copied());
+        rest = tail;
     }
-    BucketOrder::from_buckets(n, buckets).expect("type partitions the domain")
+    order.finish().expect("type partitions the domain")
 }
 
 /// A random bucket order with approximately `buckets` buckets: each

@@ -82,7 +82,7 @@ fn main() {
     println!(
         "  (f† found {} buckets; bottom bucket holds {} urls)",
         fdagger.order.num_buckets(),
-        fdagger.order.buckets().last().map_or(0, Vec::len)
+        fdagger.order.buckets().last().map_or(0, <[u32]>::len)
     );
 
     // --- small instance: verify the factor-2 guarantee exactly --------

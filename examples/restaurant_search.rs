@@ -32,7 +32,7 @@ fn main() {
             "  {:>10}: {} buckets (largest {})",
             spec.attribute,
             ranking.num_buckets(),
-            ranking.buckets().iter().map(Vec::len).max().unwrap_or(0),
+            ranking.buckets().iter().map(<[u32]>::len).max().unwrap_or(0),
         );
     }
 

@@ -55,6 +55,14 @@ echo "==> rustdoc, warnings denied"
 # link, fails the gate here instead of lingering in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> bucket-order layout suite (256 cases per property)"
+# Every BucketOrder constructor and transform against a nested-Vec
+# reference built in the test, over u32 / i64 / Pos keys on n = 0..64:
+# bucket lists, bucket indices, positions, type, display and Hash
+# equality across routes, the Buckets view, and from_buckets' error
+# precedence on inputs with several faults.
+BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test bucket_order_layout
+
 echo "==> prepared-kernel conformance suite (256 cases per property)"
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test prepared_vs_direct
 
@@ -130,11 +138,15 @@ echo "==> bench_batch_prepared smoke gate"
 # its JSON report (with effective-bytes/s rows and a measured memcpy
 # roofline). The smoke numbers land in target/ so they never clobber a
 # committed full-size baseline; if no baseline exists yet, the smoke
-# report seeds one. The pass ends with three gates: the dispatched
+# report seeds one. The pass ends with four gates: the dispatched
 # Kprof matrix (counting lane) must hold ≥ 1.5× single-thread over the
 # forced sweep lane, the prepared FHaus matrix must hold ≥ 20× over the
-# direct one, and the prepared weighted matrix must hold ≥ 1× over the
-# naive per-pair weighted kernels, exiting nonzero otherwise.
+# direct one, the prepared weighted matrix must hold ≥ 1× over the
+# naive per-pair weighted kernels, and the order layout gate: every
+# order/from_keys and order/clone row must equal the nested-Vec
+# bucketrank_bench::oracle::NestedOrder, and the flat
+# BucketOrder::from_keys must hold ≥ 2× over the nested one at 512x16;
+# exiting nonzero otherwise.
 smoke_out="target/BENCH_metrics.smoke.json"
 BUCKETRANK_BENCH_FAST=1 BUCKETRANK_BENCH_OUT="$smoke_out" \
   cargo run --release --offline -p bucketrank-bench --bin bench_batch_prepared
