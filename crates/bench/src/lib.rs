@@ -1,7 +1,9 @@
 //! Experiment harness shared by the `exp_*` binaries: text tables,
-//! common workload plumbing, and naive reference implementations
+//! common workload plumbing, naive reference implementations
 //! ([`oracle`]) the library has outgrown, kept for differential tests
-//! and bench gates.
+//! and bench gates, and [`model::ModelService`], the naive reference
+//! model of the session service that every served test suite compares
+//! the server's replies against.
 //!
 //! Each binary regenerates one experiment from `EXPERIMENTS.md`; run them
 //! with e.g. `cargo run --release -p bucketrank-bench --bin exp_equivalence`.
@@ -9,6 +11,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod model;
 pub mod oracle;
 pub mod report;
 pub mod roofline;

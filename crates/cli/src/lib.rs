@@ -194,7 +194,8 @@ pub fn cmd_medrank(content: &str, k: usize) -> Result<String, CliError> {
 /// `generate`: emit a random ranking file (for demos and testing).
 ///
 /// # Errors
-/// [`CliError`] on nonsensical parameters.
+/// [`CliError`] on nonsensical parameters, including a Mallows `θ`
+/// that is negative or not finite.
 pub fn cmd_generate(
     n: usize,
     m: usize,
@@ -204,6 +205,11 @@ pub fn cmd_generate(
 ) -> Result<String, CliError> {
     if n == 0 || m == 0 {
         return err("need n ≥ 1 and m ≥ 1");
+    }
+    if let Some(theta) = mallows_theta {
+        if !(theta.is_finite() && theta >= 0.0) {
+            return err(format!("--mallows θ must be finite and ≥ 0, got {theta}"));
+        }
     }
     let mut rng = Pcg32::seed_from_u64(seed);
     let rankings: Vec<BucketOrder> = match (mallows_theta, top) {
@@ -734,6 +740,16 @@ mod tests {
         let f = parse_ranking_file(&text).unwrap();
         assert!(f.rankings.iter().all(|r| r.top_k_len() == Some(3)));
         assert!(cmd_generate(0, 3, 7, None, None).is_err());
+    }
+
+    #[test]
+    fn generate_rejects_negative_and_non_finite_mallows_theta() {
+        for theta in ["-3", "nan", "inf"] {
+            let line = format!("generate --n 5 --m 2 --mallows {theta}");
+            let args: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            let e = run(&args, no_fs).expect_err(theta);
+            assert!(e.0.contains("--mallows"), "{theta}: {e:?}");
+        }
     }
 
     const CSV: &str = "\

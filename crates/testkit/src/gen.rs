@@ -800,6 +800,21 @@ pub enum EditOp {
     Replace(usize, BucketOrder),
 }
 
+/// Domain size of an edit script: read off its first embedded ranking.
+///
+/// # Panics
+/// If the script embeds no ranking ([`edit_script_with_degenerates`]
+/// always pushes at least once).
+pub fn script_domain(script: &[EditOp]) -> usize {
+    script
+        .iter()
+        .find_map(|op| match op {
+            EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
+            EditOp::Remove(_) => None,
+        })
+        .expect("scripts always embed a ranking")
+}
+
 /// A random insert/remove/replace edit script over one shared
 /// `n`-element domain, for differential testing of incremental
 /// engines against from-scratch rebuilds. Script length is guided by

@@ -1,6 +1,7 @@
 //! `bucketrank-testkit` — the repo's hermetic testing harness.
 //!
-//! Three pieces, zero external dependencies:
+//! Three pieces plus a scratch-directory guard ([`TempDir`]), zero
+//! external dependencies:
 //!
 //! * [`rng`] — deterministic PRNGs ([`rng::SplitMix64`],
 //!   [`rng::Pcg32`]) behind a `rand`-shaped trait surface
@@ -20,6 +21,43 @@
 pub mod gen;
 pub mod rng;
 pub mod runner;
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A fresh directory under the system temp dir, unique per process and
+/// per call, removed with everything in it on drop.
+#[derive(Debug)]
+pub struct TempDir(PathBuf);
+
+impl TempDir {
+    /// Creates `bucketrank-<tag>-<pid>-<counter>` under the temp dir.
+    ///
+    /// # Panics
+    /// If the directory cannot be created.
+    pub fn new(tag: &str) -> TempDir {
+        static COUNTER: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "bucketrank-{tag}-{}-{}",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TempDir(dir)
+    }
+
+    /// The directory's path.
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 /// One-stop imports for test files.
 pub mod prelude {

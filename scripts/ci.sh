@@ -71,7 +71,8 @@ echo "==> weighted metric family suite (256 cases per property)"
 # collapse to fprof_x2 (bit-exact), Theorem-7-style bounds, metric
 # axioms and monotonicity under degenerate weight classes, the F^(l)
 # oracle on top-k embeddings, typed rejection, and the loopback
-# byte-parity differential for the WeightedDist/TopDiff opcodes.
+# byte-parity differential for the WeightedDist/TopDiff opcodes, whose
+# replies are compared against bucketrank_bench::model::ModelService.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test weighted_equivalence
 
 echo "==> topk vs top-difference differential (256 cases per property)"
@@ -88,13 +89,14 @@ BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test proto_fuzz
 
 echo "==> server loopback smoke (per-request-type round trips + graceful shutdown)"
 # The loopback suite binds an ephemeral port, exercises every request
-# type over a real socket (byte-compared against the in-process
-# engine) and requires a fully drained shutdown.
+# type over a real socket (byte-compared against the naive reference
+# model bucketrank_bench::model::ModelService) and requires a fully
+# drained shutdown.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test server_loopback
 
 echo "==> protocol v2 pipelining conformance (256 cases per property)"
 # Differential suite: pipelined and batched replays of the loopback
-# edit scripts must be byte-identical to the in-process mirror, in
+# edit scripts must be byte-identical to ModelService's replies, in
 # order, at every tested depth.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test server_pipeline
 
@@ -104,20 +106,21 @@ echo "==> minmax conformance suite (256 cases per property)"
 # heuristic max-cost sandwiched between 1× and 2× exact, the banded
 # local search against the naive bucketrank_bench::oracle climb, typed
 # rejection of malformed/infeasible constraints, and the MinMaxAgg
-# loopback byte-parity differential.
+# loopback byte-parity differential against ModelService.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test minmax_conformance
 
 echo "==> crash-recovery differential suite (128 cases per property)"
 # Random edit scripts against a durable server, hard-dropped at random
 # edit boundaries and torn mid-record WAL offsets, restarted from
-# --data-dir: replies must be byte-identical to an in-process mirror
-# holding exactly the acknowledged prefix. (WAL-record fuzzing runs at
+# --data-dir: replies must be byte-identical to ModelService holding
+# exactly the acknowledged prefix. (WAL-record fuzzing runs at
 # 256 cases inside the proto_fuzz suite above.)
 BUCKETRANK_PT_CASES=128 cargo test -q --offline -p bucketrank --test server_recovery
 
 echo "==> session LRU + per-shard counter aggregation suite"
 # The LRU property (cap never exceeded, exact-LRU victims, fault-back
-# state identity) plus the concurrent counter regression test.
+# state byte-identical to the never-evicting ModelService) plus the
+# concurrent counter regression test.
 cargo test -q --offline -p bucketrank --test service_lru
 
 # The soak (thousands of mostly-idle connections against the readiness

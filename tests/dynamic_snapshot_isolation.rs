@@ -19,7 +19,7 @@ use bucketrank::aggregate::dynamic::{DynamicProfile, DynamicSnapshot, VoterId};
 use bucketrank::aggregate::tally::ProfileTally;
 use bucketrank::aggregate::MedianPolicy;
 use bucketrank::BucketOrder;
-use bucketrank_testkit::gen::EditOp;
+use bucketrank_testkit::gen::{script_domain, EditOp};
 use bucketrank_testkit::prelude::*;
 use std::sync::{Arc, RwLock};
 use std::thread;
@@ -173,17 +173,6 @@ fn held_view_survives_recycled_republishes() {
         assert_eq!(*held, bytes, "held view changed under a recycled republish");
         assert_consistent_epoch(&held, &live);
     }
-}
-
-/// Domain size of a script: read off its first embedded ranking.
-fn script_domain(script: &[EditOp]) -> usize {
-    script
-        .iter()
-        .find_map(|op| match op {
-            EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
-            EditOp::Remove(_) => None,
-        })
-        .expect("scripts always embed a ranking")
 }
 
 /// A one-voter snapshot over a `k`-element domain: a spare whose

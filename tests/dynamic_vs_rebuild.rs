@@ -23,24 +23,12 @@ use bucketrank::aggregate::median::{
 use bucketrank::aggregate::tally::ProfileTally;
 use bucketrank::aggregate::{AggregateError, MedianPolicy};
 use bucketrank::{BucketOrder, TypeSeq};
-use bucketrank_testkit::gen::EditOp;
+use bucketrank_testkit::gen::{script_domain, EditOp};
 use bucketrank_testkit::prelude::*;
 
 /// The degenerate-heavy edit-script stream shared by the properties.
 fn scripts() -> impl Gen<Value = Vec<EditOp>> {
     gen::edit_script_with_degenerates(3..=12, 6, 3)
-}
-
-/// Domain size of a script: read off its first pushed ranking (every
-/// generated script contains at least one push).
-fn script_domain(script: &[EditOp]) -> usize {
-    script
-        .iter()
-        .find_map(|op| match op {
-            EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
-            EditOp::Remove(_) => None,
-        })
-        .expect("scripts always embed a ranking")
 }
 
 /// Applies one op to the engine and a mirrored live-voter list,

@@ -4,8 +4,9 @@
 //! constraints — the heuristic pipeline's max-cost must dominate the
 //! exact optimum and stay within 2× of it on every generated case,
 //! malformed or infeasible constraints must be rejected typed, and the
-//! server's `MinMaxAgg` opcode must answer byte-identically to an
-//! in-process mirror running the same pipeline at the wire seed.
+//! server's `MinMaxAgg` opcode must answer byte-identically to the
+//! naive reference model `bucketrank_bench::model::ModelService`,
+//! which runs the same pipeline at the wire seed.
 //!
 //! The exact search's tree itself is pinned too: on a fixed seeded
 //! corpus, `(permutation, cost, nodes, pruned)` must equal the values
@@ -34,6 +35,7 @@ use bucketrank::metrics::kendall;
 use bucketrank::server::proto::{ErrorCode, Request, Response, WirePolicy, WireRule};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::{BucketOrder, ElementId};
+use bucketrank_bench::model::{assert_reply, ModelService};
 use bucketrank_bench::oracle;
 use bucketrank_testkit::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -654,24 +656,6 @@ fn constraint_violations_are_rejected_typed() {
     }
 }
 
-/// The service's error mapping, mirrored locally so error replies are
-/// byte-predictable (`service::agg_error` is the server side of this
-/// contract; constraint faults fall through to `BadRequest`).
-fn expected_agg_error(e: &AggregateError) -> Response {
-    let code = match e {
-        AggregateError::NoInputs => ErrorCode::NoVoters,
-        AggregateError::DomainMismatch { .. } => ErrorCode::DomainMismatch,
-        AggregateError::InvalidK { .. } => ErrorCode::InvalidK,
-        AggregateError::UnknownVoter { .. } => ErrorCode::UnknownVoter,
-        AggregateError::TooManyVoters { .. } => ErrorCode::TooManyVoters,
-        _ => ErrorCode::BadRequest,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
-    }
-}
-
 #[test]
 fn minmax_agg_replies_are_byte_identical_to_the_in_process_mirror() {
     let server = Server::bind(
@@ -693,96 +677,63 @@ fn minmax_agg_replies_are_byte_identical_to_the_in_process_mirror() {
             let n = profile[0].len();
             let session = format!("minmax-{seq}");
             let mut client = Client::connect(addr).expect("connect");
-            client
-                .create_session(&session, n, WirePolicy::Lower)
-                .expect("create");
-            for r in profile {
-                client.push_voter(&session, r).expect("push");
-            }
-
-            let expect_bytes = |client: &mut Client, req: &Request, expected: &Response| {
-                let raw = client.call_raw(req).expect("transport");
-                assert_eq!(
-                    raw,
-                    expected.encode(),
-                    "reply to {req:?} diverged from the in-process mirror"
-                );
-            };
-
+            let mut model = ModelService::new();
+            let mut reqs = vec![Request::CreateSession {
+                name: session.clone(),
+                n: n as u32,
+                policy: WirePolicy::Lower,
+            }];
+            reqs.extend(profile.iter().map(|r| Request::PushVoter {
+                session: session.clone(),
+                ranking: r.clone(),
+            }));
             // Unconstrained: empty labels and rules on the wire.
-            let expected =
-                match minmax::minmax_aggregate(profile, None, minmax::DEFAULT_SEED) {
-                    Ok((order, cost_x2)) => Response::RankingCost { order, cost_x2 },
-                    Err(e) => expected_agg_error(&e),
-                };
-            expect_bytes(
-                &mut client,
-                &Request::MinMaxAgg {
-                    session: session.clone(),
-                    labels: vec![],
-                    rules: vec![],
-                },
-                &expected,
-            );
-
+            reqs.push(Request::MinMaxAgg {
+                session: session.clone(),
+                labels: vec![],
+                rules: vec![],
+            });
             // Constrained by the binding rule, feasible by construction.
             let rule = binding_rule(labels);
-            let cons = ClassConstraints::new(labels.clone(), vec![rule]).unwrap();
-            let expected =
-                match minmax::minmax_aggregate(profile, Some(&cons), minmax::DEFAULT_SEED) {
-                    Ok((order, cost_x2)) => Response::RankingCost { order, cost_x2 },
-                    Err(e) => expected_agg_error(&e),
-                };
-            expect_bytes(
-                &mut client,
-                &Request::MinMaxAgg {
-                    session: session.clone(),
-                    labels: labels.clone(),
-                    rules: vec![WireRule {
-                        window: rule.window,
-                        class: rule.class,
-                        min: rule.min,
-                        max: rule.max,
-                    }],
-                },
-                &expected,
-            );
-
+            reqs.push(Request::MinMaxAgg {
+                session: session.clone(),
+                labels: labels.clone(),
+                rules: vec![WireRule {
+                    window: rule.window,
+                    class: rule.class,
+                    min: rule.min,
+                    max: rule.max,
+                }],
+            });
             // Infeasible rules come back as the typed constraint
             // error, byte-for-byte: every candidate carries one class,
             // yet the first position must not.
-            let all_one = vec![labels[0]; n];
-            let bad = WireRule {
-                window: 1,
-                class: labels[0],
-                min: 0,
-                max: 0,
-            };
-            let cons_bad = ClassConstraints::new(
-                all_one.clone(),
-                vec![WindowRule {
+            reqs.push(Request::MinMaxAgg {
+                session: session.clone(),
+                labels: vec![labels[0]; n],
+                rules: vec![WireRule {
                     window: 1,
                     class: labels[0],
                     min: 0,
                     max: 0,
                 }],
-            )
-            .expect("well-formed rule, infeasible only");
-            let expected = expected_agg_error(
-                &minmax::minmax_aggregate(profile, Some(&cons_bad), minmax::DEFAULT_SEED)
-                    .expect_err("excluding the head of a single-class domain is infeasible"),
+            });
+            reqs.push(Request::DropSession { name: session });
+            let replies: Vec<Response> = reqs
+                .iter()
+                .map(|req| {
+                    let want = model.handle(req);
+                    assert_reply(&mut client, req, &want);
+                    want
+                })
+                .collect();
+            assert!(
+                matches!(
+                    replies[reqs.len() - 2],
+                    Response::Error { code: ErrorCode::BadRequest, .. }
+                ),
+                "excluding the head of a single-class domain is infeasible"
             );
-            expect_bytes(
-                &mut client,
-                &Request::MinMaxAgg {
-                    session: session.clone(),
-                    labels: all_one,
-                    rules: vec![bad],
-                },
-                &expected,
-            );
-
-            client.drop_session(&session).expect("drop");
         },
     );
 

@@ -510,31 +510,9 @@ fn malformed_streams_fail_the_connection_not_the_server() {
 use bucketrank::server::service::{Service, ServiceConfig};
 use bucketrank::server::wal::{self, Checkpoint, WalRecord, WalWriter};
 use bucketrank::server::{WalError, WalOp};
+use bucketrank_bench::model::ModelService;
 use bucketrank_core::BucketOrder;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A scratch directory under the system temp dir, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let id = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "bucketrank-walfuzz-{}-{id}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use bucketrank_testkit::TempDir;
 
 /// Random WAL-body-ish bytes. Half the time the bytes are wrapped in a
 /// valid `len | crc | body` frame so the scanner's CRC gate passes and
@@ -766,7 +744,7 @@ fn checkpoint_codec_roundtrips_and_rejects_every_mutation_typed() {
 /// Writes `records` as shard 0's WAL under a fresh data dir and
 /// recovers a single-shard durable [`Service`] from it.
 fn recover(dir: &TempDir, records: &[WalRecord]) -> Service {
-    let shard = dir.0.join("shard-0");
+    let shard = dir.path().join("shard-0");
     std::fs::create_dir_all(&shard).expect("create shard dir");
     let mut w = WalWriter::open(&shard.join("wal.log")).expect("open wal");
     for rec in records {
@@ -776,7 +754,7 @@ fn recover(dir: &TempDir, records: &[WalRecord]) -> Service {
     Service::with_config(ServiceConfig {
         shards: 1,
         max_sessions: 64,
-        data_dir: Some(dir.0.clone()),
+        data_dir: Some(dir.path().to_path_buf()),
         checkpoint_every: u64::MAX,
     })
     .expect("recovery must not fail on a faulty log, only truncate")
@@ -835,18 +813,18 @@ fn recovery_never_replays_past_a_faulty_record() {
                 },
             });
 
-            let dir = TempDir::new();
+            let dir = TempDir::new("walfuzz");
             let recovered = recover(&dir, &records);
 
-            // A memory-only mirror of exactly the pre-fault prefix.
-            let mirror = Service::new(64);
-            mirror.handle(Request::CreateSession {
+            // The reference model of exactly the pre-fault prefix.
+            let mut model = ModelService::new();
+            model.handle(&Request::CreateSession {
                 name: name.clone(),
                 n: *n as u32,
                 policy: WirePolicy::Lower,
             });
             for r in &rankings[..k] {
-                mirror.handle(Request::PushVoter {
+                model.handle(&Request::PushVoter {
                     session: name.clone(),
                     ranking: r.clone(),
                 });
@@ -860,7 +838,7 @@ fn recovery_never_replays_past_a_faulty_record() {
             ] {
                 assert_eq!(
                     recovered.handle(probe.clone()).encode(),
-                    mirror.handle(probe).encode(),
+                    model.handle(&probe).encode(),
                     "recovered state diverges from the pre-fault prefix"
                 );
             }
@@ -894,7 +872,7 @@ fn recovery_never_replays_past_a_faulty_record() {
                     },
                 },
             ];
-            let dir = TempDir::new();
+            let dir = TempDir::new("walfuzz");
             let recovered = recover(&dir, &records);
             assert_eq!(recovered.sessions(), 1);
             assert!(matches!(

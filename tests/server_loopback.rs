@@ -2,21 +2,18 @@
 //! scripts (`testkit::gen::edit_script_with_degenerates`, the same
 //! stream that drives the in-process engine's update oracle) are
 //! replayed over a real socket, and every reply — edits, reads, and
-//! typed errors — must be **byte-identical** to the locally-encoded
-//! response computed from a mirrored in-process `DynamicProfile`.
+//! typed errors — must be **byte-identical** to the reply of the naive
+//! reference model `bucketrank_bench::model::ModelService`.
 //! Plus the CI smoke pass: one round trip per request type and a
 //! graceful, fully-drained shutdown.
 
-use bucketrank::aggregate::dynamic::{DynamicProfile, VoterId};
-use bucketrank::aggregate::minmax::{self, ClassConstraints, WindowRule};
-use bucketrank::aggregate::{AggregateError, MedianPolicy};
-use bucketrank::metrics::prepared::{
-    fhaus_x2_prepared, fprof_x2_prepared, khaus_x2_prepared, kprof_x2_prepared, PreparedRanking,
-};
-use bucketrank::server::proto::{ErrorCode, MetricKind, Request, Response, WirePolicy, WireRule};
+use bucketrank::aggregate::minmax;
+use bucketrank::metrics::kendall;
+use bucketrank::server::proto::{MetricKind, Request, Response, WirePolicy, WireRule};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::BucketOrder;
-use bucketrank_testkit::gen::EditOp;
+use bucketrank_bench::model::{assert_reply, ModelService};
+use bucketrank_testkit::gen::{script_domain, EditOp};
 use bucketrank_testkit::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -24,65 +21,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// differential suite (`tests/dynamic_vs_rebuild.rs`).
 fn scripts() -> impl Gen<Value = Vec<EditOp>> {
     gen::edit_script_with_degenerates(3..=12, 6, 3)
-}
-
-/// Domain size of a script: read off its first embedded ranking.
-fn script_domain(script: &[EditOp]) -> usize {
-    script
-        .iter()
-        .find_map(|op| match op {
-            EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
-            EditOp::Remove(_) => None,
-        })
-        .expect("scripts always embed a ranking")
-}
-
-/// The service's error mapping, mirrored locally so error replies are
-/// byte-predictable too (`service::agg_error` is the server side of
-/// this contract).
-fn expected_agg_error(e: &AggregateError) -> Response {
-    let code = match e {
-        AggregateError::NoInputs => ErrorCode::NoVoters,
-        AggregateError::DomainMismatch { .. } => ErrorCode::DomainMismatch,
-        AggregateError::InvalidK { .. } => ErrorCode::InvalidK,
-        AggregateError::UnknownVoter { .. } => ErrorCode::UnknownVoter,
-        AggregateError::TooManyVoters { .. } => ErrorCode::TooManyVoters,
-        _ => ErrorCode::BadRequest,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
-    }
-}
-
-/// The service's empty-session read reply.
-fn expected_no_voters(session: &str) -> Response {
-    Response::Error {
-        code: ErrorCode::NoVoters,
-        message: format!("session {session:?} has no live voters"),
-    }
-}
-
-fn pair_metric_x2(metric: MetricKind, a: &BucketOrder, b: &BucketOrder) -> Result<u64, bucketrank::metrics::MetricsError> {
-    let pa = PreparedRanking::new(a);
-    let pb = PreparedRanking::new(b);
-    match metric {
-        MetricKind::KprofX2 => kprof_x2_prepared(&pa, &pb),
-        MetricKind::FprofX2 => fprof_x2_prepared(&pa, &pb),
-        MetricKind::KhausX2 => khaus_x2_prepared(&pa, &pb),
-        MetricKind::FhausX2 => fhaus_x2_prepared(&pa, &pb),
-    }
-}
-
-/// Issues `req` and asserts the raw reply bytes equal the encoding of
-/// the locally-predicted response.
-fn expect_bytes(client: &mut Client, req: &Request, expected: &Response) {
-    let raw = client.call_raw(req).expect("transport");
-    assert_eq!(
-        raw,
-        expected.encode(),
-        "reply to {req:?} diverged from the in-process mirror ({expected:?})"
-    );
 }
 
 #[test]
@@ -105,183 +43,29 @@ fn replies_are_byte_identical_to_the_in_process_mirror() {
             let seq = case.fetch_add(1, Ordering::Relaxed);
             let n = script_domain(script);
             let session = format!("diff-{seq}");
-            let (wire_policy, policy) = if seq.is_multiple_of(2) {
-                (WirePolicy::Lower, MedianPolicy::Lower)
+            let policy = if seq.is_multiple_of(2) {
+                WirePolicy::Lower
             } else {
-                (WirePolicy::Upper, MedianPolicy::Upper)
+                WirePolicy::Upper
             };
             let mut client = Client::connect(addr).expect("connect");
-            expect_bytes(
-                &mut client,
-                &Request::CreateSession {
-                    name: session.clone(),
-                    n: n as u32,
-                    policy: wire_policy,
-                },
-                &Response::SessionCreated,
-            );
-
-            // The mirror: the same engine the server hosts, fed the
-            // same edits, so voter ids and every derived value align.
-            let mut mirror = DynamicProfile::new(n, policy);
-            let mut live: Vec<(u64, BucketOrder)> = Vec::new();
+            let mut model = ModelService::new();
+            let create = Request::CreateSession {
+                name: session.clone(),
+                n: n as u32,
+                policy,
+            };
+            assert_reply(&mut client, &create, &model.handle(&create));
             let candidate =
                 BucketOrder::from_keys(&(0..n as i64).collect::<Vec<i64>>());
 
             for (step, op) in script.iter().enumerate() {
-                // --- the edit, byte-compared including typed errors --
-                match op {
-                    EditOp::Push(r) => {
-                        let expected = match mirror.push_voter(r.clone()) {
-                            Ok(id) => {
-                                live.push((id.raw(), r.clone()));
-                                Response::VoterPushed { voter: id.raw() }
-                            }
-                            Err(e) => expected_agg_error(&e),
-                        };
-                        expect_bytes(
-                            &mut client,
-                            &Request::PushVoter {
-                                session: session.clone(),
-                                ranking: r.clone(),
-                            },
-                            &expected,
-                        );
-                    }
-                    EditOp::Remove(i) => {
-                        let target = if live.is_empty() {
-                            u64::MAX
-                        } else {
-                            let k = i % live.len();
-                            live.remove(k).0
-                        };
-                        let expected = match mirror.remove_voter(VoterId::from_raw(target)) {
-                            Ok(_) => Response::VoterRemoved,
-                            Err(e) => expected_agg_error(&e),
-                        };
-                        expect_bytes(
-                            &mut client,
-                            &Request::RemoveVoter {
-                                session: session.clone(),
-                                voter: target,
-                            },
-                            &expected,
-                        );
-                    }
-                    EditOp::Replace(i, r) => {
-                        let target = if live.is_empty() {
-                            u64::MAX
-                        } else {
-                            let k = i % live.len();
-                            live[k].1 = r.clone();
-                            live[k].0
-                        };
-                        let expected =
-                            match mirror.replace_voter(VoterId::from_raw(target), r.clone()) {
-                                Ok(_) => Response::VoterReplaced,
-                                Err(e) => expected_agg_error(&e),
-                            };
-                        expect_bytes(
-                            &mut client,
-                            &Request::ReplaceVoter {
-                                session: session.clone(),
-                                voter: target,
-                                ranking: r.clone(),
-                            },
-                            &expected,
-                        );
-                    }
-                }
+                // The edit, byte-compared including typed errors.
+                let edit = model.resolve(&session, op);
+                assert_reply(&mut client, &edit, &model.handle(&edit));
 
-                // --- every read type against the published snapshot --
-                let snap = mirror.snapshot().ok();
-                let expected_median = match &snap {
-                    Some(s) => Response::Ranking {
-                        order: s.median_order(),
-                    },
-                    None => expected_no_voters(&session),
-                };
-                expect_bytes(
-                    &mut client,
-                    &Request::MedianOrder {
-                        session: session.clone(),
-                    },
-                    &expected_median,
-                );
-
-                // k sweeps 0..=n+1, so InvalidK crosses the wire too.
-                let k = (step * 3) % (n + 2);
-                let expected_topk = match &snap {
-                    Some(s) => match s.top_k(k) {
-                        Ok(order) => Response::Ranking { order },
-                        Err(e) => expected_agg_error(&e),
-                    },
-                    None => expected_no_voters(&session),
-                };
-                expect_bytes(
-                    &mut client,
-                    &Request::TopK {
-                        session: session.clone(),
-                        k: k as u32,
-                    },
-                    &expected_topk,
-                );
-
-                let expected_kemeny = match &snap {
-                    Some(s) => match s.tally().kemeny_cost_x2(&candidate) {
-                        Ok(value) => Response::CostX2 { value },
-                        Err(e) => expected_agg_error(&e),
-                    },
-                    None => expected_no_voters(&session),
-                };
-                expect_bytes(
-                    &mut client,
-                    &Request::KemenyCost {
-                        session: session.clone(),
-                        candidate: candidate.clone(),
-                    },
-                    &expected_kemeny,
-                );
-
-                // Pairwise metric between the oldest and newest live
-                // voters; ghost ids on an empty profile stay typed.
-                let metric = MetricKind::ALL[step % 4];
-                let (va, vb) = match (live.first(), live.last()) {
-                    (Some(a), Some(b)) => (a.0, b.0),
-                    _ => (u64::MAX, u64::MAX),
-                };
-                let expected_pair = match (
-                    live.iter().find(|(id, _)| *id == va),
-                    live.iter().find(|(id, _)| *id == vb),
-                ) {
-                    (Some((_, a)), Some((_, b))) => match pair_metric_x2(metric, a, b) {
-                        Ok(value) => Response::CostX2 { value },
-                        Err(e) => Response::Error {
-                            code: ErrorCode::BadRequest,
-                            message: e.to_string(),
-                        },
-                    },
-                    _ => expected_agg_error(&AggregateError::UnknownVoter { id: va }),
-                };
-                expect_bytes(
-                    &mut client,
-                    &Request::PairMetric {
-                        session: session.clone(),
-                        metric,
-                        voter_a: va,
-                        voter_b: vb,
-                    },
-                    &expected_pair,
-                );
-
-                // Minmax aggregation over the live voters, alternating
-                // unconstrained and class-constrained calls. The
-                // mirror's `live` list is in ascending-id order — the
-                // same order the service clones rankings in — and both
-                // sides run the pipeline at the fixed wire seed, so
-                // the replies are byte-predictable.
-                let rankings: Vec<BucketOrder> =
-                    live.iter().map(|(_, r)| r.clone()).collect();
+                // Minmax alternates unconstrained and class-constrained
+                // calls.
                 let (labels, rules) = if step % 3 == 0 {
                     (Vec::new(), Vec::new())
                 } else {
@@ -295,84 +79,49 @@ fn replies_are_byte_identical_to_the_in_process_mirror() {
                         }],
                     )
                 };
-                let expected_minmax = if rankings.is_empty() {
-                    expected_no_voters(&session)
-                } else {
-                    let cons = if labels.is_empty() {
-                        None
-                    } else {
-                        let wr = rules
-                            .iter()
-                            .map(|r| WindowRule {
-                                window: r.window,
-                                class: r.class,
-                                min: r.min,
-                                max: r.max,
-                            })
-                            .collect();
-                        Some(
-                            ClassConstraints::new(labels.clone(), wr)
-                                .expect("loopback rules are well-formed"),
-                        )
-                    };
-                    match minmax::minmax_aggregate(
-                        &rankings,
-                        cons.as_ref(),
-                        minmax::DEFAULT_SEED,
-                    ) {
-                        Ok((order, cost_x2)) => Response::RankingCost { order, cost_x2 },
-                        Err(e) => expected_agg_error(&e),
-                    }
-                };
-                expect_bytes(
-                    &mut client,
-                    &Request::MinMaxAgg {
+                // Pairwise metric between the oldest and newest live
+                // voters; ghost ids on an empty profile stay typed.
+                let (voter_a, voter_b) = model.oldest_and_newest(&session);
+                // Every read type; k sweeps 0..=n+1, so InvalidK
+                // crosses the wire too.
+                let reads = [
+                    Request::MedianOrder {
+                        session: session.clone(),
+                    },
+                    Request::TopK {
+                        session: session.clone(),
+                        k: ((step * 3) % (n + 2)) as u32,
+                    },
+                    Request::KemenyCost {
+                        session: session.clone(),
+                        candidate: candidate.clone(),
+                    },
+                    Request::PairMetric {
+                        session: session.clone(),
+                        metric: MetricKind::ALL[step % 4],
+                        voter_a,
+                        voter_b,
+                    },
+                    Request::MinMaxAgg {
                         session: session.clone(),
                         labels,
                         rules,
                     },
-                    &expected_minmax,
-                );
+                ];
+                for req in &reads {
+                    assert_reply(&mut client, req, &model.handle(req));
+                }
             }
 
-            // A domain-mismatched push crosses the wire as the typed
-            // error the engine raises in process.
-            let bad = BucketOrder::trivial(n + 1);
-            let expected = expected_agg_error(
-                &mirror.push_voter(bad.clone()).expect_err("mismatched domain"),
-            );
-            expect_bytes(
-                &mut client,
-                &Request::PushVoter {
+            // A domain-mismatched push and a malformed constraint (the
+            // constraint error, unless the session drained first and
+            // the empty-session check wins) cross the wire typed.
+            let tail = [
+                Request::PushVoter {
                     session: session.clone(),
-                    ranking: bad,
+                    ranking: BucketOrder::trivial(n + 1),
                 },
-                &expected,
-            );
-
-            // A malformed constraint crosses the wire as the typed
-            // error the constraint layer raises in process — unless
-            // the session drained first, in which case the service's
-            // empty-session check wins.
-            let expected = if live.is_empty() {
-                expected_no_voters(&session)
-            } else {
-                expected_agg_error(
-                    &ClassConstraints::new(
-                        vec![0u32; n],
-                        vec![WindowRule {
-                            window: 0,
-                            class: 0,
-                            min: 0,
-                            max: 0,
-                        }],
-                    )
-                    .expect_err("window 0 is malformed"),
-                )
-            };
-            expect_bytes(
-                &mut client,
-                &Request::MinMaxAgg {
+                Request::MinMaxAgg {
                     session: session.clone(),
                     labels: vec![0; n],
                     rules: vec![WireRule {
@@ -382,16 +131,18 @@ fn replies_are_byte_identical_to_the_in_process_mirror() {
                         max: 0,
                     }],
                 },
-                &expected,
-            );
-
-            expect_bytes(
-                &mut client,
-                &Request::DropSession {
+                Request::DropSession {
                     name: session.clone(),
                 },
-                &Response::SessionDropped,
-            );
+            ];
+            for req in &tail {
+                let want = model.handle(req);
+                assert_reply(&mut client, req, &want);
+                assert!(
+                    matches!(want, Response::Error { .. } | Response::SessionDropped),
+                    "{req:?} must be refused typed, got {want:?}"
+                );
+            }
         },
     );
 
@@ -456,28 +207,20 @@ fn smoke_every_request_type_and_graceful_shutdown() {
     let top = c.top_k("smoke", 2).expect("top_k");
     assert_eq!(top.top_k_len(), Some(2));
     let cost = c.kemeny_cost_x2("smoke", &keys(&[1, 2, 3, 4])).expect("kemeny");
-    // Against the mirror, not just "some number".
-    let (dp, _) = DynamicProfile::from_profile(
-        &[keys(&[4, 3, 2, 1]), keys(&[2, 2, 1, 1])],
-        MedianPolicy::Lower,
-    )
-    .unwrap();
-    assert_eq!(
-        cost,
-        dp.tally().kemeny_cost_x2(&keys(&[1, 2, 3, 4])).unwrap()
-    );
+    // Against the definition, not just "some number".
+    let voters = [keys(&[4, 3, 2, 1]), keys(&[2, 2, 1, 1])];
+    let kemeny: u64 = voters
+        .iter()
+        .map(|v| kendall::kprof_x2(&keys(&[1, 2, 3, 4]), v).unwrap())
+        .sum();
+    assert_eq!(cost, kemeny);
     for metric in MetricKind::ALL {
         c.pair_metric_x2("smoke", metric, a, b).expect("pair metric");
     }
     // Minmax aggregation, unconstrained and constrained, against the
     // in-process pipeline at the same wire seed.
     let (mm, mm_cost) = c.minmax_agg("smoke", &[], &[]).expect("minmax");
-    let expected = minmax::minmax_aggregate(
-        &[keys(&[4, 3, 2, 1]), keys(&[2, 2, 1, 1])],
-        None,
-        minmax::DEFAULT_SEED,
-    )
-    .unwrap();
+    let expected = minmax::minmax_aggregate(&voters, None, minmax::DEFAULT_SEED).unwrap();
     assert_eq!((mm, mm_cost), expected);
     let rule = WireRule {
         window: 2,

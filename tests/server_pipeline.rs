@@ -3,14 +3,15 @@
 //! suite are replayed over a real socket with K∈{1,4,32} outstanding
 //! frames — as v1 singles, as v2 `Batch` frames, and as random-ish
 //! interleavings of both — and **every** reply must arrive in order
-//! and be byte-identical to the response an in-process [`Service`]
-//! mirror computes for the same op, including typed per-op errors
+//! and be byte-identical to the reply of the naive reference model
+//! [`ModelService`] for the same op, including typed per-op errors
 //! mid-batch.
 
-use bucketrank::server::proto::{ErrorCode, Request, Response, WirePolicy};
-use bucketrank::server::{Client, PipelineReply, Server, ServerConfig, Service};
+use bucketrank::server::proto::{ErrorCode, MetricKind, Request, Response, WirePolicy};
+use bucketrank::server::{Client, PipelineReply, Server, ServerConfig};
 use bucketrank::BucketOrder;
-use bucketrank_testkit::gen::EditOp;
+use bucketrank_bench::model::ModelService;
+use bucketrank_testkit::gen::{script_domain, EditOp};
 use bucketrank_testkit::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -20,45 +21,24 @@ fn scripts() -> impl Gen<Value = Vec<EditOp>> {
     gen::edit_script_with_degenerates(3..=12, 6, 3)
 }
 
-/// Domain size of a script: read off its first embedded ranking.
-fn script_domain(script: &[EditOp]) -> usize {
-    script
-        .iter()
-        .find_map(|op| match op {
-            EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
-            EditOp::Remove(_) => None,
-        })
-        .expect("scripts always embed a ranking")
-}
-
-/// Runs one request on the mirror, records `(request, expected reply
-/// bytes)`, and returns the mirror's response for live-voter tracking.
-fn mirror_step(
-    mirror: &Service,
-    pairs: &mut Vec<(Request, Vec<u8>)>,
-    req: Request,
-) -> Response {
-    let resp = mirror.handle(req.clone());
-    pairs.push((req, resp.encode()));
-    resp
-}
-
 /// Expands one edit script into a full request stream — session
 /// lifecycle, edits, every read type, and deliberate typed errors —
 /// with the byte-exact expected reply for each, computed from a fresh
-/// in-process [`Service`]. The remote server starts the same session
-/// from the same empty state, so voter ids and every derived value
-/// align op-for-op.
-fn mirror_script(session: &str, policy: WirePolicy, script: &[EditOp]) -> Vec<(Request, Vec<u8>)> {
+/// [`ModelService`]. The remote server starts the same session from the
+/// same empty state, so voter ids and every derived value align
+/// op-for-op.
+fn model_script(session: &str, policy: WirePolicy, script: &[EditOp]) -> Vec<(Request, Vec<u8>)> {
     let n = script_domain(script);
-    let mirror = Service::new(8);
-    let mut live: Vec<u64> = Vec::new();
+    let mut model = ModelService::new();
     let mut pairs: Vec<(Request, Vec<u8>)> = Vec::new();
+    let mut record = |model: &mut ModelService, req: Request| {
+        let reply = model.handle(&req).encode();
+        pairs.push((req, reply));
+    };
     let candidate = BucketOrder::from_keys(&(0..n as i64).collect::<Vec<i64>>());
 
-    mirror_step(
-        &mirror,
-        &mut pairs,
+    record(
+        &mut model,
         Request::CreateSession {
             name: session.to_owned(),
             n: n as u32,
@@ -67,110 +47,46 @@ fn mirror_script(session: &str, policy: WirePolicy, script: &[EditOp]) -> Vec<(R
     );
 
     for (step, op) in script.iter().enumerate() {
-        match op {
-            EditOp::Push(r) => {
-                let resp = mirror_step(
-                    &mirror,
-                    &mut pairs,
-                    Request::PushVoter {
-                        session: session.to_owned(),
-                        ranking: r.clone(),
-                    },
-                );
-                if let Response::VoterPushed { voter } = resp {
-                    live.push(voter);
-                }
-            }
-            EditOp::Remove(i) => {
-                let target = if live.is_empty() {
-                    u64::MAX
-                } else {
-                    live[i % live.len()]
-                };
-                let resp = mirror_step(
-                    &mirror,
-                    &mut pairs,
-                    Request::RemoveVoter {
-                        session: session.to_owned(),
-                        voter: target,
-                    },
-                );
-                if matches!(resp, Response::VoterRemoved) {
-                    live.retain(|v| *v != target);
-                }
-            }
-            EditOp::Replace(i, r) => {
-                let target = if live.is_empty() {
-                    u64::MAX
-                } else {
-                    live[i % live.len()]
-                };
-                mirror_step(
-                    &mirror,
-                    &mut pairs,
-                    Request::ReplaceVoter {
-                        session: session.to_owned(),
-                        voter: target,
-                        ranking: r.clone(),
-                    },
-                );
-            }
-        }
+        let edit = model.resolve(session, op);
+        record(&mut model, edit);
 
         // Every read type after every edit; the k sweep crosses
         // InvalidK, ghost voter ids cross UnknownVoter, and empty
         // profiles cross NoVoters — typed errors mid-stream.
-        mirror_step(
-            &mirror,
-            &mut pairs,
+        let (voter_a, voter_b) = model.oldest_and_newest(session);
+        for req in [
             Request::MedianOrder {
                 session: session.to_owned(),
             },
-        );
-        mirror_step(
-            &mirror,
-            &mut pairs,
             Request::TopK {
                 session: session.to_owned(),
                 k: ((step * 3) % (n + 2)) as u32,
             },
-        );
-        mirror_step(
-            &mirror,
-            &mut pairs,
             Request::KemenyCost {
                 session: session.to_owned(),
                 candidate: candidate.clone(),
             },
-        );
-        let (va, vb) = match (live.first(), live.last()) {
-            (Some(a), Some(b)) => (*a, *b),
-            _ => (u64::MAX, u64::MAX),
-        };
-        mirror_step(
-            &mirror,
-            &mut pairs,
             Request::PairMetric {
                 session: session.to_owned(),
-                metric: bucketrank::server::MetricKind::ALL[step % 4],
-                voter_a: va,
-                voter_b: vb,
+                metric: MetricKind::ALL[step % 4],
+                voter_a,
+                voter_b,
             },
-        );
+        ] {
+            record(&mut model, req);
+        }
     }
 
     // A guaranteed mid-stream typed error, then teardown.
-    mirror_step(
-        &mirror,
-        &mut pairs,
+    record(
+        &mut model,
         Request::PushVoter {
             session: session.to_owned(),
             ranking: BucketOrder::trivial(n + 1),
         },
     );
-    mirror_step(
-        &mirror,
-        &mut pairs,
+    record(
+        &mut model,
         Request::DropSession {
             name: session.to_owned(),
         },
@@ -178,10 +94,10 @@ fn mirror_script(session: &str, policy: WirePolicy, script: &[EditOp]) -> Vec<(R
     pairs
 }
 
-/// Replays a mirrored request stream over a real socket with `k`
+/// Replays a modelled request stream over a real socket with `k`
 /// outstanding frames, packing requests into wire frames according to
 /// `chunk_cycle` (1 → a v1 single frame, m>1 → a v2 batch of m), and
-/// asserts the replies arrive in order, byte-identical to the mirror.
+/// asserts the replies arrive in order, byte-identical to the model.
 fn replay(addr: std::net::SocketAddr, k: usize, chunk_cycle: &[usize], pairs: &[(Request, Vec<u8>)]) {
     let mut client = Client::connect(addr).expect("connect");
     let mut pipe = client.pipeline(k);
@@ -219,7 +135,7 @@ fn replay(addr: std::net::SocketAddr, k: usize, chunk_cycle: &[usize], pairs: &[
     for (at, (g, e)) in got.iter().zip(&expected).enumerate() {
         assert_eq!(
             g, e,
-            "reply {at} of {} (depth {k}) diverged from the in-process mirror",
+            "reply {at} of {} (depth {k}) diverged from the model",
             expected.len()
         );
     }
@@ -258,7 +174,7 @@ fn pipelined_and_batched_replies_match_the_in_process_mirror() {
             };
             for (k, cycle) in shapes {
                 let session = format!("pipe-{seq}-{k}");
-                let pairs = mirror_script(&session, policy, script);
+                let pairs = model_script(&session, policy, script);
                 replay(addr, k, cycle, &pairs);
             }
         },
@@ -272,7 +188,7 @@ fn pipelined_and_batched_replies_match_the_in_process_mirror() {
 
 /// Typed per-op errors mid-batch: the whole reply shape is preserved
 /// (one sub-reply per sub-request) and byte-matches
-/// [`Service::handle_batch`] on the same ops.
+/// [`ModelService::handle_batch`] on the same ops.
 #[test]
 fn typed_errors_mid_batch_preserve_shape_and_bytes() {
     let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback");
@@ -303,15 +219,14 @@ fn typed_errors_mid_batch_preserve_shape_and_bytes() {
         Request::MedianOrder { session: "mid".into() },
         Request::DropSession { name: "mid".into() },
     ];
-    let mirror = Service::new(8);
-    let expected: Vec<Vec<u8>> = mirror
-        .handle_batch(reqs.clone())
+    let expected: Vec<Vec<u8>> = ModelService::new()
+        .handle_batch(&reqs)
         .iter()
         .map(Response::encode)
         .collect();
 
     let got = client.call_batch_raw(&reqs).expect("batch round trip");
-    assert_eq!(got, expected, "per-op replies diverged from handle_batch");
+    assert_eq!(got, expected, "per-op replies diverged from the model");
     // The failures really are typed errors, not truncation.
     assert!(matches!(
         Response::decode(&got[2]).unwrap(),
@@ -339,9 +254,8 @@ fn shutdown_inside_a_batch_is_rejected_without_draining() {
     let mut client = Client::connect(addr).expect("connect");
 
     let reqs = vec![Request::Ping, Request::Shutdown, Request::Ping];
-    let mirror = Service::new(1);
-    let expected: Vec<Vec<u8>> = mirror
-        .handle_batch(reqs.clone())
+    let expected: Vec<Vec<u8>> = ModelService::new()
+        .handle_batch(&reqs)
         .iter()
         .map(Response::encode)
         .collect();

@@ -3,8 +3,9 @@
 //!
 //! Two crash models, both driven by random edit scripts from
 //! `testkit::gen::edit_script_with_degenerates` and both compared
-//! **byte-for-byte** against an in-process mirror engine that applies
-//! exactly the acknowledged prefix:
+//! **byte-for-byte** against the naive reference model
+//! `bucketrank_bench::model::ModelService` holding exactly the
+//! acknowledged prefix:
 //!
 //! * **Edit-boundary crashes** (over real TCP): run a prefix of the
 //!   script against a served instance, hard-stop the process state
@@ -12,11 +13,11 @@
 //!   indistinguishable from a kill), rebind over the same
 //!   `--data-dir`, and require every tally/median/snapshot reply —
 //!   and the entire remainder of the script — byte-identical to the
-//!   mirror.
+//!   model.
 //! * **Torn mid-record WAL tails** (in-process service): run the whole
 //!   script, then truncate the shard's WAL at a byte offset strictly
 //!   inside a record. Recovery must survive the torn tail, keep every
-//!   record before it, and serve exactly the mirror of that prefix —
+//!   record before it, and serve exactly the model of that prefix —
 //!   the recovery invariant "acknowledged ⇒ replayed" on the
 //!   surviving records, and nothing past the tear.
 //!
@@ -24,55 +25,19 @@
 //! tear to an exhaustive **every-byte-offset** matrix over fixed
 //! scripts.
 
-use bucketrank::aggregate::dynamic::{DynamicProfile, VoterId};
-use bucketrank::aggregate::{AggregateError, MedianPolicy};
-use bucketrank::metrics::prepared::{
-    fhaus_x2_prepared, fprof_x2_prepared, khaus_x2_prepared, kprof_x2_prepared, PreparedRanking,
-};
 use bucketrank::server::proto::{ErrorCode, MetricKind, Request, Response, WirePolicy};
 use bucketrank::server::service::{Service, ServiceConfig};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::BucketOrder;
-use bucketrank_testkit::gen::EditOp;
+use bucketrank_bench::model::{assert_reply, ModelService};
+use bucketrank_testkit::gen::{script_domain, EditOp};
 use bucketrank_testkit::prelude::*;
 use bucketrank_testkit::runner::case_rng;
+use bucketrank_testkit::TempDir;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A per-case scratch directory, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new(tag: &str) -> TempDir {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "bucketrank-recovery-{tag}-{}-{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn scripts() -> impl Gen<Value = Vec<EditOp>> {
     gen::edit_script_with_degenerates(3..=14, 6, 3)
-}
-
-fn script_domain(script: &[EditOp]) -> usize {
-    script
-        .iter()
-        .find_map(|op| match op {
-            EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
-            EditOp::Remove(_) => None,
-        })
-        .expect("scripts always embed a ranking")
 }
 
 /// Deterministic per-script entropy (the property only receives the
@@ -107,171 +72,33 @@ fn script_hash(script: &[EditOp]) -> u64 {
     h
 }
 
-/// The in-process mirror: the engine plus the live-voter list used to
-/// resolve script indices exactly as the drivers do.
-struct Mirror {
-    dp: DynamicProfile,
-    live: Vec<u64>,
-}
-
-impl Mirror {
-    fn new(n: usize) -> Mirror {
-        Mirror {
-            dp: DynamicProfile::new(n, MedianPolicy::Lower),
-            live: Vec::new(),
-        }
-    }
-
-    /// The wire request one script op resolves to, given the current
-    /// live list (empty lists target the ghost id, exercising the
-    /// typed unknown-voter path).
-    fn resolve(&self, name: &str, op: &EditOp) -> Request {
-        let target = |i: &usize| {
-            if self.live.is_empty() {
-                u64::MAX
-            } else {
-                self.live[i % self.live.len()]
-            }
-        };
-        match op {
-            EditOp::Push(r) => Request::PushVoter {
-                session: name.to_owned(),
-                ranking: r.clone(),
-            },
-            EditOp::Remove(i) => Request::RemoveVoter {
-                session: name.to_owned(),
-                voter: target(i),
-            },
-            EditOp::Replace(i, r) => Request::ReplaceVoter {
-                session: name.to_owned(),
-                voter: target(i),
-                ranking: r.clone(),
-            },
-        }
-    }
-
-    /// Applies one resolved edit, returning the reply the service must
-    /// produce for it (success acks and typed errors alike).
-    fn apply(&mut self, req: &Request) -> Response {
-        let out = match req {
-            Request::PushVoter { ranking, .. } => self
-                .dp
-                .push_voter(ranking.clone())
-                .map(|id| {
-                    self.live.push(id.raw());
-                    Response::VoterPushed { voter: id.raw() }
-                }),
-            Request::RemoveVoter { voter, .. } => self
-                .dp
-                .remove_voter(VoterId::from_raw(*voter))
-                .map(|_| {
-                    self.live.retain(|v| v != voter);
-                    Response::VoterRemoved
-                }),
-            Request::ReplaceVoter { voter, ranking, .. } => self
-                .dp
-                .replace_voter(VoterId::from_raw(*voter), ranking.clone())
-                .map(|_| Response::VoterReplaced),
-            other => panic!("not an edit: {other:?}"),
-        };
-        out.unwrap_or_else(|e| mirror_agg_error(&e))
-    }
-
-    /// The reply the service must produce for one read request.
-    fn expected_read(&self, name: &str, req: &Request) -> Response {
-        if self.dp.voters() == 0 {
-            return Response::Error {
-                code: ErrorCode::NoVoters,
-                message: format!("session {name:?} has no live voters"),
-            };
-        }
-        let snap = self.dp.snapshot().expect("live voters");
-        match req {
-            Request::MedianOrder { .. } => Response::Ranking {
-                order: snap.median_order(),
-            },
-            Request::TopK { k, .. } => match snap.top_k(*k as usize) {
-                Ok(order) => Response::Ranking { order },
-                Err(e) => mirror_agg_error(&e),
-            },
-            Request::KemenyCost { candidate, .. } => {
-                match snap.tally().kemeny_cost_x2(candidate) {
-                    Ok(value) => Response::CostX2 { value },
-                    Err(e) => mirror_agg_error(&e),
-                }
-            }
-            other => panic!("not a read: {other:?}"),
-        }
-    }
-
-    /// The reply the service must produce for a pair-metric request.
-    fn expected_pair(&self, metric: MetricKind, a: u64, b: u64) -> Response {
-        let fetch = |raw: u64| {
-            self.dp
-                .get_voter(VoterId::from_raw(raw))
-                .cloned()
-                .ok_or(AggregateError::UnknownVoter { id: raw })
-        };
-        let (ra, rb) = match (fetch(a), fetch(b)) {
-            (Ok(ra), Ok(rb)) => (ra, rb),
-            (Err(e), _) | (_, Err(e)) => return mirror_agg_error(&e),
-        };
-        let pa = PreparedRanking::new(&ra);
-        let pb = PreparedRanking::new(&rb);
-        let value = match metric {
-            MetricKind::KprofX2 => kprof_x2_prepared(&pa, &pb),
-            MetricKind::FprofX2 => fprof_x2_prepared(&pa, &pb),
-            MetricKind::KhausX2 => khaus_x2_prepared(&pa, &pb),
-            MetricKind::FhausX2 => fhaus_x2_prepared(&pa, &pb),
-        };
-        Response::CostX2 {
-            value: value.expect("same-domain stored rankings"),
-        }
-    }
-
-    /// The read battery compared byte-for-byte after every crash: the
-    /// median order, both top-k extremes, and a Kemeny cost.
-    fn read_battery(&self, name: &str, n: usize) -> Vec<Request> {
-        vec![
-            Request::MedianOrder {
-                session: name.to_owned(),
-            },
-            Request::TopK {
-                session: name.to_owned(),
-                k: 1,
-            },
-            Request::TopK {
-                session: name.to_owned(),
-                k: n as u32,
-            },
-            Request::KemenyCost {
-                session: name.to_owned(),
-                candidate: BucketOrder::trivial(n),
-            },
-        ]
-    }
-}
-
-fn mirror_agg_error(e: &AggregateError) -> Response {
-    let code = match e {
-        AggregateError::NoInputs => ErrorCode::NoVoters,
-        AggregateError::DomainMismatch { .. } => ErrorCode::DomainMismatch,
-        AggregateError::InvalidK { .. } => ErrorCode::InvalidK,
-        AggregateError::UnknownVoter { .. } => ErrorCode::UnknownVoter,
-        AggregateError::TooManyVoters { .. } => ErrorCode::TooManyVoters,
-        _ => ErrorCode::BadRequest,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
-    }
+/// The read battery compared byte-for-byte after every crash: the
+/// median order, both top-k extremes, and a Kemeny cost.
+fn read_battery(name: &str, n: usize) -> [Request; 4] {
+    [
+        Request::MedianOrder {
+            session: name.to_owned(),
+        },
+        Request::TopK {
+            session: name.to_owned(),
+            k: 1,
+        },
+        Request::TopK {
+            session: name.to_owned(),
+            k: n as u32,
+        },
+        Request::KemenyCost {
+            session: name.to_owned(),
+            candidate: BucketOrder::trivial(n),
+        },
+    ]
 }
 
 /// Crash at a random edit boundary over real TCP: acknowledged prefix
 /// applied, server shut down (no checkpoint — crash-equivalent),
 /// rebound over the same data dir on a fresh port. The recovered
 /// instance must answer the read battery, the script's remainder, and
-/// a final pair-metric probe byte-identically to the mirror.
+/// a final pair-metric probe byte-identically to the model.
 #[test]
 fn crash_at_edit_boundary_recovers_acknowledged_prefix() {
     check("crash_at_edit_boundary", scripts(), |script| {
@@ -280,18 +107,18 @@ fn crash_at_edit_boundary_recovers_acknowledged_prefix() {
         let cut = (h % (script.len() as u64 + 1)) as usize;
         // Session name varies per case so both shards see traffic.
         let name = format!("s{}", h % 7);
-        let tmp = TempDir::new("tcp");
+        let tmp = TempDir::new("recovery-tcp");
         let config = || ServerConfig {
             workers: 2,
             shards: 2,
-            data_dir: Some(tmp.0.clone()),
+            data_dir: Some(tmp.path().to_path_buf()),
             // Small enough that longer scripts compact mid-run, so
             // recovery mixes checkpoints with a WAL suffix.
             checkpoint_every: 5,
             ..ServerConfig::default()
         };
 
-        let mut mirror = Mirror::new(n);
+        let mut model = ModelService::new();
         let server = Server::bind("127.0.0.1:0", config()).expect("bind");
         let mut client = Client::connect(server.local_addr()).expect("connect");
         let create = Request::CreateSession {
@@ -299,15 +126,10 @@ fn crash_at_edit_boundary_recovers_acknowledged_prefix() {
             n: n as u32,
             policy: WirePolicy::Lower,
         };
-        assert_eq!(
-            client.call_raw(&create).expect("create"),
-            Response::SessionCreated.encode()
-        );
+        assert_reply(&mut client, &create, &model.handle(&create));
         for op in &script[..cut] {
-            let req = mirror.resolve(&name, op);
-            let got = client.call_raw(&req).expect("edit reply");
-            let want = mirror.apply(&req);
-            assert_eq!(got, want.encode(), "pre-crash ack diverged on {req:?}");
+            let req = model.resolve(&name, op);
+            assert_reply(&mut client, &req, &model.handle(&req));
         }
         drop(client);
         // Graceful drain without checkpointing: everything past the
@@ -316,40 +138,23 @@ fn crash_at_edit_boundary_recovers_acknowledged_prefix() {
 
         let server = Server::bind("127.0.0.1:0", config()).expect("rebind");
         let mut client = Client::connect(server.local_addr()).expect("reconnect");
-        for req in mirror.read_battery(&name, n) {
-            let got = client.call_raw(&req).expect("read reply");
-            assert_eq!(
-                got,
-                mirror.expected_read(&name, &req).encode(),
-                "post-recovery read diverged on {req:?} (cut {cut}/{})",
-                script.len()
-            );
+        for req in &read_battery(&name, n) {
+            assert_reply(&mut client, req, &model.handle(req));
         }
         // The remainder of the script must play out exactly as if the
         // crash never happened — including the ids of fresh pushes.
         for op in &script[cut..] {
-            let req = mirror.resolve(&name, op);
-            let got = client.call_raw(&req).expect("post-crash edit");
-            let want = mirror.apply(&req);
-            assert_eq!(got, want.encode(), "post-crash edit diverged on {req:?}");
+            let req = model.resolve(&name, op);
+            assert_reply(&mut client, &req, &model.handle(&req));
         }
-        let (a, b) = match mirror.live.as_slice() {
-            [] => (u64::MAX, u64::MAX),
-            [only] => (*only, *only),
-            [first, .., last] => (*first, *last),
-        };
-        let metric = MetricKind::ALL[(h % 4) as usize];
+        let (voter_a, voter_b) = model.oldest_and_newest(&name);
         let req = Request::PairMetric {
             session: name.clone(),
-            metric,
-            voter_a: a,
-            voter_b: b,
+            metric: MetricKind::ALL[(h % 4) as usize],
+            voter_a,
+            voter_b,
         };
-        assert_eq!(
-            client.call_raw(&req).expect("pair reply"),
-            mirror.expected_pair(metric, a, b).encode(),
-            "pair metric diverged after recovery"
-        );
+        assert_reply(&mut client, &req, &model.handle(&req));
         drop(client);
         server.shutdown();
     });
@@ -383,18 +188,18 @@ fn run_durable(dir: &Path, name: &str, n: usize, script: &[EditOp]) -> Vec<Reque
         checkpoint_every: u64::MAX,
     })
     .expect("open service");
-    let mut mirror = Mirror::new(n);
+    let mut model = ModelService::new();
     let create = Request::CreateSession {
         name: name.to_owned(),
         n: n as u32,
         policy: WirePolicy::Lower,
     };
-    assert_eq!(svc.handle(create.clone()), Response::SessionCreated);
+    assert_eq!(svc.handle(create.clone()), model.handle(&create));
     let mut acked = vec![create];
     for op in script {
-        let req = mirror.resolve(name, op);
+        let req = model.resolve(name, op);
         let got = svc.handle(req.clone());
-        assert_eq!(got, mirror.apply(&req), "live ack diverged on {req:?}");
+        assert_eq!(got, model.handle(&req), "live ack diverged on {req:?}");
         if !matches!(got, Response::Error { .. }) {
             acked.push(req);
         }
@@ -402,28 +207,18 @@ fn run_durable(dir: &Path, name: &str, n: usize, script: &[EditOp]) -> Vec<Reque
     acked
 }
 
-/// Replays the first `records` acknowledged requests (create included)
-/// into a fresh mirror — the state a recovery from that WAL prefix
-/// must reproduce. Returns `None` when even the create is gone.
-fn mirror_of_prefix(acked: &[Request], records: usize, n: usize) -> Option<Mirror> {
-    if records == 0 {
-        return None;
-    }
-    let mut mirror = Mirror::new(n);
-    for req in &acked[1..records] {
-        let resp = mirror.apply(req);
+/// Asserts a recovered single-shard service serves exactly the model of
+/// the surviving `acked` records (a model that knows nothing of the
+/// session when the create itself was torn away).
+fn assert_recovers_prefix(dir: &Path, name: &str, n: usize, acked: &[Request]) {
+    let mut model = ModelService::new();
+    for req in acked {
+        let resp = model.handle(req);
         assert!(
             !matches!(resp, Response::Error { .. }),
             "acknowledged record must replay clean"
         );
     }
-    Some(mirror)
-}
-
-/// Asserts a recovered single-shard service serves exactly the mirror
-/// of the surviving-record prefix (or knows nothing of the session
-/// when the create itself was torn away).
-fn assert_recovers_prefix(dir: &Path, name: &str, n: usize, mirror: Option<&Mirror>) {
     let svc = Service::with_config(ServiceConfig {
         shards: 1,
         max_sessions: 64,
@@ -431,26 +226,12 @@ fn assert_recovers_prefix(dir: &Path, name: &str, n: usize, mirror: Option<&Mirr
         checkpoint_every: u64::MAX,
     })
     .expect("recovery must not fail on torn/corrupt records");
-    match mirror {
-        None => {
-            let req = Request::MedianOrder {
-                session: name.to_owned(),
-            };
-            let want = Response::Error {
-                code: ErrorCode::UnknownSession,
-                message: format!("no session named {name:?}"),
-            };
-            assert_eq!(svc.handle(req).encode(), want.encode());
-        }
-        Some(mirror) => {
-            for req in mirror.read_battery(name, n) {
-                assert_eq!(
-                    svc.handle(req.clone()).encode(),
-                    mirror.expected_read(name, &req).encode(),
-                    "torn-tail recovery diverged on {req:?}"
-                );
-            }
-        }
+    for req in read_battery(name, n) {
+        assert_eq!(
+            svc.handle(req.clone()).encode(),
+            model.handle(&req).encode(),
+            "torn-tail recovery diverged on {req:?}"
+        );
     }
 }
 
@@ -462,10 +243,10 @@ fn torn_wal_tail_recovers_exactly_the_surviving_records() {
         let n = script_domain(script);
         let h = script_hash(script);
         let name = "torn";
-        let tmp = TempDir::new("torn");
-        let acked = run_durable(&tmp.0, name, n, script);
+        let tmp = TempDir::new("recovery-torn");
+        let acked = run_durable(tmp.path(), name, n, script);
 
-        let wal_path = tmp.0.join("shard-0").join("wal.log");
+        let wal_path = tmp.path().join("shard-0").join("wal.log");
         let wal = std::fs::read(&wal_path).expect("read wal");
         let bounds = record_bounds(&wal);
         assert_eq!(
@@ -481,8 +262,7 @@ fn torn_wal_tail_recovers_exactly_the_surviving_records() {
         let tear = bounds[j] + 1 + (h >> 8) as usize % (span - 1);
         std::fs::write(&wal_path, &wal[..tear]).expect("tear wal");
 
-        let mirror = mirror_of_prefix(&acked, j, n);
-        assert_recovers_prefix(&tmp.0, name, n, mirror.as_ref());
+        assert_recovers_prefix(tmp.path(), name, n, &acked[..j]);
     });
 }
 
@@ -495,10 +275,10 @@ fn corrupt_wal_record_truncates_recovery_at_the_fault() {
         let n = script_domain(script);
         let h = script_hash(script);
         let name = "torn";
-        let tmp = TempDir::new("flip");
-        let acked = run_durable(&tmp.0, name, n, script);
+        let tmp = TempDir::new("recovery-flip");
+        let acked = run_durable(tmp.path(), name, n, script);
 
-        let wal_path = tmp.0.join("shard-0").join("wal.log");
+        let wal_path = tmp.path().join("shard-0").join("wal.log");
         let mut wal = std::fs::read(&wal_path).expect("read wal");
         let bounds = record_bounds(&wal);
         let j = (h % acked.len() as u64) as usize;
@@ -508,8 +288,7 @@ fn corrupt_wal_record_truncates_recovery_at_the_fault() {
         wal[at] ^= 1 << ((h >> 16) % 8);
         std::fs::write(&wal_path, &wal).expect("corrupt wal");
 
-        let mirror = mirror_of_prefix(&acked, j, n);
-        assert_recovers_prefix(&tmp.0, name, n, mirror.as_ref());
+        assert_recovers_prefix(tmp.path(), name, n, &acked[..j]);
     });
 }
 
@@ -521,11 +300,11 @@ fn corrupt_wal_record_truncates_recovery_at_the_fault() {
 /// and discarding the second session's acknowledged records.
 #[test]
 fn drop_after_compaction_edit_does_not_fault_later_sessions() {
-    let tmp = TempDir::new("drop-anchor");
+    let tmp = TempDir::new("recovery-drop-anchor");
     let cfg = || ServiceConfig {
         shards: 1,
         max_sessions: 64,
-        data_dir: Some(tmp.0.clone()),
+        data_dir: Some(tmp.path().to_path_buf()),
         checkpoint_every: 5,
     };
     let keys = |k: &[i64]| BucketOrder::from_keys(k);
@@ -643,16 +422,15 @@ fn corrupt_wal_suffix_is_preserved_for_post_mortem() {
 
     // CRC flip in record 1: records 2.. are silently unreachable, so
     // the log must be preserved.
-    let tmp = TempDir::new("preserve");
-    let acked = run_durable(&tmp.0, name, 3, &script);
-    let shard_dir = tmp.0.join("shard-0");
+    let tmp = TempDir::new("recovery-preserve");
+    let acked = run_durable(tmp.path(), name, 3, &script);
+    let shard_dir = tmp.path().join("shard-0");
     let wal_path = shard_dir.join("wal.log");
     let mut wal = std::fs::read(&wal_path).expect("read wal");
     let bounds = record_bounds(&wal);
     wal[bounds[1] + 4] ^= 1; // CRC byte of record 1: guaranteed BadCrc
     std::fs::write(&wal_path, &wal).expect("corrupt wal");
-    let mirror = mirror_of_prefix(&acked, 1, 3);
-    assert_recovers_prefix(&tmp.0, name, 3, mirror.as_ref());
+    assert_recovers_prefix(tmp.path(), name, 3, &acked[..1]);
     let kept = preserved_logs(&shard_dir);
     assert_eq!(
         kept.len(),
@@ -664,16 +442,15 @@ fn corrupt_wal_suffix_is_preserved_for_post_mortem() {
 
     // Torn tail: same script, truncate strictly inside the last
     // record. Recovery keeps the prefix and preserves nothing.
-    let tmp = TempDir::new("tear-clean");
-    let acked = run_durable(&tmp.0, name, 3, &script);
-    let shard_dir = tmp.0.join("shard-0");
+    let tmp = TempDir::new("recovery-tear-clean");
+    let acked = run_durable(tmp.path(), name, 3, &script);
+    let shard_dir = tmp.path().join("shard-0");
     let wal_path = shard_dir.join("wal.log");
     let wal = std::fs::read(&wal_path).expect("read wal");
     let bounds = record_bounds(&wal);
     let last = bounds.len() - 2;
     std::fs::write(&wal_path, &wal[..bounds[last] + 3]).expect("tear wal");
-    let mirror = mirror_of_prefix(&acked, last, 3);
-    assert_recovers_prefix(&tmp.0, name, 3, mirror.as_ref());
+    assert_recovers_prefix(tmp.path(), name, 3, &acked[..last]);
     assert!(
         preserved_logs(&shard_dir).is_empty(),
         "a plain torn tail must not be preserved"
@@ -683,7 +460,7 @@ fn corrupt_wal_suffix_is_preserved_for_post_mortem() {
 /// The CI heavy lane's exhaustive matrix: for a handful of fixed
 /// scripts, every byte offset of the WAL is used as a truncation
 /// point. `truncate at offset t` keeps exactly the records that fit
-/// entirely below `t` — recovery must serve precisely their mirror,
+/// entirely below `t` — recovery must serve precisely their model,
 /// for every single `t`.
 #[test]
 #[ignore = "exhaustive torn-offset matrix; run in the CI heavy lane"]
@@ -694,13 +471,13 @@ fn every_torn_offset_recovers_its_exact_prefix() {
         let script = scripts().generate(&mut rng);
         let n = script_domain(&script);
         let name = "torn";
-        let master = TempDir::new("matrix-master");
-        let acked = run_durable(&master.0, name, n, &script);
-        let wal_path = master.0.join("shard-0").join("wal.log");
+        let master = TempDir::new("recovery-matrix-master");
+        let acked = run_durable(master.path(), name, n, &script);
+        let wal_path = master.path().join("shard-0").join("wal.log");
         let wal = std::fs::read(&wal_path).expect("read wal");
         let bounds = record_bounds(&wal);
 
-        let shard_dir = master.0.join("shard-0");
+        let shard_dir = master.path().join("shard-0");
         for tear in 0..=wal.len() {
             // Recovery compacts (checkpoints + truncation), so rebuild
             // the shard directory from the saved WAL copy every time.
@@ -709,8 +486,7 @@ fn every_torn_offset_recovers_its_exact_prefix() {
             std::fs::write(&wal_path, &wal[..tear]).expect("tear wal");
             // Records surviving a tear at `tear`: those ending ≤ tear.
             let survivors = bounds[1..].iter().filter(|&&b| b <= tear).count();
-            let mirror = mirror_of_prefix(&acked, survivors, n);
-            assert_recovers_prefix(&master.0, name, n, mirror.as_ref());
+            assert_recovers_prefix(master.path(), name, n, &acked[..survivors]);
         }
     }
 }

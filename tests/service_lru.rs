@@ -3,37 +3,18 @@
 //! Under a small `--max-sessions` cap, a durable [`Service`] must never
 //! hold more residents than the cap, must evict exactly the
 //! least-recently-touched session, and a faulted-back session must
-//! serve state byte-identical to a memory-only mirror that never
-//! evicted anything. The counter test hammers a shared service from
+//! serve state byte-identical to the naive reference model
+//! `bucketrank_bench::model::ModelService`, which never evicts. The counter test hammers a shared service from
 //! several threads and requires the per-shard atomics to aggregate to
 //! exact totals — the regression guard for moving stats off a single
 //! locked struct.
 
 use bucketrank::server::proto::{Request, Response, WirePolicy};
 use bucketrank::server::service::{Service, ServiceConfig};
+use bucketrank_bench::model::ModelService;
 use bucketrank_core::BucketOrder;
 use bucketrank_testkit::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A scratch directory under the system temp dir, removed on drop.
-struct TempDir(PathBuf);
-
-impl TempDir {
-    fn new() -> Self {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let id = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!("bucketrank-lru-{}-{id}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        TempDir(dir)
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
+use bucketrank_testkit::TempDir;
 
 /// The resident cap under test. Small enough that every script
 /// overflows it, large enough that recency order is non-trivial.
@@ -67,17 +48,17 @@ fn lru_eviction_respects_the_cap_and_evicts_exactly_the_lru() {
         touch_scripts(),
         |(n, rankings, touches)| {
             let sessions = rankings.len();
-            let dir = TempDir::new();
+            let dir = TempDir::new("lru");
             let svc = Service::with_config(ServiceConfig {
                 shards: 1,
                 max_sessions: CAP,
-                data_dir: Some(dir.0.clone()),
+                data_dir: Some(dir.path().to_path_buf()),
                 checkpoint_every: u64::MAX,
             })
             .expect("durable service");
-            // The mirror never evicts: state divergence after a
+            // The model never evicts: state divergence after a
             // fault-in is exactly what this test exists to catch.
-            let mirror = Service::new(1024);
+            let mut model = ModelService::new();
             let name = |i: usize| format!("s{i}");
 
             // The model: resident sessions in recency order, LRU
@@ -93,22 +74,21 @@ fn lru_eviction_respects_the_cap_and_evicts_exactly_the_lru() {
                     evictions += 1;
                 }
                 recency.push(i);
-                for s in [&svc, &mirror] {
-                    assert_eq!(
-                        s.handle(Request::CreateSession {
-                            name: name(i),
-                            n: *n as u32,
-                            policy: WirePolicy::Lower,
-                        }),
-                        Response::SessionCreated
-                    );
-                    assert_eq!(
-                        s.handle(Request::PushVoter {
-                            session: name(i),
-                            ranking: ranking.clone(),
-                        }),
-                        Response::VoterPushed { voter: 0 }
-                    );
+                let create = Request::CreateSession {
+                    name: name(i),
+                    n: *n as u32,
+                    policy: WirePolicy::Lower,
+                };
+                let push = Request::PushVoter {
+                    session: name(i),
+                    ranking: ranking.clone(),
+                };
+                for (req, want) in [
+                    (create, Response::SessionCreated),
+                    (push, Response::VoterPushed { voter: 0 }),
+                ] {
+                    assert_eq!(model.handle(&req), want);
+                    assert_eq!(svc.handle(req), want);
                 }
             }
 
@@ -133,8 +113,8 @@ fn lru_eviction_respects_the_cap_and_evicts_exactly_the_lru() {
                 };
                 assert_eq!(
                     svc.handle(req.clone()).encode(),
-                    mirror.handle(req).encode(),
-                    "touch of {} diverged from the never-evicting mirror",
+                    model.handle(&req).encode(),
+                    "touch of {} diverged from the never-evicting model",
                     name(i)
                 );
 
@@ -153,7 +133,7 @@ fn lru_eviction_respects_the_cap_and_evicts_exactly_the_lru() {
             }
 
             // Every session — resident or faulting back in right now —
-            // must serve bytes identical to the mirror's.
+            // must serve bytes identical to the model's.
             for i in 0..sessions {
                 for req in [
                     Request::MedianOrder { session: name(i) },
@@ -164,7 +144,7 @@ fn lru_eviction_respects_the_cap_and_evicts_exactly_the_lru() {
                 ] {
                     assert_eq!(
                         svc.handle(req.clone()).encode(),
-                        mirror.handle(req).encode(),
+                        model.handle(&req).encode(),
                         "faulted-back {} diverged from its pre-eviction state",
                         name(i)
                     );
@@ -182,11 +162,11 @@ fn per_shard_counters_aggregate_exactly_under_concurrency() {
     const PUSHES: usize = 64;
     const READS: usize = 128;
 
-    let dir = TempDir::new();
+    let dir = TempDir::new("lru");
     let svc = Service::with_config(ServiceConfig {
         shards: 4,
         max_sessions: 64,
-        data_dir: Some(dir.0.clone()),
+        data_dir: Some(dir.path().to_path_buf()),
         checkpoint_every: u64::MAX,
     })
     .expect("durable service");
@@ -240,7 +220,7 @@ fn per_shard_counters_aggregate_exactly_under_concurrency() {
     );
     let on_disk: u64 = (0..4)
         .map(|i| {
-            std::fs::metadata(dir.0.join(format!("shard-{i}")).join("wal.log"))
+            std::fs::metadata(dir.path().join(format!("shard-{i}")).join("wal.log"))
                 .map(|m| m.len())
                 .unwrap_or(0)
         })

@@ -31,21 +31,21 @@
 //!   validates; injected NaN / negative / oversized / wrong-length
 //!   vectors fail with the typed error at the right index.
 //! * **Wire parity** — `WeightedDist` / `TopDiff` replies off a live
-//!   socket are byte-identical to an in-process mirror under random
-//!   edit scripts, including every typed-error path.
+//!   socket are byte-identical to the naive reference model
+//!   `bucketrank_bench::model::ModelService` under random edit
+//!   scripts, including every typed-error path.
 
-use bucketrank::aggregate::dynamic::{DynamicProfile, VoterId};
-use bucketrank::aggregate::{AggregateError, MedianPolicy};
 use bucketrank::metrics::prepared::PreparedRanking;
 use bucketrank::metrics::weighted::{
     location_identity_x2, top_diff, top_diff_prepared, weighted_footrule_x2,
     weighted_footrule_x2_prepared, Weights, MAX_WEIGHT,
 };
 use bucketrank::metrics::{footrule, MetricsError};
-use bucketrank::server::proto::{ErrorCode, Request, Response, WirePolicy};
+use bucketrank::server::proto::{Request, WirePolicy};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::BucketOrder;
-use bucketrank_testkit::gen::EditOp;
+use bucketrank_bench::model::{assert_reply, ModelService};
+use bucketrank_testkit::gen::script_domain;
 use bucketrank_testkit::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -375,46 +375,9 @@ fn every_degenerate_class_validates_and_mutations_reject() {
 }
 
 // ---------------------------------------------------------------------
-// Wire parity: the server's weighted opcodes against an in-process
-// mirror, byte for byte.
+// Wire parity: the server's weighted opcodes against the reference
+// model, byte for byte.
 // ---------------------------------------------------------------------
-
-/// The service's error mapping for engine failures, mirrored locally.
-fn expected_agg_error(e: &AggregateError) -> Response {
-    let code = match e {
-        AggregateError::UnknownVoter { .. } => ErrorCode::UnknownVoter,
-        AggregateError::DomainMismatch { .. } => ErrorCode::DomainMismatch,
-        _ => ErrorCode::BadRequest,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
-    }
-}
-
-/// The service's error mapping for metrics failures (weight validation
-/// and length checks), mirrored locally.
-fn expected_metrics_error(e: &MetricsError) -> Response {
-    let code = match e {
-        MetricsError::DomainMismatch { .. } | MetricsError::WeightsLengthMismatch { .. } => {
-            ErrorCode::DomainMismatch
-        }
-        _ => ErrorCode::BadRequest,
-    };
-    Response::Error {
-        code,
-        message: e.to_string(),
-    }
-}
-
-fn expect_bytes(client: &mut Client, req: &Request, expected: &Response) {
-    let raw = client.call_raw(req).expect("transport");
-    assert_eq!(
-        raw,
-        expected.encode(),
-        "reply to {req:?} diverged from the in-process mirror ({expected:?})"
-    );
-}
 
 /// The deterministic per-step weight schedule: cycles the degenerate
 /// classes and the two rejection shapes (wrong length, invalid value),
@@ -459,135 +422,46 @@ fn weighted_replies_are_byte_identical_to_the_in_process_mirror() {
         gen::edit_script_with_degenerates(3..=12, 6, 3),
         |script| {
             let seq = case.fetch_add(1, Ordering::Relaxed);
-            let n = script
-                .iter()
-                .find_map(|op| match op {
-                    EditOp::Push(r) | EditOp::Replace(_, r) => Some(r.len()),
-                    EditOp::Remove(_) => None,
-                })
-                .expect("scripts always embed a ranking");
+            let n = script_domain(script);
             let session = format!("wdiff-{seq}");
             let mut client = Client::connect(addr).expect("connect");
-            expect_bytes(
-                &mut client,
-                &Request::CreateSession {
-                    name: session.clone(),
-                    n: n as u32,
-                    policy: WirePolicy::Lower,
-                },
-                &Response::SessionCreated,
-            );
-
-            // The mirror: same engine, same edits, so voter ids align.
-            let mut mirror = DynamicProfile::new(n, MedianPolicy::Lower);
-            let mut live: Vec<(u64, BucketOrder)> = Vec::new();
+            let mut model = ModelService::new();
+            let create = Request::CreateSession {
+                name: session.clone(),
+                n: n as u32,
+                policy: WirePolicy::Lower,
+            };
+            assert_reply(&mut client, &create, &model.handle(&create));
 
             for (step, op) in script.iter().enumerate() {
-                // Apply the edit on both sides (correctness of the
-                // edit replies is server_loopback's business; here they
-                // only have to agree so the stored rankings match).
-                match op {
-                    EditOp::Push(r) => {
-                        if let Ok(id) = mirror.push_voter(r.clone()) {
-                            live.push((id.raw(), r.clone()));
-                        }
-                        client
-                            .call_raw(&Request::PushVoter {
-                                session: session.clone(),
-                                ranking: r.clone(),
-                            })
-                            .expect("transport");
-                    }
-                    EditOp::Remove(i) => {
-                        let target = if live.is_empty() {
-                            u64::MAX
-                        } else {
-                            live.remove(i % live.len()).0
-                        };
-                        let _ = mirror.remove_voter(VoterId::from_raw(target));
-                        client
-                            .call_raw(&Request::RemoveVoter {
-                                session: session.clone(),
-                                voter: target,
-                            })
-                            .expect("transport");
-                    }
-                    EditOp::Replace(i, r) => {
-                        let target = if live.is_empty() {
-                            u64::MAX
-                        } else {
-                            let k = i % live.len();
-                            live[k].1 = r.clone();
-                            live[k].0
-                        };
-                        let _ = mirror.replace_voter(VoterId::from_raw(target), r.clone());
-                        client
-                            .call_raw(&Request::ReplaceVoter {
-                                session: session.clone(),
-                                voter: target,
-                                ranking: r.clone(),
-                            })
-                            .expect("transport");
-                    }
-                }
+                let edit = model.resolve(&session, op);
+                assert_reply(&mut client, &edit, &model.handle(&edit));
 
                 // Both weighted opcodes between the oldest and newest
                 // live voters, under the scheduled weight vector.
-                let units = step_weights(step, n);
-                let (va, vb) = match (live.first(), live.last()) {
-                    (Some(a), Some(b)) => (a.0, b.0),
-                    _ => (u64::MAX, u64::MAX),
-                };
-                let lookup = |id: u64| live.iter().find(|(i, _)| *i == id).map(|(_, r)| r);
-                for top in [false, true] {
-                    // The service's evaluation order, mirrored: resolve
-                    // both voters, then validate the weights, then run
-                    // the prepared kernel.
-                    let expected = match (lookup(va), lookup(vb)) {
-                        (Some(a), Some(b)) => match Weights::from_units(units.clone()) {
-                            Ok(w) => {
-                                let pa = PreparedRanking::new(a);
-                                let pb = PreparedRanking::new(b);
-                                let value = if top {
-                                    top_diff_prepared(&pa, &pb, &w)
-                                } else {
-                                    weighted_footrule_x2_prepared(&pa, &pb, &w)
-                                };
-                                match value {
-                                    Ok(value) => Response::CostX2 { value },
-                                    Err(e) => expected_metrics_error(&e),
-                                }
-                            }
-                            Err(e) => expected_metrics_error(&e),
-                        },
-                        _ => expected_agg_error(&AggregateError::UnknownVoter { id: va }),
-                    };
-                    let req = if top {
-                        Request::TopDiff {
-                            session: session.clone(),
-                            voter_a: va,
-                            voter_b: vb,
-                            weights: units.clone(),
-                        }
-                    } else {
-                        Request::WeightedDist {
-                            session: session.clone(),
-                            voter_a: va,
-                            voter_b: vb,
-                            weights: units.clone(),
-                        }
-                    };
-                    expect_bytes(&mut client, &req, &expected);
+                let weights = step_weights(step, n);
+                let (voter_a, voter_b) = model.oldest_and_newest(&session);
+                let reads = [
+                    Request::WeightedDist {
+                        session: session.clone(),
+                        voter_a,
+                        voter_b,
+                        weights: weights.clone(),
+                    },
+                    Request::TopDiff {
+                        session: session.clone(),
+                        voter_a,
+                        voter_b,
+                        weights,
+                    },
+                ];
+                for req in &reads {
+                    assert_reply(&mut client, req, &model.handle(req));
                 }
             }
 
-            expect_bytes(
-                &mut client,
-                &Request::DropSession {
-                    name: session.clone(),
-                },
-                &Response::SessionDropped,
-            );
+            let drop = Request::DropSession { name: session };
+            assert_reply(&mut client, &drop, &model.handle(&drop));
         },
     );
 
