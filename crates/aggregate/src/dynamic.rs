@@ -45,12 +45,24 @@
 //! The diagonal needs no special case: `bucket(a) > bucket(a)` is
 //! false.
 //!
+//! The passes are the tally's own (crate-private) edit methods, which
+//! also own its cell width (`u16` while `m ≤ u16::MAX`, see
+//! [`ProfileTally`]): each pass narrows the voter's bucket indices to
+//! the cell width once per edit into a reused buffer, and the width
+//! follows the voter count — the push that takes `m` to 65 536 widens
+//! the cells in place *before* adding, and the remove that brings it
+//! back to 65 535 narrows them *after* retracting, each one `O(n²)`
+//! conversion, the cost of the edit itself. So the maintained tally
+//! always has the width `ProfileTally::build` picks for the same
+//! voters.
+//!
 //! Replace is **one fused pass** over the rows: each cell moves by the
-//! new contribution minus the old one (wrapping `u32` arithmetic; the
-//! final cell is a live-voter count, so it is exact), and the same
-//! sweep finds whether any pair in the row changed relation. It reads
-//! and writes the matrix once — half the traffic of a retract pass
-//! plus an add pass — and needs no separate dirty scan.
+//! new contribution minus the old one (wrapping arithmetic at the cell
+//! width; the final cell is a live-voter count, which fits that width,
+//! so it is exact), and the same sweep finds whether any pair in the
+//! row changed relation. It reads and writes the matrix once — half
+//! the traffic of a retract pass plus an add pass — and needs no
+//! separate dirty scan.
 //!
 //! Median ranks use one counting array per element over the half-unit
 //! position grid `2..=2n` (positions of an `n`-element bucket order are
@@ -90,7 +102,7 @@
 
 use crate::error::check_inputs;
 use crate::median::MedianPolicy;
-use crate::tally::ProfileTally;
+use crate::tally::{EditKeys, ProfileTally};
 use crate::AggregateError;
 use bucketrank_core::consistent::{induced_ranking, project_to_type};
 use bucketrank_core::{BucketOrder, ElementId, Pos, TypeSeq};
@@ -172,53 +184,6 @@ impl DirtyRows {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-}
-
-/// Applies one voter's contribution to the strict-count matrix with
-/// sign `+1` (`add`) or `−1`: row `a` moves by 1 at every `b` the voter
-/// ranks strictly later than `a` (`bb > ba`) — the same branchless
-/// compare-and-add over zipped slices as the batch build's kernel, so
-/// the maintained matrix stays **byte-identical** to a fresh
-/// [`ProfileTally::build`]. The self-pair is never touched, because
-/// `ba > ba` is false. Subtraction cannot underflow when retracting a
-/// stored contribution: every cell is a sum over live voters'
-/// contributions.
-fn apply_voter(strict: &mut [u32], n: usize, voter: &BucketOrder, add: bool) {
-    let bof = voter.bucket_indices();
-    // `max(1)`: an empty domain has no rows, but a chunk width must be
-    // nonzero.
-    for (row, &ba) in strict.chunks_exact_mut(n.max(1)).zip(bof) {
-        if add {
-            for (s, &bb) in row.iter_mut().zip(bof) {
-                *s += u32::from(bb > ba);
-            }
-        } else {
-            for (s, &bb) in row.iter_mut().zip(bof) {
-                *s -= u32::from(bb > ba);
-            }
-        }
-    }
-}
-
-/// One fused row pass of [`DynamicProfile::replace_voter`]: retracts
-/// the old ranking's contribution to row `a` and adds the new one's in
-/// the same sweep (`oa`/`na` = element `a`'s old/new bucket index), and
-/// reports whether any pair in the row changed relation (order or tie).
-/// `strict` moves by `win_new − win_old` in wrapping `u32` arithmetic —
-/// the true cell after the edit is a live-voter count, so the wrapped
-/// result is exact. The diagonal needs no split: an element ties itself
-/// in both rankings, so its delta and its changed-relation bit are
-/// zero.
-#[inline]
-fn replace_row(strict: &mut [u32], old: &[u32], new: &[u32], oa: u32, na: u32) -> bool {
-    let mut changed = 0u32;
-    for ((s, &ob), &nb) in strict.iter_mut().zip(old).zip(new) {
-        let (win_old, tie_old) = (u32::from(ob > oa), u32::from(ob == oa));
-        let (win_new, tie_new) = (u32::from(nb > na), u32::from(nb == na));
-        *s = s.wrapping_add(win_new).wrapping_sub(win_old);
-        changed |= (win_new ^ win_old) | (tie_new ^ tie_old);
-    }
-    changed != 0
 }
 
 /// 0-based rank of the policy's median among `m ≥ 1` sorted values.
@@ -327,19 +292,23 @@ pub struct DynamicProfile {
     /// Per-element count of stored positions strictly below `med`.
     lt: Vec<u32>,
     dirty: DirtyRows,
+    /// Reused key buffers for the tally's edit passes.
+    keys: EditKeys,
 }
 
 impl DynamicProfile {
     /// The most voters the `u32` tally cells can hold (same bound as
     /// [`ProfileTally::build`], enforced here as a typed error instead
-    /// of a panic).
+    /// of a panic). Up to `u16::MAX` voters the cells are `u16`; the
+    /// push past it widens them in place, and the remove back below it
+    /// narrows them again.
     pub const MAX_VOTERS: usize = (u32::MAX / 2) as usize;
 
     /// An empty engine over a fixed `n`-element domain.
     pub fn new(n: usize, policy: MedianPolicy) -> Self {
         let span = 2 * n + 1;
         DynamicProfile {
-            tally: ProfileTally::from_parts(n, 0, vec![0; n * n]),
+            tally: ProfileTally::empty(n),
             policy,
             voters: HashMap::new(),
             next_id: 0,
@@ -349,6 +318,7 @@ impl DynamicProfile {
             med: vec![0; n],
             lt: vec![0; n],
             dirty: DirtyRows::new(n),
+            keys: EditKeys::default(),
         }
     }
 
@@ -493,8 +463,7 @@ impl DynamicProfile {
                 limit: Self::MAX_VOTERS,
             });
         }
-        apply_voter(self.tally.parts_mut(), n, &ranking, true);
-        self.tally.set_voters(m + 1);
+        self.tally.push_voter(&ranking, &mut self.keys);
         let k = target_rank(self.policy, m + 1);
         for (e, p) in ranking.positions().iter().enumerate() {
             let row = &mut self.counts[e * self.span..(e + 1) * self.span];
@@ -526,10 +495,8 @@ impl DynamicProfile {
             .voters
             .remove(&id.0)
             .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
-        let n = self.tally.len();
         let m = self.tally.voters();
-        apply_voter(self.tally.parts_mut(), n, &ranking, false);
-        self.tally.set_voters(m - 1);
+        self.tally.remove_voter(&ranking, &mut self.keys);
         let k = if m > 1 {
             target_rank(self.policy, m - 1)
         } else {
@@ -589,17 +556,9 @@ impl DynamicProfile {
             0
         };
         let k_ins = target_rank(self.policy, m);
-        {
-            let (ob, nb) = (old.bucket_indices(), new.bucket_indices());
-            // `max(1)`: an empty domain has no rows, but a chunk width
-            // must be nonzero.
-            let rows = self.tally.parts_mut().chunks_exact_mut(n.max(1));
-            for (a, row) in rows.enumerate() {
-                if replace_row(row, ob, nb, ob[a], nb[a]) {
-                    self.dirty.mark(a as ElementId);
-                }
-            }
-        }
+        let dirty = &mut self.dirty;
+        self.tally
+            .replace_voter(&old, new, &mut self.keys, |a| dirty.mark(a));
         let old_pos = old.positions();
         let new_pos = new.positions();
         for e in 0..n {
@@ -684,7 +643,7 @@ impl DynamicProfile {
         }
         let mut snap = spare.unwrap_or_else(|| DynamicSnapshot {
             generation: 0,
-            tally: ProfileTally::from_parts(0, 0, Vec::new()),
+            tally: ProfileTally::empty(0),
             medians: Vec::new(),
         });
         snap.generation = self.generation;
@@ -788,7 +747,7 @@ mod tests {
         if inputs.is_empty() {
             assert_eq!(dp.voters(), 0);
             assert!(dp.tally().weights_x2().iter().all(|&x| x == 0));
-            assert!(dp.tally().strict_counts().iter().all(|&x| x == 0));
+            assert!(dp.tally().strict_counts().iter().all(|x| x == 0));
             assert!(matches!(dp.snapshot(), Err(AggregateError::NoInputs)));
             return;
         }

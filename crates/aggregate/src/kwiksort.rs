@@ -14,7 +14,7 @@
 //! inputs (ties counted half each way), recurse on both sides.
 
 use crate::error::check_inputs;
-use crate::tally::ProfileTally;
+use crate::tally::{ProfileTally, StrictVisitor};
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId};
 
@@ -47,14 +47,36 @@ pub fn kwiksort_with_tally(
     let mut rng = SplitMix64::new(seed);
     let mut items: Vec<ElementId> = (0..n as ElementId).collect();
     let mut out = Vec::with_capacity(n);
-    quick(&mut items, tally.strict_counts(), n, &mut rng, &mut out);
+    tally.visit_strict(Quick {
+        items: &mut items,
+        n,
+        rng: &mut rng,
+        out: &mut out,
+    });
     BucketOrder::from_permutation(&out).map_err(Into::into)
 }
 
-/// `strict` is the tally's strict-count matrix (`n × n`, row-major).
-fn quick(
+/// One KwikSort run over the tally's strict-count matrix at its stored
+/// cell width.
+struct Quick<'a> {
+    items: &'a mut [ElementId],
+    n: usize,
+    rng: &'a mut SplitMix64,
+    out: &'a mut Vec<ElementId>,
+}
+
+impl StrictVisitor for Quick<'_> {
+    type Out = ();
+    fn visit<C: Copy + Ord + Into<u64>>(self, strict: &[C]) {
+        quick(self.items, strict, self.n, self.rng, self.out);
+    }
+}
+
+/// `strict` is the tally's strict-count matrix (`n × n`, row-major) at
+/// its stored cell width.
+fn quick<C: Copy + Ord>(
     items: &mut [ElementId],
-    strict: &[u32],
+    strict: &[C],
     n: usize,
     rng: &mut SplitMix64,
     out: &mut Vec<ElementId>,

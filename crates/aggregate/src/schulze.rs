@@ -14,7 +14,7 @@
 //! winner first and respects the Smith set.
 
 use crate::error::check_inputs;
-use crate::tally::ProfileTally;
+use crate::tally::{ProfileTally, StrictVisitor};
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId};
 
@@ -45,8 +45,7 @@ pub fn schulze_with_tally(tally: &ProfileTally) -> Result<BucketOrder, Aggregate
         return Ok(BucketOrder::trivial(0));
     }
     // Pairwise support, read straight off the shared tally.
-    let strict = tally.strict_counts();
-    let w: Vec<u64> = strict.iter().map(|&c| u64::from(c)).collect();
+    let w = tally.visit_strict(Support);
     // Widest paths (Floyd–Warshall on max-min).
     let mut p = vec![0u64; n * n];
     for a in 0..n {
@@ -100,6 +99,17 @@ pub fn schulze_with_tally(tally: &ProfileTally) -> Result<BucketOrder, Aggregate
         buckets.push(layer);
     }
     Ok(BucketOrder::from_buckets(n, buckets)?)
+}
+
+/// The tally's strict counts widened to `u64` — Schulze's pairwise
+/// support matrix — in one pass at the stored cell width.
+struct Support;
+
+impl StrictVisitor for Support {
+    type Out = Vec<u64>;
+    fn visit<C: Copy + Ord + Into<u64>>(self, strict: &[C]) -> Vec<u64> {
+        strict.iter().map(|&c| c.into()).collect()
+    }
 }
 
 #[cfg(test)]

@@ -33,13 +33,32 @@
 //! it, so `ties(a, b) = m − strict(a, b) − strict(b, a)` and the weight
 //! is a function of the two strict cells alone:
 //! `weight_x2(a, b) = m + strict(a, b) − strict(b, a)`. The accessors
-//! derive it on read, adding before subtracting so no `u32`
-//! intermediate underflows, and `m + strict(a, b) ≤ 2m` fits at
+//! read each cell widened to `u32` and derive the weight on read,
+//! adding before subtracting so no `u32` intermediate underflows, and
+//! `m + strict(a, b) ≤ 2m` fits at
 //! [`DynamicProfile::MAX_VOTERS`](crate::dynamic::DynamicProfile::MAX_VOTERS).
 //! For every pair, `weight_x2(a, b) + weight_x2(b, a) = 2m`. Placing
 //! `a` strictly ahead of `b` in a candidate costs `weight_x2(b, a)` on
 //! the `Kprof` ×2 scale (2 per voter preferring `b`, 1 per tying voter
 //! — the `p = ½` penalty of Section 3.1).
+//!
+//! # Cell width
+//!
+//! A cell counts at most `m` voters, so `strict` is stored as `u16`
+//! cells while `m ≤ u16::MAX` and `n ≤ 2^16` (the second bound keeps
+//! every bucket index within `u16` too), and as `u32` cells otherwise.
+//! The width is a function of `(n, m)` alone: two tallies of the same
+//! profile always share it, and a maintained tally
+//! ([`crate::dynamic`]) changes width in place on the edit that crosses
+//! the bound: the tally's own edit methods widen before a push adds and
+//! narrow after a remove retracts, so no cell ever overflows its
+//! width. The `O(n²)` kernels (the build, the dynamic edit passes,
+//! [`ProfileTally::kemeny_cost_x2`], the snapshot copy) are written
+//! once over a private two-impl cell trait and narrow the bucket indices
+//! they compare to the cell width once per call, so a narrow tally
+//! streams half the bytes of a wide one. No accessor exposes the width:
+//! every read returns the count as `u32`, and
+//! [`strict_counts`](ProfileTally::strict_counts) is a widening view.
 //!
 //! # Build
 //!
@@ -53,14 +72,14 @@
 //! and the compiler autovectorizes the inner loop.
 //!
 //! Voters are split into chunks of at most [`CHUNK_VOTERS`] and each
-//! chunk accumulates into a `u16` partial matrix — half the write
-//! bandwidth of the final `u32` cells on the dominant pass, and safe
-//! from overflow by the chunk bound (see [`CHUNK_VOTERS`]). Rows are
-//! blocked into [`TILE_ROWS`]-row slabs with the voter loop *inside*
-//! the tile loop, so the slab being written stays cache-resident
-//! while a whole chunk streams past. Each partial, the last one
-//! included, is then widened into `strict` in one sequential pass —
-//! there is no second matrix to derive.
+//! chunk accumulates into `u16` cells, safe from overflow by the chunk
+//! bound (see [`CHUNK_VOTERS`]). Rows are blocked into
+//! [`TILE_ROWS`]-row slabs with the voter loop *inside* the tile loop,
+//! so the slab being written stays cache-resident while a whole chunk
+//! streams past. A profile of at most `u16::MAX` voters accumulates
+//! straight into its narrow `strict`; a wider one fills a `u16` partial
+//! per chunk and widens each into the `u32` `strict` in one sequential
+//! pass. There is no second matrix to derive.
 //!
 //! The parallel path ([`ProfileTally::build_parallel`]) splits voters
 //! across scoped threads (clamped to the machine's available
@@ -73,14 +92,16 @@
 //! # Kemeny scan
 //!
 //! [`ProfileTally::kemeny_cost_x2`] reads `strict` alone, one
-//! branch-free mask-and-add per cell summed in overflow-free `u32`
-//! runs (the identity is on the method). It is pinned to the former
+//! branch-free mask-and-add per cell at the cell width, summed in runs
+//! short enough that the width cannot overflow (the identity is on the
+//! method). It is pinned to the former
 //! two-matrix branchy scan, kept as `bucketrank_bench::oracle`, by
 //! `tests/tally_conformance.rs` and the `bench_aggregate_tally` gate.
 
 use crate::error::check_inputs;
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId};
+use std::ops::{AddAssign, BitAnd, BitOr, BitOrAssign, BitXor, SubAssign};
 
 /// Rows per accumulation tile: the write slab kept cache-hot while a
 /// chunk's voters stream past it. `TILE_ROWS × n` `u16` cells is 16 KB
@@ -94,11 +115,284 @@ pub const TILE_ROWS: usize = 16;
 /// **Overflow proof for the narrow cells:** a voter increments
 /// `partial[a·n + b]` at most once (the kernel adds
 /// `(bof[b] > bof[a]) as u16`, which is 0 or 1, exactly once per
-/// `(a, b)` per voter), so after a chunk of `c ≤ CHUNK_VOTERS =
-/// u16::MAX` voters every cell is at most `c ≤ u16::MAX`. Partials are
-/// promoted to the `u32` accumulator once per chunk, never read back,
-/// so no wider value ever lands in a `u16` cell.
+/// `(a, b)` per voter), so after `c ≤ CHUNK_VOTERS = u16::MAX` voters
+/// every cell is at most `c ≤ u16::MAX`. A profile of at most
+/// `u16::MAX` voters is one such matrix, and its `u16` cells are the
+/// tally itself; a wider profile's partials are promoted to the `u32`
+/// accumulator once per chunk, never read back, so no wider value ever
+/// lands in a `u16` cell.
 pub const CHUNK_VOTERS: usize = u16::MAX as usize;
+
+/// Whether a tally over `n` elements and `m` voters stores `u16`
+/// cells: every cell counts at most `m` voters, and every bucket index
+/// of an `n`-element order is below `n`, so both fit the narrow width.
+/// The width is a function of `(n, m)` alone.
+fn fits_narrow(n: usize, m: usize) -> bool {
+    m <= usize::from(u16::MAX) && n <= 1 << 16
+}
+
+/// One strict-count cell width, `u16` or `u32`. Each `O(n²)` kernel is
+/// written once over it, with the bucket keys narrowed to the same
+/// width ([`Cell::keys`]) so the compare-and-add runs at one lane width
+/// and vectorizes.
+trait Cell:
+    Copy
+    + Default
+    + Ord
+    + From<bool>
+    + Into<u32>
+    + AddAssign
+    + SubAssign
+    + BitOrAssign
+    + BitAnd<Output = Self>
+    + BitOr<Output = Self>
+    + BitXor<Output = Self>
+    + Send
+{
+    /// The largest cell value.
+    const MAX: u32;
+    /// The low bits of `x` at this width.
+    fn wrap(x: u32) -> Self;
+    /// Wrapping addition at this width.
+    fn wrapping_add(self, rhs: Self) -> Self;
+    /// Wrapping subtraction at this width.
+    fn wrapping_sub(self, rhs: Self) -> Self;
+    /// A bucket-index map at this width: `bof` itself for `u32`, else
+    /// narrowed into `scratch` in `O(n)`.
+    fn keys<'a>(bof: &'a [u32], scratch: &'a mut Vec<u16>) -> &'a [Self];
+}
+
+impl Cell for u16 {
+    const MAX: u32 = u16::MAX as u32;
+    fn wrap(x: u32) -> Self {
+        x as u16
+    }
+    fn wrapping_add(self, rhs: Self) -> Self {
+        u16::wrapping_add(self, rhs)
+    }
+    fn wrapping_sub(self, rhs: Self) -> Self {
+        u16::wrapping_sub(self, rhs)
+    }
+    fn keys<'a>(bof: &'a [u32], scratch: &'a mut Vec<u16>) -> &'a [Self] {
+        scratch.clear();
+        scratch.extend(
+            bof.iter()
+                .map(|&b| u16::try_from(b).expect("narrow cells imply bucket indices below 2^16")),
+        );
+        scratch
+    }
+}
+
+impl Cell for u32 {
+    const MAX: u32 = u32::MAX;
+    fn wrap(x: u32) -> Self {
+        x
+    }
+    fn wrapping_add(self, rhs: Self) -> Self {
+        u32::wrapping_add(self, rhs)
+    }
+    fn wrapping_sub(self, rhs: Self) -> Self {
+        u32::wrapping_sub(self, rhs)
+    }
+    fn keys<'a>(bof: &'a [u32], _: &'a mut Vec<u16>) -> &'a [Self] {
+        bof
+    }
+}
+
+/// The strict-count matrix at the width [`fits_narrow`] selects.
+#[derive(Debug, PartialEq, Eq)]
+enum Cells {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+/// Runs `$body` with `$s` bound to the matrix of a `Cells` at its
+/// stored width: one dispatch per call, the body compiled once per
+/// width.
+macro_rules! with_cells {
+    ($cells:expr, $s:ident => $body:expr) => {
+        match $cells {
+            Cells::Narrow($s) => $body,
+            Cells::Wide($s) => $body,
+        }
+    };
+}
+
+impl Cells {
+    fn zeros(n: usize, m: usize) -> Self {
+        if fits_narrow(n, m) {
+            Cells::Narrow(vec![0; n * n])
+        } else {
+            Cells::Wide(vec![0; n * n])
+        }
+    }
+
+    /// Converts the cells in place to the width `(n, m)` selects — one
+    /// `O(n²)` pass when the width changes, nothing otherwise. Every
+    /// cell is at most `m`, so narrowing is exact.
+    fn refit(&mut self, n: usize, m: usize) {
+        let narrow = fits_narrow(n, m);
+        match self {
+            Cells::Narrow(s) if !narrow => {
+                let wide = s.iter().map(|&c| u32::from(c)).collect();
+                *self = Cells::Wide(wide);
+            }
+            Cells::Wide(s) if narrow => {
+                let cells = s
+                    .iter()
+                    .map(|&c| u16::try_from(c).expect("a cell counts at most m ≤ u16::MAX voters"))
+                    .collect();
+                *self = Cells::Narrow(cells);
+            }
+            _ => {}
+        }
+    }
+
+    fn len(&self) -> usize {
+        with_cells!(self, s => s.len())
+    }
+
+    fn get(&self, i: usize) -> u32 {
+        with_cells!(self, s => widen(s[i]))
+    }
+}
+
+/// One cell as `u32`, at either width.
+fn widen<C: Cell>(c: C) -> u32 {
+    c.into()
+}
+
+impl Clone for Cells {
+    fn clone(&self) -> Self {
+        match self {
+            Cells::Narrow(s) => Cells::Narrow(s.clone()),
+            Cells::Wide(s) => Cells::Wide(s.clone()),
+        }
+    }
+
+    /// Copies into `self`'s buffer when the widths match (no allocation
+    /// when the capacity suffices) and trims it to the source's size; a
+    /// buffer of the other width is replaced.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Cells::Narrow(d), Cells::Narrow(s)) => {
+                d.clone_from(s);
+                d.shrink_to_fit();
+            }
+            (Cells::Wide(d), Cells::Wide(s)) => {
+                d.clone_from(s);
+                d.shrink_to_fit();
+            }
+            (d, s) => *d = s.clone(),
+        }
+    }
+}
+
+/// Reused scratch for the incremental edit passes: the edited
+/// rankings' bucket indices narrowed to `u16` cells (the old and the
+/// new ranking of a replace), untouched while the cells are `u32`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct EditKeys([Vec<u16>; 2]);
+
+/// A computation over the raw strict-count matrix (`n × n`, row-major)
+/// at the tally's stored cell width, run by
+/// [`ProfileTally::visit_strict`]; `visit` is generic over the width,
+/// so the consumer's loop is compiled once per width and pays no
+/// per-cell dispatch.
+pub(crate) trait StrictVisitor {
+    /// The computation's result.
+    type Out;
+    /// Runs the computation over `strict`.
+    fn visit<C: Copy + Ord + Into<u64>>(self, strict: &[C]) -> Self::Out;
+}
+
+/// Applies one voter's contribution to the strict-count matrix with
+/// sign `+1` (`add`) or `−1`: row `a` moves by 1 at every `b` the voter
+/// ranks strictly later than `a` (`bb > ba`) — the same branchless
+/// compare-and-add over zipped slices as the batch build's kernel, so
+/// the maintained matrix stays **byte-identical** to a fresh
+/// [`ProfileTally::build`]. The voter's bucket indices are narrowed to
+/// the cell width once (into `scratch`), so the pass runs at one width.
+/// The self-pair is never touched, because `ba > ba` is false.
+/// Subtraction cannot underflow when retracting a stored contribution:
+/// every cell is a sum over live voters' contributions.
+fn apply_voter<C: Cell>(
+    strict: &mut [C],
+    n: usize,
+    voter: &BucketOrder,
+    scratch: &mut Vec<u16>,
+    add: bool,
+) {
+    let bof = C::keys(voter.bucket_indices(), scratch);
+    // `max(1)`: an empty domain has no rows, but a chunk width must be
+    // nonzero.
+    for (row, &ba) in strict.chunks_exact_mut(n.max(1)).zip(bof) {
+        if add {
+            for (s, &bb) in row.iter_mut().zip(bof) {
+                *s += C::from(bb > ba);
+            }
+        } else {
+            for (s, &bb) in row.iter_mut().zip(bof) {
+                *s -= C::from(bb > ba);
+            }
+        }
+    }
+}
+
+/// One fused row pass of [`ProfileTally::replace_voter`]: retracts
+/// the old ranking's contribution to row `a` and adds the new one's in
+/// the same sweep (`oa`/`na` = element `a`'s old/new bucket index), and
+/// reports whether any pair in the row changed relation (order or tie).
+/// Cells and bucket keys share one width. `strict` moves by
+/// `win_new − win_old` in wrapping arithmetic at that width — the true
+/// cell after the edit is a live-voter count, which fits it, so the
+/// wrapped result is exact. The diagonal needs no split: an element
+/// ties itself in both rankings, so its delta and its changed-relation
+/// bit are zero.
+#[inline]
+fn replace_row<C: Cell>(strict: &mut [C], old: &[C], new: &[C], oa: C, na: C) -> bool {
+    let mut changed = C::default();
+    for ((s, &ob), &nb) in strict.iter_mut().zip(old).zip(new) {
+        let (win_old, tie_old) = (C::from(ob > oa), C::from(ob == oa));
+        let (win_new, tie_new) = (C::from(nb > na), C::from(nb == na));
+        *s = s.wrapping_add(win_new).wrapping_sub(win_old);
+        changed |= (win_new ^ win_old) | (tie_new ^ tie_old);
+    }
+    changed != C::default()
+}
+
+/// A read-only view of a tally's strict-count matrix (`n × n`,
+/// row-major) at whatever cell width the tally stores; every read is
+/// widened to `u32`.
+#[derive(Debug, Clone, Copy)]
+pub struct StrictCounts<'a>(&'a Cells);
+
+impl<'a> StrictCounts<'a> {
+    /// Number of cells (`n²`).
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the matrix has no cells (`n = 0`).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Cell `i = a·n + b`: the number of voters strictly preferring `a`
+    /// over `b`.
+    ///
+    /// # Panics
+    /// If `i ≥ len()`.
+    pub fn get(&self, i: usize) -> u32 {
+        self.0.get(i)
+    }
+
+    /// Every cell in row-major order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + 'a {
+        let cells = self.0;
+        (0..cells.len()).map(move |i| cells.get(i))
+    }
+}
 
 /// The pairwise-preference tally of a profile; see the [module
 /// docs](self).
@@ -107,8 +401,10 @@ pub struct ProfileTally {
     n: usize,
     m: usize,
     /// `strict[a·n + b]` = number of voters strictly preferring `a`
-    /// over `b` — the only matrix; every weight is derived from it.
-    strict: Vec<u32>,
+    /// over `b` — the only matrix; every weight is derived from it. Its
+    /// width is a function of `(n, m)`, so equal tallies compare equal
+    /// cell for cell.
+    strict: Cells,
 }
 
 impl Clone for ProfileTally {
@@ -121,19 +417,20 @@ impl Clone for ProfileTally {
     }
 
     /// Copies `source` into `self`'s existing buffer — no allocation
-    /// when the capacity suffices, which is how a recycled snapshot
+    /// when the capacity suffices and the cell widths match, which is
+    /// how a recycled snapshot
     /// ([`crate::dynamic::DynamicProfile::snapshot_reusing`]) avoids
     /// fresh pages. The buffer is then trimmed to the source's size, so
-    /// a copy never keeps a larger profile's memory alive.
+    /// a copy never keeps a larger profile's memory alive; a buffer of
+    /// the other width is reallocated.
     fn clone_from(&mut self, source: &Self) {
         self.n = source.n;
         self.m = source.m;
         self.strict.clone_from(&source.strict);
-        self.strict.shrink_to_fit();
     }
 }
 
-/// Accumulates one chunk of voters into a `u16` strict-count partial.
+/// Accumulates one chunk of voters into a `u16` strict-count matrix.
 ///
 /// Branchless comparison kernel: `strict(a, b)` gains one exactly when
 /// the voter puts `b` in a strictly later bucket than `a`, so row `a`
@@ -148,8 +445,9 @@ impl Clone for ProfileTally {
 /// `u16` slab absorbs every voter's writes while cache-hot; cold write
 /// traffic per chunk is one matrix, not one matrix per voter.
 ///
-/// Overflow: `chunk.len() ≤ CHUNK_VOTERS` and each voter adds at most
-/// one per cell — see the proof on [`CHUNK_VOTERS`].
+/// Overflow: each voter adds at most one per cell, and at most
+/// `CHUNK_VOTERS` voters ever land in one matrix — see the proof on
+/// [`CHUNK_VOTERS`].
 fn accumulate_chunk(partial: &mut [u16], n: usize, chunk: &[BucketOrder]) {
     debug_assert!(chunk.len() <= CHUNK_VOTERS);
     let mut row0 = 0usize;
@@ -169,21 +467,23 @@ fn accumulate_chunk(partial: &mut [u16], n: usize, chunk: &[BucketOrder]) {
     }
 }
 
-/// Widens one `u16` chunk partial into the `u32` accumulator — the
-/// promotion path: narrow cells exist only within a chunk and are
-/// summed here exactly, so chunked accumulation is bit-identical to a
-/// single wide pass.
-fn widen_into(acc: &mut [u32], partial: &[u16]) {
-    for (cell, &p) in acc.iter_mut().zip(partial) {
-        *cell += u32::from(p);
+/// Accumulates at most `u16::MAX` voters into their `u16` tally: every
+/// chunk lands straight in the result, which no cell can overflow, so
+/// nothing is widened.
+fn accumulate_narrow(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u16> {
+    debug_assert!(voters.len() <= CHUNK_VOTERS);
+    let mut acc = vec![0u16; n * n];
+    for chunk in voters.chunks(chunk_voters) {
+        accumulate_chunk(&mut acc, n, chunk);
     }
+    acc
 }
 
 /// Accumulates `voters` into a fresh `u32` strict-count matrix: each
 /// chunk of at most `chunk_voters` voters fills a reused `u16` partial,
-/// which is then widened into the result. The sequential build and
-/// every parallel worker run this same pass.
-fn accumulate(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u32> {
+/// which is then widened into the result — the promotion path, exact
+/// because a partial never overflows.
+fn accumulate_wide(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u32> {
     let mut acc = vec![0u32; n * n];
     let mut partial = vec![0u16; n * n];
     for (i, chunk) in voters.chunks(chunk_voters).enumerate() {
@@ -191,9 +491,46 @@ fn accumulate(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u32>
             partial.fill(0);
         }
         accumulate_chunk(&mut partial, n, chunk);
-        widen_into(&mut acc, &partial);
+        for (cell, &p) in acc.iter_mut().zip(&partial) {
+            *cell += u32::from(p);
+        }
     }
     acc
+}
+
+/// Runs `accumulate` over `threads` contiguous voter ranges on scoped
+/// threads and sums the results (or once, inline, for one thread or a
+/// small profile). The sums are exact: each range's cells count its
+/// own voters, and the total counts at most the profile's `m`, which
+/// the width was chosen for.
+fn accumulate_split<C: Cell>(
+    n: usize,
+    inputs: &[BucketOrder],
+    threads: usize,
+    chunk_voters: usize,
+    accumulate: fn(usize, &[BucketOrder], usize) -> Vec<C>,
+) -> Vec<C> {
+    let m = inputs.len();
+    if threads <= 1 || m < 4 {
+        return accumulate(n, inputs, chunk_voters);
+    }
+    let per = m.div_ceil(threads);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = inputs
+            .chunks(per)
+            .map(|voters| scope.spawn(move || accumulate(n, voters, chunk_voters)))
+            .collect();
+        let mut partials = handles
+            .into_iter()
+            .map(|h| h.join().expect("tally worker panicked"));
+        let mut strict = partials.next().expect("at least one tally worker");
+        for partial in partials {
+            for (cell, add) in strict.iter_mut().zip(partial) {
+                *cell += add;
+            }
+        }
+        strict
+    })
 }
 
 impl ProfileTally {
@@ -238,7 +575,8 @@ impl ProfileTally {
     /// exactly `min(threads, m)` workers even on a narrower machine, so
     /// the unit tests reach every split width. Each worker (or the
     /// sequential pass) accumulates `chunk_voters ≤ CHUNK_VOTERS` voters
-    /// per `u16` partial.
+    /// per `u16` pass — into its result at the narrow width, into a
+    /// partial it widens otherwise.
     fn build_split(
         inputs: &[BucketOrder],
         threads: usize,
@@ -252,26 +590,10 @@ impl ProfileTally {
             "profile too large for u32 tally cells ({m} voters)"
         );
         let threads = threads.clamp(1, m);
-        let strict = if threads <= 1 || m < 4 {
-            accumulate(n, inputs, chunk_voters)
+        let strict = if fits_narrow(n, m) {
+            Cells::Narrow(accumulate_split(n, inputs, threads, chunk_voters, accumulate_narrow))
         } else {
-            let per = m.div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = inputs
-                    .chunks(per)
-                    .map(|voters| scope.spawn(move || accumulate(n, voters, chunk_voters)))
-                    .collect();
-                let mut partials = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("tally worker panicked"));
-                let mut strict = partials.next().expect("at least one tally worker");
-                for partial in partials {
-                    for (cell, add) in strict.iter_mut().zip(partial) {
-                        *cell += add;
-                    }
-                }
-                strict
-            })
+            Cells::Wide(accumulate_split(n, inputs, threads, chunk_voters, accumulate_wide))
         };
         Ok(ProfileTally { n, m, strict })
     }
@@ -293,26 +615,90 @@ impl ProfileTally {
         Self::build_split(inputs, 1, chunk_voters.clamp(1, CHUNK_VOTERS))
     }
 
+    /// The tally of zero voters over `n` elements — the dynamic engine's
+    /// ([`crate::dynamic`]) starting point.
+    pub(crate) fn empty(n: usize) -> Self {
+        ProfileTally {
+            n,
+            m: 0,
+            strict: Cells::zeros(n, 0),
+        }
+    }
+
     /// Assembles a tally from an already-consistent strict-count
-    /// matrix — the hook the dynamic engine ([`crate::dynamic`]) uses to
-    /// start from an empty profile. Callers must uphold the build
-    /// invariants: `strict` is `n × n` row-major with a zero diagonal,
-    /// and `strict(a, b) + strict(b, a) ≤ m` for every pair.
+    /// matrix, stored at the width `(n, m)` selects. Callers must uphold
+    /// the build invariants: `strict` is `n × n` row-major with a zero
+    /// diagonal, and `strict(a, b) + strict(b, a) ≤ m` for every pair.
+    #[cfg(test)]
     pub(crate) fn from_parts(n: usize, m: usize, strict: Vec<u32>) -> Self {
         debug_assert_eq!(strict.len(), n * n);
+        let mut strict = Cells::Wide(strict);
+        strict.refit(n, m);
         ProfileTally { n, m, strict }
     }
 
-    /// Mutable access to `strict` for in-place incremental maintenance
-    /// by [`crate::dynamic`]; the caller must restore the build
-    /// invariants before any query runs.
-    pub(crate) fn parts_mut(&mut self) -> &mut [u32] {
-        &mut self.strict
+    /// Runs `visitor` over the stored matrix at its cell width: one
+    /// width dispatch per call, the visitor's body compiled once per
+    /// width.
+    pub(crate) fn visit_strict<V: StrictVisitor>(&self, visitor: V) -> V::Out {
+        with_cells!(&self.strict, s => visitor.visit(s))
     }
 
-    /// Sets the voter count after an incremental edit ([`crate::dynamic`]).
-    pub(crate) fn set_voters(&mut self, m: usize) {
+    /// Adds one voter's contribution in place — the incremental push of
+    /// [`crate::dynamic`]; `O(n²)`, byte-identical to a fresh
+    /// [`ProfileTally::build`] over the new profile. The cells take the
+    /// width `m + 1` selects *before* the pass, so a cell that reaches
+    /// 65 536 is already wide.
+    pub(crate) fn push_voter(&mut self, voter: &BucketOrder, keys: &mut EditKeys) {
+        debug_assert_eq!(voter.len(), self.n);
+        self.set_voters(self.m + 1);
+        let n = self.n;
+        with_cells!(&mut self.strict, s => apply_voter(s, n, voter, &mut keys.0[0], true));
+    }
+
+    /// Retracts one voter's contribution in place; `voter` must be a
+    /// ranking this tally counts (a live voter's stored copy), so no
+    /// cell underflows. The cells take the width `m − 1` selects
+    /// *after* the pass, once every cell fits it.
+    pub(crate) fn remove_voter(&mut self, voter: &BucketOrder, keys: &mut EditKeys) {
+        debug_assert!(voter.len() == self.n && self.m > 0);
+        let n = self.n;
+        with_cells!(&mut self.strict, s => apply_voter(s, n, voter, &mut keys.0[0], false));
+        self.set_voters(self.m - 1);
+    }
+
+    /// Swaps a counted voter's `old` ranking for `new` in one fused
+    /// pass over the rows (the voter count and so the width are
+    /// unchanged), calling `changed(a)` in ascending order for every
+    /// row `a` in which some pair changed relation (order or tie).
+    pub(crate) fn replace_voter(
+        &mut self,
+        old: &BucketOrder,
+        new: &BucketOrder,
+        keys: &mut EditKeys,
+        mut changed: impl FnMut(ElementId),
+    ) {
+        debug_assert!(old.len() == self.n && new.len() == self.n && self.m > 0);
+        let n = self.n;
+        let [ko, kn] = &mut keys.0;
+        with_cells!(&mut self.strict, s => {
+            let ob = Cell::keys(old.bucket_indices(), ko);
+            let nb = Cell::keys(new.bucket_indices(), kn);
+            // `max(1)`: an empty domain has no rows, but a chunk width
+            // must be nonzero.
+            for (a, row) in s.chunks_exact_mut(n.max(1)).enumerate() {
+                if replace_row(row, ob, nb, ob[a], nb[a]) {
+                    changed(a as ElementId);
+                }
+            }
+        })
+    }
+
+    /// Sets the voter count after an incremental edit and converts the
+    /// cells to the width the new count selects.
+    fn set_voters(&mut self, m: usize) {
         self.m = m;
+        self.strict.refit(self.n, m);
     }
 
     /// Domain size.
@@ -339,7 +725,7 @@ impl ProfileTally {
 
     /// Number of voters strictly preferring `a` over `b`.
     pub fn strict_count(&self, a: ElementId, b: ElementId) -> u32 {
-        self.strict[a as usize * self.n + b as usize]
+        self.strict.get(a as usize * self.n + b as usize)
     }
 
     /// Number of voters tying the pair (`a ≠ b`).
@@ -375,11 +761,10 @@ impl ProfileTally {
     /// The diagonal entry (`a == b`) is meaningless (it reads the zero
     /// self-cell, so `false`); callers skip it.
     pub fn strict_majorities_against(&self, b: ElementId) -> impl Iterator<Item = bool> + '_ {
-        let m = self.m as u64;
-        self.strict[b as usize..]
-            .iter()
+        let (m, cells) = (self.m as u64, &self.strict);
+        (b as usize..cells.len())
             .step_by(self.n)
-            .map(move |&s_ab| 2 * u64::from(s_ab) > m)
+            .map(move |i| 2 * u64::from(cells.get(i)) > m)
     }
 
     /// The ×2 `Kprof` cost of placing `ahead` strictly ahead of
@@ -412,9 +797,10 @@ impl ProfileTally {
         w2
     }
 
-    /// The flat strict-count matrix (`n × n`, row-major).
-    pub fn strict_counts(&self) -> &[u32] {
-        &self.strict
+    /// The strict-count matrix (`n × n`, row-major), as a view that
+    /// reads every cell as `u32` whatever width the tally stores.
+    pub fn strict_counts(&self) -> StrictCounts<'_> {
+        StrictCounts(&self.strict)
     }
 
     /// The total `Kprof` objective `2·Σ_i Kprof(candidate, σ_i)` of any
@@ -430,9 +816,11 @@ impl ProfileTally {
     /// bucket index; the diagonal is zero). Each of those `P` pairs
     /// has exactly one cell with `b_w > b_l`, so folding its `m` into
     /// that cell makes every term a cell value in `0..=m`:
-    /// `Σ_{l,w} (b_w ≤ b_l ? s(l, w) : m − s(l, w))`. Rows are summed
-    /// in `u32` runs of `u32::MAX / max(m, 1)` cells — no run can
-    /// overflow — each widened once into the `u64` total.
+    /// `Σ_{l,w} (b_w ≤ b_l ? s(l, w) : m − s(l, w))`. The scan runs at
+    /// the tally's cell width, over the candidate's bucket indices
+    /// narrowed to it, and sums rows in runs of `MAX / max(m, 1)` cells
+    /// (`MAX` of the cell width) — no run can overflow — each widened
+    /// once into the `u64` total.
     ///
     /// Agrees exactly with summing
     /// [`kendall::kprof_x2`](bucketrank_metrics::kendall::kprof_x2)
@@ -452,24 +840,35 @@ impl ProfileTally {
         if n == 0 {
             return Ok(0);
         }
-        let buckets = candidate.bucket_indices();
-        let m = self.m as u32;
-        let run = (u32::MAX / m.max(1)) as usize;
-        let mut total = 0u64;
-        for (row, &bl) in self.strict.chunks_exact(n).zip(buckets) {
-            for (cells, bws) in row.chunks(run).zip(buckets.chunks(run)) {
-                let mut sum = 0u32;
-                for (&s, &bw) in cells.iter().zip(bws) {
-                    // All ones when the candidate puts `w` after `l`:
-                    // the cell is then `(s ^ !0) + (m + 1) = m − s`.
-                    let later = 0u32.wrapping_sub(u32::from(bw > bl));
-                    sum += (s ^ later).wrapping_add(later & (m + 1));
-                }
-                total += u64::from(sum);
-            }
-        }
-        Ok(total)
+        let bof = candidate.bucket_indices();
+        Ok(with_cells!(&self.strict, s => kemeny_scan(s, self.m, bof)))
     }
+}
+
+/// The scan behind [`ProfileTally::kemeny_cost_x2`] at one cell width;
+/// `bof` is the candidate's bucket-index map (`n ≥ 1` entries).
+fn kemeny_scan<C: Cell>(strict: &[C], m: usize, bof: &[u32]) -> u64 {
+    let mut scratch = Vec::new();
+    let buckets = C::keys(bof, &mut scratch);
+    let n = buckets.len();
+    let run = (C::MAX / (m as u32).max(1)) as usize;
+    // `m + 1` wraps to 0 in `u16` at m = u16::MAX; the masked term below
+    // is then still `m − s` modulo the width, and `m − s` fits it.
+    let m1 = C::wrap(m as u32 + 1);
+    let mut total = 0u64;
+    for (row, &bl) in strict.chunks_exact(n).zip(buckets) {
+        for (cells, bws) in row.chunks(run).zip(buckets.chunks(run)) {
+            let mut sum = C::default();
+            for (&s, &bw) in cells.iter().zip(bws) {
+                // All ones when the candidate puts `w` after `l`: the
+                // cell is then `(s ^ !0) + (m + 1) = m − s`.
+                let later = C::default().wrapping_sub(C::from(bw > bl));
+                sum += (s ^ later).wrapping_add(later & m1);
+            }
+            total += u64::from(widen(sum));
+        }
+    }
+    total
 }
 
 #[cfg(test)]
@@ -674,13 +1073,13 @@ mod tests {
     fn wide_two_matrix_cost(t: &ProfileTally, candidate: &BucketOrder) -> u128 {
         let (n, b) = (t.len(), candidate.bucket_indices());
         let mut total = 0u128;
+        let s = |x: usize, y: usize| u128::from(t.strict_count(x as ElementId, y as ElementId));
         for l in 0..n {
             for w in 0..n {
                 if b[w] < b[l] {
-                    total += t.m as u128 + u128::from(t.strict[l * n + w])
-                        - u128::from(t.strict[w * n + l]);
+                    total += t.m as u128 + s(l, w) - s(w, l);
                 } else if b[w] == b[l] && w != l {
-                    total += u128::from(t.strict[l * n + w]);
+                    total += s(l, w);
                 }
             }
         }
@@ -744,6 +1143,59 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn cells_are_exact_on_both_sides_of_the_u16_boundary() {
+        // m = u16::MAX is the widest narrow tally, with cells at exactly
+        // u16::MAX and the scan's `m + 1` wrapping to 0; one more voter
+        // stores u32 cells. Both must read the same as the u128 formula.
+        let narrow_max = usize::from(u16::MAX);
+        for m in [narrow_max - 1, narrow_max, narrow_max + 1] {
+            for n in [1usize, 2, 3, 5, 8] {
+                let t = synthetic(n, m, (m * 17 + n) as u64);
+                assert_eq!(matches!(t.strict, Cells::Narrow(_)), m <= narrow_max, "m = {m}");
+                let cands = [
+                    BucketOrder::trivial(n),
+                    BucketOrder::from_keys(&(0..n as i64).collect::<Vec<_>>()),
+                    BucketOrder::from_keys(&(0..n as i64).map(|e| (e * 5) % 3).collect::<Vec<_>>()),
+                ];
+                for cand in &cands {
+                    assert_eq!(
+                        u128::from(t.kemeny_cost_x2(cand).unwrap()),
+                        wide_two_matrix_cost(&t, cand),
+                        "m = {m}, n = {n}, {cand:?}"
+                    );
+                }
+                let m128 = m as u128;
+                for a in 0..n as ElementId {
+                    for b in (0..n as ElementId).filter(|&b| b != a) {
+                        let (sab, sba) = (t.strict_count(a, b), t.strict_count(b, a));
+                        let (sab, sba) = (u128::from(sab), u128::from(sba));
+                        assert_eq!(u128::from(t.weight_x2(a, b)), m128 + sab - sba);
+                        assert_eq!(i128::from(t.margin(a, b)), sab as i128 - sba as i128);
+                        assert_eq!(u128::from(t.tie_count(a, b)), m128 - sab - sba);
+                    }
+                }
+                // A zero-voter spare (narrow) takes either width's copy.
+                let mut copy = ProfileTally::empty(n);
+                copy.clone_from(&t);
+                assert_eq!(copy, t);
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_copies_across_widths_and_domain_sizes() {
+        let narrow = synthetic(4, 9, 1);
+        let wide = synthetic(4, usize::from(u16::MAX) + 1, 2);
+        let other_n = synthetic(6, 3, 3);
+        for (spare, source) in [(&narrow, &wide), (&wide, &narrow), (&other_n, &wide), (&wide, &other_n)] {
+            let mut copy = spare.clone();
+            copy.clone_from(source);
+            assert_eq!(&copy, source);
+            assert_eq!(copy.strict_counts().len(), source.len() * source.len());
         }
     }
 

@@ -408,7 +408,10 @@ fn main() {
     // the tally derives it per call, which would time the derivation,
     // not the scan.
     let w2 = oracle::naive_weights_x2(&profile[..16]);
-    let strict = tally16.strict_counts();
+    // The oracle reads the strict counts widened to `u32`, as the
+    // two-matrix scan always stored them.
+    let strict_wide: Vec<u32> = tally16.strict_counts().iter().collect();
+    let strict = &strict_wide[..];
     let tied = random_few_valued(&mut rng, gn, 16);
     let scan = tally16.kemeny_cost_x2(&tied).unwrap();
     let reference = oracle::two_matrix_cost_x2(&w2, strict, &tied);

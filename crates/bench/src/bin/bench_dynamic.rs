@@ -36,8 +36,10 @@
 //!   edits). `snapshot/clone` allocates a fresh view (`snapshot()`);
 //!   `snapshot/recycle` copies into the view the previous iteration
 //!   retired (`snapshot_reusing`), which is what the server's republish
-//!   does. A view is one `n²` `u32` matrix plus `n` medians: 1 MiB at
-//!   n = 512, the same bytes at m = 16 and m = 256. The clone row's
+//!   does. A view is one `n²` matrix of `u16` cells (every shape here
+//!   has m ≤ u16::MAX) plus `n` medians: 512 KiB at n = 512, the same
+//!   bytes at m = 16 and m = 256; with `u32` cells it was 1 MiB, and
+//!   the figures below are from then. The clone row's
 //!   cost depends on the allocator, not on `m`: when glibc hands the
 //!   freed matrix back to the OS, the next clone faults in 256 fresh
 //!   pages. That is why `clone/16x512` once read about 5× `256x512`
@@ -45,7 +47,8 @@
 //!   read about 45–60 µs, and forcing every 1 MiB block through mmap
 //!   (`MALLOC_MMAP_THRESHOLD_=131072`) puts both at about 500 µs. The
 //!   recycle row reuses warm pages, so it reads about 43 µs, memcpy
-//!   speed for 1 MiB, under either setting.
+//!   speed for 1 MiB, under either setting. With `u16` cells both rows
+//!   read about 16 µs at n = 512.
 //!
 //! The crossover: an update-then-query cycle saves a factor `Θ(m)`
 //! over rebuild-then-query, so the dynamic path wins whenever more

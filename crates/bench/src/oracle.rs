@@ -225,7 +225,8 @@ pub fn naive_weights_x2(inputs: &[BucketOrder]) -> Vec<u32> {
 }
 
 /// The oracle for `ProfileTally::kemeny_cost_x2`: the two-matrix scan
-/// ([`two_matrix_cost_x2`]) over the tally's derived `w2` matrix.
+/// ([`two_matrix_cost_x2`]) over the tally's derived `w2` matrix and its
+/// strict counts widened to `u32`, whatever width the tally stores.
 ///
 /// # Errors
 /// As the library method.
@@ -240,11 +241,8 @@ pub fn kemeny_cost_x2(
             found: candidate.len(),
         });
     }
-    Ok(two_matrix_cost_x2(
-        &tally.weights_x2(),
-        tally.strict_counts(),
-        candidate,
-    ))
+    let strict: Vec<u32> = tally.strict_counts().iter().collect();
+    Ok(two_matrix_cost_x2(&tally.weights_x2(), &strict, candidate))
 }
 
 /// The two-matrix Kemeny scan: a candidate-ordered pair (winner `w`,

@@ -138,8 +138,13 @@ fn pair_distance(
 /// `aggregate`: combine the rankings with the chosen method.
 ///
 /// # Errors
-/// [`CliError`] on unknown methods or malformed input.
+/// [`CliError`] on unknown methods, on `top` with any method but
+/// `median` (the others always return a full ranking), or on malformed
+/// input.
 pub fn cmd_aggregate(content: &str, method: &str, top: Option<usize>) -> Result<String, CliError> {
+    if top.is_some() && method != "median" {
+        return err(format!("--top applies only to --method median, not {method:?}"));
+    }
     let file = parse_ranking_file(content)?;
     let inputs = &file.rankings;
     let output = match method {
@@ -211,13 +216,14 @@ pub fn cmd_generate(
             return err(format!("--mallows θ must be finite and ≥ 0, got {theta}"));
         }
     }
+    // Checked before either branch, so both reject k > n the same way.
+    let alpha = match top {
+        Some(k) => TypeSeq::top_k(n, k).map_err(|e| CliError(e.to_string()))?,
+        None => TypeSeq::full(n),
+    };
     let mut rng = Pcg32::seed_from_u64(seed);
     let rankings: Vec<BucketOrder> = match (mallows_theta, top) {
-        (Some(theta), k) => {
-            let alpha = match k {
-                Some(k) => TypeSeq::top_k(n, k).map_err(|e| CliError(e.to_string()))?,
-                None => TypeSeq::full(n),
-            };
+        (Some(theta), _) => {
             let model = MallowsWithTies::new(Mallows::new(n, theta), alpha);
             model.sample_profile(&mut rng, m)
         }
@@ -537,7 +543,7 @@ pub fn cmd_serve(
 /// # Errors
 /// [`CliError`] with a usage or failure message.
 pub fn run(args: &[String], read_file: impl Fn(&str) -> Result<String, CliError>) -> Result<String, CliError> {
-    let usage = "usage:\n  bucketrank compare <file> [--metric kprof|fprof|khaus|fhaus|all]\n  bucketrank aggregate <file> [--method median|fdagger|borda|mc4|kwiksort|schulze] [--top K]\n  bucketrank medrank <file> --top K\n  bucketrank analyze <file>\n  bucketrank query <data.csv> --schema a:int,b:text,… --prefer attr:asc[:bin=W] [--prefer attr:in=x;y]… [--top K] [--no-header]\n  bucketrank generate --n N --m M [--seed S] [--mallows THETA] [--top K]\n  bucketrank serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--max-conns N] [--max-frame BYTES] [--pipeline-depth N] [--addr-file PATH] [--shards N] [--max-sessions N] [--data-dir PATH] [--checkpoint-every N]\n    (--max-sessions is a resident-session budget split ceil(N/shards) per shard by the session-name hash)";
+    let usage = "usage:\n  bucketrank compare <file> [--metric kprof|fprof|khaus|fhaus|all]\n  bucketrank aggregate <file> [--method median|fdagger|borda|mc4|kwiksort|schulze] [--top K (median only)]\n  bucketrank medrank <file> --top K\n  bucketrank analyze <file>\n  bucketrank query <data.csv> --schema a:int,b:text,… --prefer attr:asc[:bin=W] [--prefer attr:in=x;y]… [--top K] [--no-header]\n  bucketrank generate --n N --m M [--seed S] [--mallows THETA] [--top K]\n  bucketrank serve [--addr HOST:PORT] [--workers N] [--queue-depth N] [--max-conns N] [--max-frame BYTES] [--pipeline-depth N] [--addr-file PATH] [--shards N] [--max-sessions N] [--data-dir PATH] [--checkpoint-every N]\n    (--max-sessions is a resident-session budget split ceil(N/shards) per shard by the session-name hash)";
     let mut it = args.iter();
     let cmd = match it.next() {
         Some(c) => c.as_str(),
@@ -722,6 +728,27 @@ mod tests {
     }
 
     #[test]
+    fn aggregate_top_is_median_only() {
+        for method in ["fdagger", "borda", "mc4", "kwiksort", "schulze"] {
+            for k in [1, 99] {
+                let e = cmd_aggregate(SAMPLE, method, Some(k)).expect_err(method);
+                assert!(e.0.contains("--top") && e.0.contains(method), "{method}: {e:?}");
+            }
+            let line = format!("aggregate rankings.txt --method {method} --top 2");
+            let args: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            let e = run(&args, |_| Ok(SAMPLE.to_owned())).expect_err(method);
+            assert!(e.0.contains("median"), "{method}: {e:?}");
+        }
+        let args: Vec<String> = "aggregate rankings.txt --method median --top 2"
+            .split(' ')
+            .map(str::to_owned)
+            .collect();
+        let out = run(&args, |_| Ok(SAMPLE.to_owned())).unwrap();
+        assert_eq!(out, cmd_aggregate(SAMPLE, "median", Some(2)).unwrap());
+        assert!(out.contains('|'), "{out}");
+    }
+
+    #[test]
     fn medrank_reports_access_stats() {
         let out = cmd_medrank(SAMPLE, 2).unwrap();
         assert!(out.contains("1. "), "{out}");
@@ -740,6 +767,19 @@ mod tests {
         let f = parse_ranking_file(&text).unwrap();
         assert!(f.rankings.iter().all(|r| r.top_k_len() == Some(3)));
         assert!(cmd_generate(0, 3, 7, None, None).is_err());
+    }
+
+    #[test]
+    fn generate_rejects_top_k_above_n_on_both_branches() {
+        for extra in ["", " --mallows 0.5"] {
+            let line = format!("generate --n 3 --m 2 --top 5{extra}");
+            let args: Vec<String> = line.split(' ').map(str::to_owned).collect();
+            let e = run(&args, no_fs).expect_err(&line);
+            assert!(e.0.contains("k = 5 exceeds the domain size 3"), "{line}: {e:?}");
+        }
+        // k = n is still a valid top-k on both branches.
+        assert!(cmd_generate(3, 2, 7, None, Some(3)).is_ok());
+        assert!(cmd_generate(3, 2, 7, Some(0.5), Some(3)).is_ok());
     }
 
     #[test]

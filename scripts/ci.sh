@@ -79,9 +79,19 @@ echo "==> topk vs top-difference differential (256 cases per property)"
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test topk_vs_topdiff
 
 echo "==> tally conformance suite (256 cases per property)"
+# Every tally primitive against naive prefers() loops and kprof_x2
+# sums, over u16 cells (profiles of at most u16::MAX voters). The
+# cross-width lane is the promotion-boundary check: its profiles
+# straddle CHUNK_VOTERS = u16::MAX voters, so they cross from u16 to
+# u32 cells as well as into a second chunk.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test tally_conformance
 
 echo "==> dynamic update-oracle suite (256 cases per property)"
+# Random edit scripts, checked against a fresh build after every step,
+# plus the cross-width lane: pushes past 65 536 voters and removes back
+# below, where the tally changes cell width in place. At every crossing
+# the tally, medians and snapshot must equal a fresh build, and a
+# snapshot recycled from a spare of the other width a fresh snapshot.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test dynamic_vs_rebuild
 
 echo "==> wire-protocol fuzz suite, v1 + v2 batch frames (256 cases per property)"
@@ -169,7 +179,8 @@ echo "==> bench_aggregate_tally smoke gate"
 # and par8 ≥ 1.5× seq, asserted only on machines with ≥ 8 cores (SKIP
 # otherwise). At 16×512 with a 16-level candidate (always asserted):
 # kemeny_cost_x2 must equal the two-matrix bucketrank_bench::oracle
-# scan and run ≥ 3× faster than it.
+# scan and run ≥ 3× faster than it. The tally's cells are u16 there;
+# the oracle reads them widened to u32 through the strict_counts view.
 agg_smoke_out="target/BENCH_aggregate.smoke.json"
 BUCKETRANK_BENCH_FAST=1 BUCKETRANK_BENCH_OUT="$agg_smoke_out" \
   cargo run --release --offline -p bucketrank-bench --bin bench_aggregate_tally

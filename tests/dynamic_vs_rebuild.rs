@@ -105,7 +105,7 @@ fn assert_matches_rebuild(
     assert_eq!(dp.voters(), inputs.len());
     if inputs.is_empty() {
         assert!(dp.tally().weights_x2().iter().all(|&x| x == 0));
-        assert!(dp.tally().strict_counts().iter().all(|&x| x == 0));
+        assert!(dp.tally().strict_counts().iter().all(|x| x == 0));
         assert!(matches!(dp.snapshot(), Err(AggregateError::NoInputs)));
         assert!(matches!(
             dp.median_positions(),
@@ -243,6 +243,60 @@ fn snapshot_aggregates_match_the_batch_pipeline() {
             }
         },
     );
+}
+
+#[test]
+fn cell_width_crossings_match_rebuild() {
+    // The tally stores u16 cells up to u16::MAX voters and u32 cells
+    // beyond: pushes cross the boundary upward and removes back down,
+    // with replaces on both sides. At every crossing the tally, the
+    // medians and the snapshot must equal a fresh build, and a snapshot
+    // recycled from a spare taken at the other width must equal a fresh
+    // one. Voters cycle through a pool whose first pair is unanimous, so
+    // that cell sits at exactly u16::MAX, then 65 536.
+    const NARROW_MAX: usize = u16::MAX as usize;
+    for (n, policy) in [(2usize, MedianPolicy::Lower), (5, MedianPolicy::Upper)] {
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let rev: Vec<u32> = ids.iter().rev().copied().collect();
+        let pool = [
+            BucketOrder::from_permutation(&ids).unwrap(),
+            BucketOrder::from_keys(&(0..n as i64).map(|e| (e + 1) / 2).collect::<Vec<_>>()),
+            BucketOrder::from_permutation(&ids).unwrap(),
+        ];
+        let mut dp = DynamicProfile::new(n, policy);
+        let mut live: Vec<(VoterId, BucketOrder)> = Vec::new();
+        for i in 0..NARROW_MAX {
+            apply_op(&mut dp, &mut live, &EditOp::Push(pool[i % pool.len()].clone()));
+        }
+        assert_matches_rebuild(&dp, &live, policy);
+        assert_eq!(dp.tally().strict_count(0, n as u32 - 1), NARROW_MAX as u32);
+        let mut spare = dp.snapshot().unwrap();
+        let script = [
+            EditOp::Push(pool[0].clone()),
+            EditOp::Replace(7, BucketOrder::from_permutation(&rev).unwrap()),
+            EditOp::Push(pool[1].clone()),
+            EditOp::Remove(3),
+            EditOp::Remove(NARROW_MAX),
+            EditOp::Replace(11, BucketOrder::trivial(n)),
+            EditOp::Remove(0),
+            EditOp::Push(pool[2].clone()),
+            EditOp::Push(pool[0].clone()),
+            EditOp::Remove(5),
+            EditOp::Remove(1),
+        ];
+        let mut crossings = 0;
+        for op in &script {
+            let before = dp.voters();
+            apply_op(&mut dp, &mut live, op);
+            assert_matches_rebuild(&dp, &live, policy);
+            // After a crossing the spare is the other width's snapshot.
+            let recycled = dp.snapshot_reusing(Some(spare)).unwrap();
+            assert_eq!(recycled, dp.snapshot().unwrap(), "{op:?} at m = {before}");
+            spare = recycled;
+            crossings += usize::from((before <= NARROW_MAX) != (dp.voters() <= NARROW_MAX));
+        }
+        assert_eq!(crossings, 4, "two crossings each way");
+    }
 }
 
 #[test]
