@@ -71,23 +71,18 @@
 //! sequential writes, no data-dependent branches, no bounds checks,
 //! and the compiler autovectorizes the inner loop.
 //!
-//! Voters are split into chunks of at most [`CHUNK_VOTERS`] and each
-//! chunk accumulates into `u16` cells, safe from overflow by the chunk
-//! bound (see [`CHUNK_VOTERS`]). Rows are blocked into
-//! [`TILE_ROWS`]-row slabs with the voter loop *inside* the tile loop,
-//! so the slab being written stays cache-resident while a whole chunk
-//! streams past. A profile of at most `u16::MAX` voters accumulates
-//! straight into its narrow `strict`; a wider one fills a `u16` partial
-//! per chunk and widens each into the `u32` `strict` in one sequential
-//! pass. There is no second matrix to derive.
-//!
-//! The parallel path ([`ProfileTally::build_parallel`]) splits voters
-//! across scoped threads (clamped to the machine's available
-//! parallelism), each running the same chunked kernel into a private
-//! partial, then merges. DESIGN.md §3.3b documents the
+//! Rows are blocked into [`TILE_ROWS`]-row slabs with the voter loop
+//! *inside* the tile loop, so the slab being written stays
+//! cache-resident while the voters stream past. A profile of at most
+//! `u16::MAX` voters accumulates straight into its narrow `strict` in
+//! one pass, safe from overflow by the voter bound (see
+//! [`CHUNK_VOTERS`]). A wider one is split into chunks of at most
+//! [`CHUNK_VOTERS`] voters: each chunk fills a `u16` partial, which is
+//! widened into the `u32` `strict` in one sequential pass. There is no
+//! second matrix to derive. DESIGN.md §3.3b documents the
 //! microarchitecture; `tests/tally_conformance.rs` proves the tiled,
 //! narrow-cell build bit-identical to the naive `prefers()` reference,
-//! including chunk-promotion boundaries.
+//! including the chunk-promotion boundaries.
 //!
 //! # Kemeny scan
 //!
@@ -147,7 +142,6 @@ trait Cell:
     + BitAnd<Output = Self>
     + BitOr<Output = Self>
     + BitXor<Output = Self>
-    + Send
 {
     /// The largest cell value.
     const MAX: u32;
@@ -467,26 +461,14 @@ fn accumulate_chunk(partial: &mut [u16], n: usize, chunk: &[BucketOrder]) {
     }
 }
 
-/// Accumulates at most `u16::MAX` voters into their `u16` tally: every
-/// chunk lands straight in the result, which no cell can overflow, so
-/// nothing is widened.
-fn accumulate_narrow(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u16> {
-    debug_assert!(voters.len() <= CHUNK_VOTERS);
-    let mut acc = vec![0u16; n * n];
-    for chunk in voters.chunks(chunk_voters) {
-        accumulate_chunk(&mut acc, n, chunk);
-    }
-    acc
-}
-
 /// Accumulates `voters` into a fresh `u32` strict-count matrix: each
-/// chunk of at most `chunk_voters` voters fills a reused `u16` partial,
-/// which is then widened into the result — the promotion path, exact
-/// because a partial never overflows.
-fn accumulate_wide(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec<u32> {
+/// chunk of at most [`CHUNK_VOTERS`] voters fills a reused `u16`
+/// partial, which is then widened into the result — the promotion
+/// path, exact because a partial never overflows.
+fn accumulate_wide(n: usize, voters: &[BucketOrder]) -> Vec<u32> {
     let mut acc = vec![0u32; n * n];
     let mut partial = vec![0u16; n * n];
-    for (i, chunk) in voters.chunks(chunk_voters).enumerate() {
+    for (i, chunk) in voters.chunks(CHUNK_VOTERS).enumerate() {
         if i > 0 {
             partial.fill(0);
         }
@@ -498,43 +480,10 @@ fn accumulate_wide(n: usize, voters: &[BucketOrder], chunk_voters: usize) -> Vec
     acc
 }
 
-/// Runs `accumulate` over `threads` contiguous voter ranges on scoped
-/// threads and sums the results (or once, inline, for one thread or a
-/// small profile). The sums are exact: each range's cells count its
-/// own voters, and the total counts at most the profile's `m`, which
-/// the width was chosen for.
-fn accumulate_split<C: Cell>(
-    n: usize,
-    inputs: &[BucketOrder],
-    threads: usize,
-    chunk_voters: usize,
-    accumulate: fn(usize, &[BucketOrder], usize) -> Vec<C>,
-) -> Vec<C> {
-    let m = inputs.len();
-    if threads <= 1 || m < 4 {
-        return accumulate(n, inputs, chunk_voters);
-    }
-    let per = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .chunks(per)
-            .map(|voters| scope.spawn(move || accumulate(n, voters, chunk_voters)))
-            .collect();
-        let mut partials = handles
-            .into_iter()
-            .map(|h| h.join().expect("tally worker panicked"));
-        let mut strict = partials.next().expect("at least one tally worker");
-        for partial in partials {
-            for (cell, add) in strict.iter_mut().zip(partial) {
-                *cell += add;
-            }
-        }
-        strict
-    })
-}
-
 impl ProfileTally {
-    /// Builds the tally sequentially: one pass per voter.
+    /// Builds the tally: one tiled pass over the voters — straight into
+    /// the `u16` cells of a narrow profile, through widened `u16` chunk
+    /// partials otherwise.
     ///
     /// # Errors
     /// [`AggregateError::NoInputs`] /
@@ -544,75 +493,20 @@ impl ProfileTally {
     /// Panics if the profile has more than `u32::MAX / 2` voters (the
     /// ×2-scaled weights would overflow the `u32` cells).
     pub fn build(inputs: &[BucketOrder]) -> Result<Self, AggregateError> {
-        Self::build_parallel(inputs, 1)
-    }
-
-    /// Builds the tally with up to `threads` scoped worker threads:
-    /// voters are split into contiguous chunks, each thread runs the
-    /// chunked `u16` kernel into a private partial, and the partials
-    /// are summed into `strict`. `threads ≤ 1` (or a small profile)
-    /// falls back to the sequential pass.
-    ///
-    /// `threads` is clamped to
-    /// [`std::thread::available_parallelism`] before chunking — asking
-    /// for more workers than the machine has cores used to *slow the
-    /// build down* (the oversubscribed partials thrash one core and the
-    /// merge pays for every extra matrix).
-    ///
-    /// # Errors
-    /// [`AggregateError::NoInputs`] /
-    /// [`AggregateError::DomainMismatch`].
-    ///
-    /// # Panics
-    /// As [`ProfileTally::build`].
-    pub fn build_parallel(inputs: &[BucketOrder], threads: usize) -> Result<Self, AggregateError> {
-        let avail = std::thread::available_parallelism().map_or(1, |p| p.get());
-        Self::build_split(inputs, threads.min(avail), CHUNK_VOTERS)
-    }
-
-    /// The splitter behind [`ProfileTally::build_parallel`] and
-    /// [`ProfileTally::build_with_chunk`], without the core clamp: spawns
-    /// exactly `min(threads, m)` workers even on a narrower machine, so
-    /// the unit tests reach every split width. Each worker (or the
-    /// sequential pass) accumulates `chunk_voters ≤ CHUNK_VOTERS` voters
-    /// per `u16` pass — into its result at the narrow width, into a
-    /// partial it widens otherwise.
-    fn build_split(
-        inputs: &[BucketOrder],
-        threads: usize,
-        chunk_voters: usize,
-    ) -> Result<Self, AggregateError> {
-        debug_assert!((1..=CHUNK_VOTERS).contains(&chunk_voters));
         let n = check_inputs(inputs)?;
         let m = inputs.len();
         assert!(
             m <= (u32::MAX / 2) as usize,
             "profile too large for u32 tally cells ({m} voters)"
         );
-        let threads = threads.clamp(1, m);
         let strict = if fits_narrow(n, m) {
-            Cells::Narrow(accumulate_split(n, inputs, threads, chunk_voters, accumulate_narrow))
+            let mut acc = vec![0u16; n * n];
+            accumulate_chunk(&mut acc, n, inputs);
+            Cells::Narrow(acc)
         } else {
-            Cells::Wide(accumulate_split(n, inputs, threads, chunk_voters, accumulate_wide))
+            Cells::Wide(accumulate_wide(n, inputs))
         };
         Ok(ProfileTally { n, m, strict })
-    }
-
-    /// Sequential build with an explicit voter-chunk size — the
-    /// conformance hook behind the chunk-boundary differential lane in
-    /// `tests/tally_conformance.rs` (any `chunk_voters` must reproduce
-    /// [`ProfileTally::build`] bit-for-bit). `chunk_voters` is clamped
-    /// to `1..=CHUNK_VOTERS`; library callers want
-    /// [`ProfileTally::build`].
-    ///
-    /// # Errors
-    /// # Panics
-    /// As [`ProfileTally::build`].
-    pub fn build_with_chunk(
-        inputs: &[BucketOrder],
-        chunk_voters: usize,
-    ) -> Result<Self, AggregateError> {
-        Self::build_split(inputs, 1, chunk_voters.clamp(1, CHUNK_VOTERS))
     }
 
     /// The tally of zero voters over `n` elements — the dynamic engine's
@@ -1000,56 +894,6 @@ mod tests {
                 .kemeny_cost_x2(&BucketOrder::from_permutation(&sw).unwrap())
                 .unwrap() as i64;
             assert_eq!(after - base, t.swap_delta_x2(perm[i], perm[i + 1]));
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let inputs: Vec<BucketOrder> = (0..13)
-            .map(|i| {
-                let k: Vec<i64> = (0..9).map(|e| ((e * (i + 2) + i) % 4) as i64).collect();
-                keys(&k)
-            })
-            .collect();
-        let seq = ProfileTally::build(&inputs).unwrap();
-        for threads in [1usize, 2, 3, 8, 64] {
-            assert_eq!(
-                ProfileTally::build_parallel(&inputs, threads).unwrap(),
-                seq,
-                "threads = {threads}"
-            );
-            assert_eq!(
-                ProfileTally::build_split(&inputs, threads, CHUNK_VOTERS).unwrap(),
-                seq,
-                "split threads = {threads}"
-            );
-        }
-        for chunk in [1usize, 2, 3, 5, 13, 1000] {
-            assert_eq!(
-                ProfileTally::build_with_chunk(&inputs, chunk).unwrap(),
-                seq,
-                "chunk = {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn split_build_matches_sequential_across_the_promotion_boundary() {
-        // Three workers at profile sizes straddling CHUNK_VOTERS, where
-        // the sequential build's u16 partial hits its ceiling and rolls
-        // into a second chunk: the merged worker partials must equal it.
-        let pool = [
-            BucketOrder::from_permutation(&[0, 1, 2, 3]).unwrap(),
-            keys(&[1, 1, 2, 2]),
-            BucketOrder::from_permutation(&[0, 1, 2, 3]).unwrap(),
-        ];
-        for m in [CHUNK_VOTERS - 1, CHUNK_VOTERS, CHUNK_VOTERS + 1, CHUNK_VOTERS + 2] {
-            let profile: Vec<BucketOrder> = (0..m).map(|i| pool[i % pool.len()].clone()).collect();
-            assert_eq!(
-                ProfileTally::build_split(&profile, 3, CHUNK_VOTERS).unwrap(),
-                ProfileTally::build(&profile).unwrap(),
-                "m = {m}"
-            );
         }
     }
 

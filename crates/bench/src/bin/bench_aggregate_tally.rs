@@ -6,9 +6,7 @@
 //!
 //! * **build**: the old per-pair `prefers()`/`is_tied()` double loop
 //!   (what kwiksort/Schulze/MC4/the majority digraph each used to pay
-//!   privately) vs [`ProfileTally::build`], sequential and parallel at
-//!   widths 2/4/8 — each width only on hosts with at least that many
-//!   cores (the skipped widths are recorded with the core count);
+//!   privately) vs [`ProfileTally::build`];
 //! * **mc4**: the MC4 transition-matrix build end to end — the old
 //!   per-entry voter filter (`O(m·n²)`) vs tally build + `O(1)`
 //!   strict-majority reads. The tally side is dominated by its build.
@@ -40,15 +38,12 @@
 //! bench_aggregate_tally`. Results go to the perf trajectory file
 //! `BENCH_aggregate.json` (override with `BUCKETRANK_BENCH_OUT`);
 //! `BUCKETRANK_BENCH_FAST=1` runs the smoke-gate pass on shrunken
-//! shapes. Three hard gates run in both modes. At the 256×512
-//! acceptance shape the single-thread tiled build must hold ≥4× over
-//! the naive scan (always), and the 8-thread build must hold ≥1.5× over
-//! sequential (SKIPped below 8 cores, where threads cannot scale). On
-//! the same profile cut to its first 16 voters, `kemeny_cost_x2` of a
-//! 16-level tied candidate must equal
+//! shapes. Two hard gates run in both modes. At the 256×512
+//! acceptance shape the tiled build must hold ≥4× over the naive scan.
+//! On the same profile cut to its first 16 voters, `kemeny_cost_x2` of
+//! a 16-level tied candidate must equal
 //! `bucketrank_bench::oracle::two_matrix_cost_x2` and run ≥3× faster
-//! than it (always). The oracle's `w2` matrix is built once, before
-//! timing.
+//! than it. The oracle's `w2` matrix is built once, before timing.
 
 use bucketrank_aggregate::cost::{total_cost_x2, AggMetric};
 use bucketrank_aggregate::local::local_kemenize_with_tally;
@@ -176,25 +171,10 @@ fn main() {
     } else {
         &[(16, 128), (16, 512), (256, 128), (256, 512)]
     };
-    // The parallel build is measured at widths 2/4/8, each only where
-    // the host has that many cores: a wider row would only measure
-    // oversubscription (`build_parallel` clamps to the core count).
-    // Skipped widths are recorded with the core count, as `par8_gate`
-    // records its SKIP, so a missing row never reads as "never
-    // measured".
-    let cores = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1);
-    let (par_widths, skipped_widths): (Vec<usize>, Vec<usize>) =
-        [2usize, 4, 8].into_iter().partition(|&t| t <= cores);
-    for &t in &skipped_widths {
-        println!("tally/build/par{t}: SKIP ({cores} cores < {t})");
-    }
 
     let s = Sampler::default();
     let mut all: Vec<Measurement> = Vec::new();
     let mut speedups: Vec<(String, f64)> = Vec::new();
-    let mut par_scaling: Vec<(String, f64)> = Vec::new();
     let mut bandwidths: Vec<(String, f64)> = Vec::new();
 
     for &(m, n) in shapes {
@@ -212,14 +192,6 @@ fn main() {
         let build_seq = s.bench(&format!("tally/build/seq/{m}x{n}"), || {
             ProfileTally::build(&profile).unwrap()
         });
-        let build_par: Vec<Measurement> = par_widths
-            .iter()
-            .map(|&t| {
-                s.bench(&format!("tally/build/par{t}/{m}x{n}"), || {
-                    ProfileTally::build_parallel(&profile, t).unwrap()
-                })
-            })
-            .collect();
 
         bandwidths.push((
             build_naive.name.clone(),
@@ -229,12 +201,6 @@ fn main() {
             build_seq.name.clone(),
             tiled_build_bytes(m, n) / (build_seq.min_ns * 1e-9),
         ));
-        for meas in &build_par {
-            bandwidths.push((
-                meas.name.clone(),
-                tiled_build_bytes(m, n) / (meas.min_ns * 1e-9),
-            ));
-        }
 
         let mc4_naive = s.bench(&format!("mc4/naive/{m}x{n}"), || {
             naive_mc4_matrix(&profile, n)
@@ -261,28 +227,18 @@ fn main() {
         let mc4_speedup = mc4_naive.min_ns / mc4_tally.min_ns;
         let lk_speedup = lk_naive.min_ns / lk_tally.min_ns;
         let kemeny_speedup = kemeny_direct.min_ns / kemeny_tally.min_ns;
-        let par_line: Vec<String> = par_widths
-            .iter()
-            .zip(&build_par)
-            .map(|(&t, meas)| {
-                let vs_seq = build_seq.min_ns / meas.min_ns;
-                par_scaling.push((format!("tally/build/par{t}_vs_seq/{m}x{n}"), vs_seq));
-                format!("par{t} {vs_seq:.2}x")
-            })
-            .collect();
         println!(
-            "  speedups: build {build_seq_speedup:.2}x seq (vs seq: {}), \
+            "  speedups: build {build_seq_speedup:.2}x seq, \
              mc4 {mc4_speedup:.2}x, local_kemenize {lk_speedup:.2}x, \
-             kemeny candidate scan {kemeny_speedup:.2}x",
-            par_line.join(" ")
+             kemeny candidate scan {kemeny_speedup:.2}x"
         );
         speedups.push((format!("tally/build/seq/{m}x{n}"), build_seq_speedup));
         speedups.push((format!("mc4/{m}x{n}"), mc4_speedup));
         speedups.push((format!("local_kemenize/{m}x{n}"), lk_speedup));
         speedups.push((format!("kemeny/{m}x{n}"), kemeny_speedup));
-        all.extend([build_naive, build_seq]);
-        all.extend(build_par);
         all.extend([
+            build_naive,
+            build_seq,
             mc4_naive,
             mc4_tally,
             lk_naive,
@@ -301,17 +257,12 @@ fn main() {
     );
 
     // The report is held until the hard gates below have run, so the
-    // gate outcomes (including a SKIP) land in the trajectory file.
+    // gate outcomes land in the trajectory file.
     let report = BenchReport::new("bench_aggregate_tally")
         .shapes(shapes)
         .field_bool("fast", fast)
         .measurements(&all)
         .ratios("tally_speedups", &speedups)
-        .ratios("tally_par_scaling", &par_scaling)
-        .field_raw(
-            "par_skipped",
-            format!("{{\"cores\": {cores}, \"widths\": {skipped_widths:?}}}"),
-        )
         .bandwidths("effective_bandwidth", &bandwidths)
         .field_raw("roofline", roofline.json());
 
@@ -345,10 +296,8 @@ fn main() {
         .map(|_| random_few_valued(&mut rng, gn, 8))
         .collect();
 
-    // Gate 1 (always): the single-thread tiled build must hold ≥4× over
-    // the naive per-pair scan. This is the anti-regression floor on the
-    // kernel itself — it does not depend on core count, so it never
-    // SKIPs.
+    // Gate 1: the tiled build must hold ≥4× over the naive per-pair
+    // scan — the anti-regression floor on the kernel itself.
     let mut naive_s = f64::INFINITY;
     let mut seq_s = f64::INFINITY;
     for _ in 0..3 {
@@ -368,38 +317,7 @@ fn main() {
         seq_s * 1e3
     );
 
-    // Gate 2: the 8-thread tally build must beat the sequential build
-    // by ≥1.5×, but only on hardware with at least 8 cores —
-    // oversubscribed threads cannot scale, so fewer cores SKIPs the
-    // gate rather than failing it; where it runs, `build_parallel`'s
-    // core clamp leaves all 8 workers. A SKIP is still *recorded* in
-    // the trajectory file — an omitted row reads as "never measured",
-    // which is a different claim than "measured on a small box".
-    let (par8_gate, par8_pass) = if cores < 8 {
-        println!("par8 gate (256x512, par8 >= 1.5x seq): SKIP ({cores} cores < 8)");
-        (format!("{{\"skipped\": true, \"cores\": {cores}}}"), true)
-    } else {
-        let mut par_s = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = std::time::Instant::now();
-            std::hint::black_box(ProfileTally::build_parallel(&profile, 8).unwrap());
-            par_s = par_s.min(t0.elapsed().as_secs_f64());
-        }
-        let ratio = seq_s / par_s;
-        let pass = ratio >= 1.5;
-        let verdict = if pass { "PASS" } else { "FAIL" };
-        println!(
-            "par8 gate (256x512, par8 >= 1.5x seq): seq {:.2}ms vs par8 {:.2}ms = {ratio:.2}x [{verdict}]",
-            seq_s * 1e3,
-            par_s * 1e3
-        );
-        (
-            format!("{{\"skipped\": false, \"cores\": {cores}, \"ratio\": {ratio:.3}}}"),
-            pass,
-        )
-    };
-
-    // Gate 3 (always): the one-matrix Kemeny scan must return exactly
+    // Gate 2: the one-matrix Kemeny scan must return exactly
     // what the two-matrix oracle returns and hold ≥ 3× over it, at the
     // gate's 512-element shape with m = 16 voters and a 16-level tied
     // candidate — the shape the served `kemeny_cost` reads take.
@@ -435,14 +353,13 @@ fn main() {
 
     report
         .field_raw("seq_gate", format!("{{\"ratio\": {seq_ratio:.3}}}"))
-        .field_raw("par8_gate", par8_gate)
         .field_raw(
             "kemeny_gate",
             format!("{{\"exact\": {kemeny_exact}, \"ratio\": {kemeny_ratio:.3}}}"),
         )
         .write(&out_path("BENCH_aggregate.json"));
 
-    if !seq_pass || !par8_pass || !kemeny_pass {
+    if !seq_pass || !kemeny_pass {
         std::process::exit(1);
     }
 }

@@ -1,6 +1,6 @@
 //! Prepared-kernel batch engine vs the per-pair direct path, on the
-//! full pairwise `DistanceMatrix` workload, sequential and parallel —
-//! the measurement backing the `PreparedRanking` layer.
+//! full pairwise `DistanceMatrix` workload — the measurement backing
+//! the `PreparedRanking` layer.
 //!
 //! Matrix rows also report **effective bytes/s** — the irreducible
 //! per-pair traffic (both rankings' 4-byte-per-element prepared maps
@@ -9,15 +9,15 @@
 //! `bucketrank_bench::roofline` for the byte-counting convention).
 //!
 //! Run with `cargo run --release -p bucketrank-bench --bin
-//! bench_batch_prepared`. Results are appended to the perf trajectory
+//! bench_batch_prepared`. Results are written to the perf trajectory
 //! file `BENCH_metrics.json` (override with `BUCKETRANK_BENCH_OUT`);
 //! `BUCKETRANK_BENCH_M` / `BUCKETRANK_BENCH_N` override the workload
 //! shape, and `BUCKETRANK_BENCH_FAST=1` runs the smoke-gate pass. A
 //! `sweep` row times the forced sweep lane on full permutations
 //! (16 × 4096, so the count tree is three levels deep) in both modes.
 //! Hard gates run in both modes: the dispatched `Kprof` matrix (the
-//! counting lane on this bucketed workload) must hold ≥1.5×
-//! single-thread over the forced sweep-lane baseline, and the prepared
+//! counting lane on this bucketed workload) must hold ≥1.5× over the
+//! forced sweep-lane baseline, and the prepared
 //! `FHaus` matrix ≥20× over the direct one.
 //!
 //! `order/from_keys/…` and `order/clone/…` rows time building and
@@ -33,9 +33,8 @@ use bucketrank_bench::roofline::memcpy_bandwidth;
 use bucketrank_bench::timing::{group, Measurement, Sampler};
 use bucketrank_core::BucketOrder;
 use bucketrank_metrics::batch::{
-    pairwise_matrix, pairwise_matrix_parallel, pairwise_matrix_parallel_with,
-    pairwise_matrix_with, prepare_all, weighted_pairwise_matrix,
-    weighted_pairwise_matrix_parallel, BatchMetric, WeightedMetric,
+    pairwise_matrix, pairwise_matrix_with, prepare_all, weighted_pairwise_matrix, BatchMetric,
+    WeightedMetric,
 };
 use bucketrank_metrics::prepared::pair_counts_sweep;
 use bucketrank_metrics::{PreparedRanking, Weights};
@@ -88,10 +87,6 @@ fn main() {
     let (def_m, def_n) = if fast { (24, 96) } else { (64, 512) };
     let m = env_usize("BUCKETRANK_BENCH_M", def_m);
     let n = env_usize("BUCKETRANK_BENCH_N", def_n);
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8);
 
     let mut rng = Pcg32::seed_from_u64(45);
     let profile: Vec<BucketOrder> = (0..m).map(|_| random_few_valued(&mut rng, n, 8)).collect();
@@ -115,27 +110,15 @@ fn main() {
             &format!("batch/{}/prepared/seq/{m}x{n}", metric.name()),
             || pairwise_matrix(&profile, metric).unwrap(),
         );
-        let direct_par = s.bench(
-            &format!("batch/{}/direct/par{threads}/{m}x{n}", metric.name()),
-            || pairwise_matrix_parallel_with(&profile, |a, b| metric.direct(a, b), threads)
-                .unwrap(),
-        );
-        let prepared_par = s.bench(
-            &format!("batch/{}/prepared/par{threads}/{m}x{n}", metric.name()),
-            || pairwise_matrix_parallel(&profile, metric, threads).unwrap(),
-        );
 
         let seq_speedup = direct_seq.min_ns / prepared_seq.min_ns;
-        let par_speedup = direct_par.min_ns / prepared_par.min_ns;
-        println!(
-            "  prepared speedup: {seq_speedup:.2}x sequential, {par_speedup:.2}x parallel ({threads} threads)"
-        );
+        println!("  prepared speedup: {seq_speedup:.2}x");
         speedups.push((format!("batch/{}/seq", metric.name()), seq_speedup));
-        speedups.push((format!("batch/{}/par{threads}", metric.name()), par_speedup));
-        for meas in [&prepared_seq, &prepared_par] {
-            bandwidths.push((meas.name.clone(), matrix_bytes / (meas.min_ns * 1e-9)));
-        }
-        all.extend([direct_seq, prepared_seq, direct_par, prepared_par]);
+        bandwidths.push((
+            prepared_seq.name.clone(),
+            matrix_bytes / (prepared_seq.min_ns * 1e-9),
+        ));
+        all.extend([direct_seq, prepared_seq]);
     }
 
     // Weighted family rows: the naive per-pair kernels (which rebuild
@@ -155,21 +138,14 @@ fn main() {
             &format!("batch/{}/prepared/seq/{m}x{n}", metric.name()),
             || weighted_pairwise_matrix(&profile, metric, &weights).unwrap(),
         );
-        let prepared_par = s.bench(
-            &format!("batch/{}/prepared/par{threads}/{m}x{n}", metric.name()),
-            || weighted_pairwise_matrix_parallel(&profile, metric, &weights, threads).unwrap(),
-        );
         let seq_speedup = naive_seq.min_ns / prepared_seq.min_ns;
-        let par_speedup = naive_seq.min_ns / prepared_par.min_ns;
-        println!(
-            "  prepared speedup: {seq_speedup:.2}x sequential, {par_speedup:.2}x parallel ({threads} threads)"
-        );
+        println!("  prepared speedup: {seq_speedup:.2}x");
         weighted_speedups.push((format!("batch/{}/seq", metric.name()), seq_speedup));
-        weighted_speedups.push((format!("batch/{}/par{threads}", metric.name()), par_speedup));
-        for meas in [&prepared_seq, &prepared_par] {
-            bandwidths.push((meas.name.clone(), matrix_bytes / (meas.min_ns * 1e-9)));
-        }
-        all.extend([naive_seq, prepared_seq, prepared_par]);
+        bandwidths.push((
+            prepared_seq.name.clone(),
+            matrix_bytes / (prepared_seq.min_ns * 1e-9),
+        ));
+        all.extend([naive_seq, prepared_seq]);
     }
 
     // The sweep lane at large kτ: on full permutations the dispatcher
@@ -234,7 +210,6 @@ fn main() {
     BenchReport::new("bench_batch_prepared")
         .field_usize("m", m)
         .field_usize("n", n)
-        .field_usize("threads", threads)
         .field_bool("fast", fast)
         .measurements(&all)
         .ratios("prepared_speedups", &speedups)
@@ -256,8 +231,8 @@ fn main() {
     );
 
     // Hard lane gate: the dispatched Kprof matrix (counting lane on
-    // this ≤8-bucket workload) must hold ≥1.5× single-thread over the
-    // forced sweep-lane baseline. Best-of-3 `Instant` timings; runs in
+    // this ≤8-bucket workload) must hold ≥1.5× over the forced
+    // sweep-lane baseline. Best-of-3 `Instant` timings; runs in
     // both modes on the same profile as the rows above.
     let mut sweep_s = f64::INFINITY;
     let mut table_s = f64::INFINITY;
@@ -281,7 +256,7 @@ fn main() {
     }
 
     // FHaus gate: the prepared matrix (witness rank arrays by counting
-    // scatter) must hold ≥20× sequential over the direct one (four
+    // scatter) must hold ≥20× over the direct one (four
     // materialized `star_chain` witnesses per pair), from the rows
     // above.
     let fhaus = speedups
@@ -295,13 +270,11 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Weighted family gate: the prepared weighted matrix (sequential)
-    // must not lose to the naive per-pair path on the same workload —
+    // Weighted family gate: the prepared weighted matrix must not lose to the naive per-pair path on the same workload —
     // the precomputed cumulative-mass scores have to pay for
     // themselves.
     let worst_weighted = weighted_speedups
         .iter()
-        .filter(|(name, _)| name.ends_with("/seq"))
         .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
         .expect("nonempty");
     let verdict = if worst_weighted.1 >= 1.0 { "PASS" } else { "FAIL" };

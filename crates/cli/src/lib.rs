@@ -22,7 +22,7 @@ use bucketrank_aggregate::schulze::schulze;
 use bucketrank_aggregate::median::{aggregate_full, aggregate_top_k, MedianPolicy};
 use bucketrank_core::parse::{display_labeled, parse_labeled_ranking_strict};
 use bucketrank_core::{BucketOrder, Domain, TypeSeq};
-use bucketrank_metrics::{footrule, hausdorff, kendall};
+use bucketrank_metrics::batch::pairwise_matrix;
 use bucketrank_workloads::mallows::{Mallows, MallowsWithTies};
 use bucketrank_workloads::random::random_bucket_order;
 use bucketrank_workloads::rng::Pcg32;
@@ -108,31 +108,20 @@ pub fn cmd_compare(content: &str, metric: &str) -> Result<String, CliError> {
     let mut out = String::new();
     let m = file.rankings.len();
     for metric in metrics {
+        // The batch matrix is on the engine's scale; `scale` lifts it to
+        // the shared ×2 scale, which halves to the paper's value.
+        let (batch, scale) = metric.batch_metric();
+        let d = pairwise_matrix(&file.rankings, batch).map_err(|e| CliError(e.to_string()))?;
         let _ = writeln!(out, "{}:", metric.name());
         for i in 0..m {
             let mut row = String::new();
             for j in 0..m {
-                let d = pair_distance(metric, &file.rankings[i], &file.rankings[j])?;
-                let _ = write!(row, "{:>8.1}", d);
+                let _ = write!(row, "{:>8.1}", (d.get(i, j) * scale) as f64 / 2.0);
             }
             let _ = writeln!(out, "  #{i:<3}{row}");
         }
     }
     Ok(out)
-}
-
-fn pair_distance(
-    metric: AggMetric,
-    a: &BucketOrder,
-    b: &BucketOrder,
-) -> Result<f64, CliError> {
-    let v = match metric {
-        AggMetric::KProf => kendall::kprof(a, b),
-        AggMetric::FProf => footrule::fprof(a, b),
-        AggMetric::KHaus => hausdorff::khaus(a, b).map(|x| x as f64),
-        AggMetric::FHaus => hausdorff::fhaus(a, b).map(|x| x as f64),
-    };
-    v.map_err(|e| CliError(e.to_string()))
 }
 
 /// `aggregate`: combine the rankings with the chosen method.
@@ -232,11 +221,7 @@ pub fn cmd_generate(
             .collect(),
         (None, None) => (0..m).map(|_| random_bucket_order(&mut rng, n)).collect(),
     };
-    let mut out = String::new();
-    for r in &rankings {
-        let _ = writeln!(out, "{}", r.display().replace(['[', ']'], ""));
-    }
-    // Re-emit with brackets and e<N> labels for a self-contained file.
+    // Brackets and e<N> labels make a self-contained file.
     let mut labeled = String::new();
     for r in &rankings {
         let mut line = String::from("[");
@@ -678,6 +663,7 @@ pub fn run(args: &[String], read_file: impl Fn(&str) -> Result<String, CliError>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bucketrank_metrics::{footrule, hausdorff, kendall};
 
     const SAMPLE: &str = "\n# three diners\n[thai | sushi pizza]\n[sushi | thai pizza]\n[thai sushi | pizza]\n";
 
@@ -713,6 +699,27 @@ mod tests {
         assert!(cmd_compare(SAMPLE, "nope").is_err());
         let single = cmd_compare(SAMPLE, "kprof").unwrap();
         assert!(single.contains("Kprof") && !single.contains("FHaus"));
+    }
+
+    #[test]
+    fn compare_all_matches_the_direct_metrics_cell_by_cell() {
+        let rankings = parse_ranking_file(SAMPLE).unwrap().rankings;
+        let direct = |name: &str, a: &BucketOrder, b: &BucketOrder| match name {
+            "Kprof" => kendall::kprof(a, b).unwrap(),
+            "Fprof" => footrule::fprof(a, b).unwrap(),
+            "KHaus" => hausdorff::khaus(a, b).unwrap() as f64,
+            _ => hausdorff::fhaus(a, b).unwrap() as f64,
+        };
+        let mut expected = String::new();
+        for name in ["Kprof", "Fprof", "KHaus", "FHaus"] {
+            let _ = writeln!(expected, "{name}:");
+            for (i, a) in rankings.iter().enumerate() {
+                let row: String =
+                    rankings.iter().map(|b| format!("{:>8.1}", direct(name, a, b))).collect();
+                let _ = writeln!(expected, "  #{i:<3}{row}");
+            }
+        }
+        assert_eq!(cmd_compare(SAMPLE, "all").unwrap(), expected);
     }
 
     #[test]

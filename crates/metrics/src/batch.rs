@@ -1,5 +1,5 @@
-//! Batch distance computation: full pairwise matrices, optionally in
-//! parallel, over [`PreparedRanking`] kernels.
+//! Batch distance computation: full pairwise matrices over
+//! [`PreparedRanking`] kernels.
 //!
 //! Applications of the paper's metrics (similarity search, clustering,
 //! the experiment harness itself) routinely need all `m(m−1)/2` pairwise
@@ -11,15 +11,11 @@
 //! one pass against a suffix-count tree, a counting scatter per `fhaus`
 //! witness, or a position-vector scan).
 //!
-//! Every matrix builder runs through one shared fill loop: a
-//! single-threaded upper-triangle pass, or, given `threads > 1`, a
-//! [`std::thread::scope`]d pass that splits the flattened pair list
-//! into contiguous chunks, one per worker. Kernel scratch is
-//! per-thread ([`crate::prepared`]), so each worker reuses its own
-//! buffers for its whole chunk and workers never contend; the kernels
-//! are otherwise pure functions of immutable prepared state, so this
-//! parallelizes embarrassingly. Either way the first error by pair
-//! order is returned.
+//! Every matrix builder runs through one shared fill loop: an
+//! upper-triangle pass in pair order, mirrored into both triangles,
+//! that returns the first error by pair order. Kernel scratch is
+//! per-thread ([`crate::prepared`]), so the pass reuses one set of
+//! buffers for the whole matrix.
 //!
 //! The batch entry points take a [`BatchMetric`] naming one of the
 //! paper's metrics on its canonical integer scale. Custom distance
@@ -221,10 +217,10 @@ fn check_profile(orders: &[BucketOrder]) -> Result<(), MetricsError> {
         .try_for_each(|w| check_same_domain(&w[0], &w[1]))
 }
 
-/// The shared fill loop, single-threaded: `d(i, j)` for every unordered
-/// pair `i < j` in row-major order, mirrored into both triangles. The
-/// first error stops the pass.
-fn fill_seq(
+/// The shared fill loop: `d(i, j)` for every unordered pair `i < j` in
+/// row-major order, mirrored into both triangles. The first error stops
+/// the pass.
+fn fill(
     m: usize,
     d: impl Fn(usize, usize) -> Result<u64, MetricsError>,
 ) -> Result<DistanceMatrix, MetricsError> {
@@ -239,44 +235,6 @@ fn fill_seq(
     Ok(DistanceMatrix { m, values })
 }
 
-/// The shared fill loop over `threads` scoped workers: the flattened pair
-/// list is cut into contiguous chunks, one per worker, which balances
-/// well because every pair costs roughly the same. Returns what
-/// [`fill_seq`] returns — the same matrix, or the first error by pair
-/// order — and falls back to it when `threads ≤ 1 || m < 4`.
-fn fill(
-    m: usize,
-    threads: usize,
-    d: impl Fn(usize, usize) -> Result<u64, MetricsError> + Sync,
-) -> Result<DistanceMatrix, MetricsError> {
-    if threads <= 1 || m < 4 {
-        return fill_seq(m, d);
-    }
-    let pairs: Vec<(usize, usize)> = (0..m)
-        .flat_map(|i| (i + 1..m).map(move |j| (i, j)))
-        .collect();
-    let mut results: Vec<Result<u64, MetricsError>> = vec![Ok(0); pairs.len()];
-    std::thread::scope(|scope| {
-        // Chunk the results buffer so each worker owns a disjoint slice.
-        let chunk = pairs.len().div_ceil(threads);
-        for (slots, pairs) in results.chunks_mut(chunk).zip(pairs.chunks(chunk)) {
-            let d = &d;
-            scope.spawn(move || {
-                for (slot, &(i, j)) in slots.iter_mut().zip(pairs) {
-                    *slot = d(i, j);
-                }
-            });
-        }
-    });
-    let mut values = vec![0u64; m * m];
-    for ((i, j), r) in pairs.into_iter().zip(results) {
-        let v = r?;
-        values[i * m + j] = v;
-        values[j * m + i] = v;
-    }
-    Ok(DistanceMatrix { m, values })
-}
-
 /// Prepares every ranking of a profile for batch evaluation, validating
 /// once that they share a domain.
 ///
@@ -287,7 +245,7 @@ pub fn prepare_all(orders: &[BucketOrder]) -> Result<Vec<PreparedRanking<'_>>, M
     Ok(orders.iter().map(PreparedRanking::new).collect())
 }
 
-/// Computes the pairwise matrix single-threaded via prepared kernels:
+/// Computes the pairwise matrix via prepared kernels:
 /// each ranking is prepared once, then all `m(m−1)/2` pairs are
 /// evaluated with no per-call setup.
 ///
@@ -311,28 +269,10 @@ pub fn pairwise_matrix_prepared(
     prepared: &[PreparedRanking<'_>],
     metric: BatchMetric,
 ) -> Result<DistanceMatrix, MetricsError> {
-    fill_seq(prepared.len(), |i, j| metric.prepared(&prepared[i], &prepared[j]))
+    fill(prepared.len(), |i, j| metric.prepared(&prepared[i], &prepared[j]))
 }
 
-/// Computes the pairwise matrix with `threads` scoped worker threads
-/// over prepared kernels (`threads = 1` runs single-threaded).
-/// Preparation is done once up front on the calling thread — it is
-/// `O(m·n)`, negligible next to the `O(m²·n log n)` pair work the
-/// threads split.
-///
-/// # Errors
-/// As [`pairwise_matrix`]. The first error encountered (by pair order)
-/// is returned.
-pub fn pairwise_matrix_parallel(
-    orders: &[BucketOrder],
-    metric: BatchMetric,
-    threads: usize,
-) -> Result<DistanceMatrix, MetricsError> {
-    let prepared = prepare_all(orders)?;
-    fill(prepared.len(), threads, |i, j| metric.prepared(&prepared[i], &prepared[j]))
-}
-
-/// Computes the pairwise matrix single-threaded with an arbitrary
+/// Computes the pairwise matrix with an arbitrary
 /// distance function, calling it once per unordered pair. This is the
 /// naive reference path — the prepared engine must match it exactly —
 /// and the escape hatch for distances without a prepared kernel.
@@ -345,25 +285,7 @@ where
     D: Fn(&BucketOrder, &BucketOrder) -> Result<u64, MetricsError>,
 {
     check_profile(orders)?;
-    fill_seq(orders.len(), |i, j| d(&orders[i], &orders[j]))
-}
-
-/// [`pairwise_matrix_with`], parallelized over `threads` scoped worker
-/// threads like [`pairwise_matrix_parallel`].
-///
-/// # Errors
-/// As [`pairwise_matrix_with`]. The first error encountered (by pair
-/// order) is returned.
-pub fn pairwise_matrix_parallel_with<D>(
-    orders: &[BucketOrder],
-    d: D,
-    threads: usize,
-) -> Result<DistanceMatrix, MetricsError>
-where
-    D: Fn(&BucketOrder, &BucketOrder) -> Result<u64, MetricsError> + Sync,
-{
-    check_profile(orders)?;
-    fill(orders.len(), threads, |i, j| d(&orders[i], &orders[j]))
+    fill(orders.len(), |i, j| d(&orders[i], &orders[j]))
 }
 
 /// Per-ranking score vectors for a weighted matrix, after validating
@@ -381,7 +303,7 @@ fn l1_gap(a: &[u64], b: &[u64]) -> u64 {
     a.iter().zip(b).map(|(&x, &y)| x.abs_diff(y)).sum()
 }
 
-/// Computes the weighted pairwise matrix single-threaded: each
+/// Computes the weighted pairwise matrix: each
 /// ranking's score vector is computed **once**, then all `m(m−1)/2`
 /// pairs are plain `L1` zips — the weighted analogue of
 /// [`pairwise_matrix`].
@@ -395,23 +317,7 @@ pub fn weighted_pairwise_matrix(
     w: &Weights,
 ) -> Result<DistanceMatrix, MetricsError> {
     let scores = weighted_scores_all(orders, metric, w)?;
-    fill_seq(scores.len(), |i, j| Ok(l1_gap(&scores[i], &scores[j])))
-}
-
-/// [`weighted_pairwise_matrix`] with `threads` scoped worker threads,
-/// like [`pairwise_matrix_parallel`]. Score vectors are computed once
-/// up front on the calling thread; the workers only read them.
-///
-/// # Errors
-/// As [`weighted_pairwise_matrix`].
-pub fn weighted_pairwise_matrix_parallel(
-    orders: &[BucketOrder],
-    metric: WeightedMetric,
-    w: &Weights,
-    threads: usize,
-) -> Result<DistanceMatrix, MetricsError> {
-    let scores = weighted_scores_all(orders, metric, w)?;
-    fill(scores.len(), threads, |i, j| Ok(l1_gap(&scores[i], &scores[j])))
+    fill(scores.len(), |i, j| Ok(l1_gap(&scores[i], &scores[j])))
 }
 
 #[cfg(test)]
@@ -447,11 +353,7 @@ mod tests {
         for metric in BatchMetric::ALL {
             let naive = pairwise_matrix_with(&p, |a, b| metric.direct(a, b)).unwrap();
             let seq = pairwise_matrix(&p, metric).unwrap();
-            assert_eq!(naive, seq, "{} sequential", metric.name());
-            for threads in [1usize, 2, 3, 8] {
-                let par = pairwise_matrix_parallel(&p, metric, threads).unwrap();
-                assert_eq!(naive, par, "{} threads = {threads}", metric.name());
-            }
+            assert_eq!(naive, seq, "{}", metric.name());
         }
     }
 
@@ -463,8 +365,6 @@ mod tests {
             let from_views = pairwise_matrix_prepared(&prepared, metric).unwrap();
             let from_orders = pairwise_matrix(&p, metric).unwrap();
             assert_eq!(from_views, from_orders, "{}", metric.name());
-            let par = pairwise_matrix_parallel(&p, metric, 4).unwrap();
-            assert_eq!(from_views, par, "{} parallel", metric.name());
         }
     }
 
@@ -493,11 +393,7 @@ mod tests {
         for metric in WeightedMetric::ALL {
             let naive = pairwise_matrix_with(&p, |a, b| metric.naive(a, b, &w)).unwrap();
             let mx = weighted_pairwise_matrix(&p, metric, &w).unwrap();
-            assert_eq!(naive, mx, "{} sequential", metric.name());
-            for threads in [1usize, 2, 3, 8] {
-                let par = weighted_pairwise_matrix_parallel(&p, metric, &w, threads).unwrap();
-                assert_eq!(naive, par, "{} threads = {threads}", metric.name());
-            }
+            assert_eq!(naive, mx, "{}", metric.name());
             // The prepared pair kernel agrees with the matrix entries too.
             let prepared = prepare_all(&p).unwrap();
             let kernel = match metric {
@@ -523,7 +419,7 @@ mod tests {
                 Err(MetricsError::WeightsLengthMismatch { weights: 3, domain: 12 })
             ));
             let mixed = vec![BucketOrder::trivial(3), BucketOrder::trivial(4)];
-            assert!(weighted_pairwise_matrix_parallel(&mixed, metric, &short, 4).is_err());
+            assert!(weighted_pairwise_matrix(&mixed, metric, &short).is_err());
         }
     }
 
@@ -531,9 +427,7 @@ mod tests {
     fn domain_mismatch_detected() {
         let p = vec![BucketOrder::trivial(3), BucketOrder::trivial(4)];
         assert!(pairwise_matrix(&p, BatchMetric::KProfX2).is_err());
-        assert!(pairwise_matrix_parallel(&p, BatchMetric::KProfX2, 4).is_err());
         assert!(pairwise_matrix_with(&p, crate::kendall::kprof_x2).is_err());
-        assert!(pairwise_matrix_parallel_with(&p, crate::kendall::kprof_x2, 4).is_err());
     }
 
     #[test]
@@ -543,7 +437,7 @@ mod tests {
         assert!(mx.is_empty());
         assert_eq!(mx.medoid(), None);
         let one = vec![BucketOrder::trivial(3)];
-        let mx = pairwise_matrix_parallel(&one, BatchMetric::KProfX2, 4).unwrap();
+        let mx = pairwise_matrix(&one, BatchMetric::KProfX2).unwrap();
         assert_eq!(mx.len(), 1);
         assert_eq!(mx.medoid(), Some((0, 0)));
     }

@@ -55,6 +55,9 @@ echo "==> rustdoc, warnings denied"
 # link, fails the gate here instead of lingering in the docs.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+echo "==> public item count per library crate (report only)"
+scripts/api_items.sh
+
 echo "==> bucket-order layout suite (256 cases per property)"
 # Every BucketOrder constructor and transform against a nested-Vec
 # reference built in the test, over u32 / i64 / Pos keys on n = 0..64:
@@ -83,7 +86,8 @@ echo "==> tally conformance suite (256 cases per property)"
 # sums, over u16 cells (profiles of at most u16::MAX voters). The
 # cross-width lane is the promotion-boundary check: its profiles
 # straddle CHUNK_VOTERS = u16::MAX voters, so they cross from u16 to
-# u32 cells as well as into a second chunk.
+# u32 cells as well as into a second chunk, and one of
+# 2 · CHUNK_VOTERS + 1 voters reaches a third chunk.
 BUCKETRANK_PT_CASES=256 cargo test -q --offline -p bucketrank --test tally_conformance
 
 echo "==> dynamic update-oracle suite (256 cases per property)"
@@ -152,8 +156,8 @@ echo "==> bench_batch_prepared smoke gate"
 # roofline). The smoke numbers land in target/ so they never clobber a
 # committed full-size baseline; if no baseline exists yet, the smoke
 # report seeds one. The pass ends with four gates: the dispatched
-# Kprof matrix (counting lane) must hold ≥ 1.5× single-thread over the
-# forced sweep lane, the prepared FHaus matrix must hold ≥ 20× over the
+# Kprof matrix (counting lane) must hold ≥ 1.5× over the forced sweep
+# lane, the prepared FHaus matrix must hold ≥ 20× over the
 # direct one, the prepared weighted matrix must hold ≥ 1× over the
 # naive per-pair weighted kernels, and the order layout gate: every
 # order/from_keys and order/clone row must equal the nested-Vec
@@ -173,11 +177,9 @@ echo "==> bench_aggregate_tally smoke gate"
 # the tally-vs-direct bench runs end to end (its worst-aggregator line
 # is the regression canary, and it reports bytes/s + roofline like the
 # batch bench) and seeds the aggregate baseline if absent. The pass
-# ends with three hard gates. At 256×512: the single-thread tiled build
-# must hold ≥ 4× over the naive scan (always asserted — the
-# anti-regression floor on the kernel, never below the seed's ratio),
-# and par8 ≥ 1.5× seq, asserted only on machines with ≥ 8 cores (SKIP
-# otherwise). At 16×512 with a 16-level candidate (always asserted):
+# ends with two hard gates. At 256×512 the tiled build must hold ≥ 4×
+# over the naive scan (the anti-regression floor on the kernel, never
+# below the seed's ratio). At 16×512 with a 16-level candidate,
 # kemeny_cost_x2 must equal the two-matrix bucketrank_bench::oracle
 # scan and run ≥ 3× faster than it. The tally's cells are u16 there;
 # the oracle reads them widened to u32 through the strict_counts view.

@@ -1,11 +1,10 @@
-//! Snapshot-isolation regression tests for the streaming engine
-//! (alongside `tests/batch_parallel.rs`): held `DynamicProfile`
-//! snapshots are immutable owned views, so readers on other threads
-//! must never observe a partial update while the owning thread edits
-//! the engine — every invariant of a consistent epoch (the tally equal
-//! to a fresh build over the voters live at the epoch, no pair counted
-//! by more voters than exist, median vector frozen at the epoch) must
-//! hold on the view throughout, and the view must compare
+//! Snapshot-isolation regression tests for the streaming engine: held
+//! `DynamicProfile` snapshots are immutable owned views, so readers on
+//! other threads must never observe a partial update while the owning
+//! thread edits the engine — every invariant of a consistent epoch
+//! (the tally equal to a fresh build over the voters live at the epoch,
+//! no pair counted by more voters than exist, median vector frozen at
+//! the epoch) must hold on the view throughout, and the view must compare
 //! byte-identical to its capture before, during and after the churn.
 //!
 //! Recycled republishes (`DynamicProfile::snapshot_reusing`, the

@@ -15,8 +15,8 @@
 //! against its own reversal, and many-bucket pairs in both directions.
 
 use bucketrank::metrics::batch::{
-    pairwise_matrix, pairwise_matrix_parallel, pairwise_matrix_with, prepare_all,
-    weighted_pairwise_matrix, weighted_pairwise_matrix_parallel, BatchMetric, WeightedMetric,
+    pairwise_matrix, pairwise_matrix_with, prepare_all, weighted_pairwise_matrix, BatchMetric,
+    WeightedMetric,
 };
 use bucketrank::metrics::prepared::{
     fhaus_prepared, fhaus_x2_prepared, fprof_x2_prepared, kavg_x2_prepared, khaus_prepared,
@@ -120,20 +120,16 @@ fn prepared_equals_direct_on_singleton_and_single_bucket() {
 #[test]
 fn batch_matrix_equals_direct_double_loop_sequential_and_parallel() {
     // The conformance requirement end to end: the prepared batch engine
-    // (sequential and parallel) agrees exactly with a per-pair direct
-    // evaluation, for every metric, on random profiles.
+    // agrees exactly with a per-pair direct evaluation, for every
+    // metric, on random profiles.
     check(
         "batch_matrix_equals_direct_double_loop_sequential_and_parallel",
         gen::vec_of(gen::bucket_order(9, 3), 2..=7),
         |profile| {
             for metric in BatchMetric::ALL {
                 let naive = pairwise_matrix_with(profile, |a, b| metric.direct(a, b)).unwrap();
-                let seq = pairwise_matrix(profile, metric).unwrap();
-                assert_eq!(naive, seq, "{} sequential", metric.name());
-                for threads in [2usize, 3, 8] {
-                    let par = pairwise_matrix_parallel(profile, metric, threads).unwrap();
-                    assert_eq!(naive, par, "{} threads = {threads}", metric.name());
-                }
+                let prepared = pairwise_matrix(profile, metric).unwrap();
+                assert_eq!(naive, prepared, "{}", metric.name());
             }
         },
     );
@@ -363,13 +359,8 @@ fn weighted_matrix_equals_naive_double_loop_sequential_and_parallel() {
             for metric in WeightedMetric::ALL {
                 let naive =
                     pairwise_matrix_with(profile, |a, b| metric.naive(a, b, &w)).unwrap();
-                let seq = weighted_pairwise_matrix(profile, metric, &w).unwrap();
-                assert_eq!(naive, seq, "{} sequential", metric.name());
-                for threads in [2usize, 3, 8] {
-                    let par =
-                        weighted_pairwise_matrix_parallel(profile, metric, &w, threads).unwrap();
-                    assert_eq!(naive, par, "{} threads = {threads}", metric.name());
-                }
+                let prepared = weighted_pairwise_matrix(profile, metric, &w).unwrap();
+                assert_eq!(naive, prepared, "{}", metric.name());
             }
         },
     );
@@ -388,7 +379,7 @@ fn weighted_entry_points_reject_bad_shapes_not_panic() {
     assert_eq!(weighted_footrule_x2_prepared(&pa, &pb, &w3).unwrap_err(), expected);
     assert_eq!(top_diff_prepared(&pa, &pb, &w3).unwrap_err(), expected);
     // Wrong-length weights against a same-domain pair, from every entry
-    // point: naive, prepared, and both matrix drivers.
+    // point: naive, prepared, and the matrix driver.
     let wrong = MetricsError::WeightsLengthMismatch { weights: 5, domain: 3 };
     for metric in WeightedMetric::ALL {
         assert_eq!(metric.naive(&a, &a, &w5).unwrap_err(), wrong);
@@ -401,17 +392,21 @@ fn weighted_entry_points_reject_bad_shapes_not_panic() {
             weighted_pairwise_matrix(&profile, metric, &w5).unwrap_err(),
             wrong
         );
-        assert_eq!(
-            weighted_pairwise_matrix_parallel(&profile, metric, &w5, 4).unwrap_err(),
-            wrong
-        );
     }
     // Mixed-domain profiles are rejected up front, as in the unweighted
-    // batch path.
+    // batch path, even when the mismatch is not in the first pair; a
+    // same-domain profile longer than two is checked against the
+    // weights too.
     let mixed = vec![a.clone(), b.clone()];
+    let five = BucketOrder::trivial(5);
+    let late = vec![five.clone(), five.clone(), five.clone(), BucketOrder::trivial(6)];
+    let same = vec![five; 5];
+    let late_domain = MetricsError::DomainMismatch { left: 5, right: 6 };
+    let short = MetricsError::WeightsLengthMismatch { weights: 3, domain: 5 };
     for metric in WeightedMetric::ALL {
-        assert!(weighted_pairwise_matrix(&mixed, metric, &w3).is_err());
-        assert!(weighted_pairwise_matrix_parallel(&mixed, metric, &w3, 4).is_err());
+        assert_eq!(weighted_pairwise_matrix(&mixed, metric, &w3).unwrap_err(), expected);
+        assert_eq!(weighted_pairwise_matrix(&late, metric, &w5).unwrap_err(), late_domain);
+        assert_eq!(weighted_pairwise_matrix(&same, metric, &w3).unwrap_err(), short);
     }
 }
 
@@ -438,6 +433,34 @@ fn mismatched_domains_error_not_panic_from_every_entry_point() {
     assert!(prepare_all(&profile).is_err());
     for metric in BatchMetric::ALL {
         assert!(pairwise_matrix(&profile, metric).is_err());
-        assert!(pairwise_matrix_parallel(&profile, metric, 4).is_err());
     }
+    // …even when the mismatch is not in the first pair, naming the
+    // sizes of the first mismatched neighbours.
+    let late = vec![
+        BucketOrder::trivial(5),
+        BucketOrder::trivial(5),
+        BucketOrder::trivial(5),
+        BucketOrder::trivial(6),
+    ];
+    assert_eq!(
+        pairwise_matrix(&late, BatchMetric::KProfX2).unwrap_err(),
+        MetricsError::DomainMismatch { left: 5, right: 6 }
+    );
+    // A custom distance failing on two pairs, (1, 4) and then (3, 5) in
+    // pair order: the first by pair order is returned. Each failing
+    // pair names itself in its error.
+    let profile: Vec<BucketOrder> = (0..7)
+        .map(|i| BucketOrder::from_keys(&[i, 3, i % 2, 1]))
+        .collect();
+    let index = |o: &BucketOrder| profile.iter().position(|p| std::ptr::eq(p, o)).unwrap();
+    let d = |a: &BucketOrder, b: &BucketOrder| match (index(a), index(b)) {
+        (i, j) if [(1, 4), (3, 5)].contains(&(i, j)) => {
+            Err(MetricsError::DomainMismatch { left: i, right: j })
+        }
+        _ => Ok(0),
+    };
+    assert_eq!(
+        pairwise_matrix_with(&profile, d).unwrap_err(),
+        MetricsError::DomainMismatch { left: 1, right: 4 }
+    );
 }

@@ -7,19 +7,16 @@
 //! all-tied voters, unanimous full profiles). The one-matrix Kemeny
 //! scan is also pinned to the two-matrix scan it replaced
 //! (`bucketrank_bench::oracle::kemeny_cost_x2`) on every candidate
-//! shape its select distinguishes. The parallel tally build
-//! is pinned to the sequential one, and the rewired aggregators
-//! (majority digraph, local Kemenization) are pinned to in-test copies
-//! of their pre-tally reference implementations.
+//! shape its select distinguishes. The rewired aggregators (majority
+//! digraph, local Kemenization) are pinned to in-test copies of their
+//! pre-tally reference implementations.
 //!
 //! The tiled kernel gets its own differential lanes: domains straddling
-//! the `TILE_ROWS` slab boundary, chunked builds at adversarial chunk
-//! sizes pinned to the single-chunk build, and a deterministic
-//! `u16`→`u32` promotion check at profiles straddling `CHUNK_VOTERS`
-//! (= `u16::MAX`) voters, where the narrow partial cells hit their
-//! ceiling exactly. (The three-worker split at the same sizes is pinned
-//! by a tally unit test, which reaches the unclamped splitter on any
-//! core count.)
+//! the `TILE_ROWS` slab boundary, and a deterministic `u16`→`u32`
+//! promotion check at profiles straddling `CHUNK_VOTERS` (= `u16::MAX`)
+//! voters, where the narrow cells hit their ceiling exactly, and at
+//! `2 · CHUNK_VOTERS + 1` voters, where the wide build widens a third
+//! `u16` chunk partial.
 
 use bucketrank::aggregate::condorcet::MajorityGraph;
 use bucketrank::aggregate::cost::{self, AggMetric};
@@ -241,29 +238,11 @@ fn tiled_build_matches_naive_across_tile_boundary() {
 }
 
 #[test]
-fn chunked_builds_match_single_chunk_build() {
-    // Adversarial chunk sizes: 1 (every voter its own u16 partial,
-    // maximal widen traffic), sizes that leave a remainder chunk, and
-    // sizes larger than the profile (single-chunk fast path). All must
-    // be bit-identical to the default build.
-    check(
-        "chunked_builds_match_single_chunk_build",
-        gen::profile_with_degenerates(1..=9, 8, 3),
-        |profile| {
-            let reference = ProfileTally::build(profile).unwrap();
-            for chunk in [1usize, 2, 3, 5, profile.len(), profile.len() + 7] {
-                let chunked = ProfileTally::build_with_chunk(profile, chunk).unwrap();
-                assert_eq!(chunked, reference, "chunk = {chunk}");
-            }
-        },
-    );
-}
-
-#[test]
 fn promotion_boundary_is_exact_at_chunk_voters() {
     // Profiles straddling CHUNK_VOTERS (= u16::MAX) voters, where the
-    // u16 partial cells hit their ceiling exactly and the build rolls
-    // into a second chunk. Voters cycle through a small pool, so every
+    // u16 cells hit their ceiling exactly and the build switches to u32
+    // cells fed by u16 chunk partials, plus one that fills two partials
+    // and starts a third. Voters cycle through a small pool, so every
     // expected count is analytic: full cycles × the pool's count plus
     // the partial prefix's. The unanimous pool entry drives cells to
     // the exact u16::MAX maximum at m = CHUNK_VOTERS.
@@ -272,7 +251,13 @@ fn promotion_boundary_is_exact_at_chunk_voters() {
         BucketOrder::from_keys(&[1, 1, 2, 2]),
         BucketOrder::from_permutation(&[0, 1, 2, 3]).unwrap(),
     ];
-    for m in [CHUNK_VOTERS - 1, CHUNK_VOTERS, CHUNK_VOTERS + 1, CHUNK_VOTERS + 2] {
+    for m in [
+        CHUNK_VOTERS - 1,
+        CHUNK_VOTERS,
+        CHUNK_VOTERS + 1,
+        CHUNK_VOTERS + 2,
+        2 * CHUNK_VOTERS + 1,
+    ] {
         let profile: Vec<BucketOrder> = (0..m).map(|i| pool[i % pool.len()].clone()).collect();
         let t = ProfileTally::build(&profile).unwrap();
         let (cycles, rem) = (m / pool.len(), m % pool.len());
@@ -294,21 +279,6 @@ fn promotion_boundary_is_exact_at_chunk_voters() {
         // single-chunk case peaks at exactly u16::MAX.
         assert_eq!(t.strict_count(0, 3), m as u32);
     }
-}
-
-#[test]
-fn parallel_build_matches_sequential() {
-    check(
-        "parallel_build_matches_sequential",
-        gen::profile_with_degenerates(1..=12, 10, 4),
-        |profile| {
-            let seq = ProfileTally::build(profile).unwrap();
-            for threads in [2usize, 3, 5, 16] {
-                let par = ProfileTally::build_parallel(profile, threads).unwrap();
-                assert_eq!(par, seq, "threads = {threads}");
-            }
-        },
-    );
 }
 
 #[test]
