@@ -101,21 +101,6 @@ pub fn distance_x2(
     })
 }
 
-/// [`distance_x2`] over prepared views — for callers evaluating one
-/// candidate against many rankings (or many candidates against a fixed
-/// profile), preparing once and paying only the kernel per pair.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn distance_x2_prepared(
-    metric: AggMetric,
-    a: &PreparedRanking<'_>,
-    b: &PreparedRanking<'_>,
-) -> Result<u64, MetricsError> {
-    let (bm, scale) = metric.batch_metric();
-    Ok(scale * bm.prepared(a, b)?)
-}
-
 /// The aggregation objective `2·Σ_i d(candidate, σ_i)` under `metric`.
 ///
 /// The candidate is prepared once and scored against prepared input
@@ -129,29 +114,11 @@ pub fn total_cost_x2(
     inputs: &[BucketOrder],
 ) -> Result<u64, AggregateError> {
     check_inputs(inputs)?;
+    let (bm, scale) = metric.batch_metric();
     let cand = PreparedRanking::new(candidate);
-    let prepared_inputs: Vec<PreparedRanking<'_>> =
-        inputs.iter().map(PreparedRanking::new).collect();
-    total_cost_x2_prepared(metric, &cand, &prepared_inputs)
-}
-
-/// [`total_cost_x2`] over already-prepared views: the candidate and the
-/// inputs are prepared by the caller (typically once, then reused across
-/// many candidate evaluations — the local-search and medoid loops).
-///
-/// # Errors
-/// [`AggregateError::NoInputs`] / [`AggregateError::DomainMismatch`].
-pub fn total_cost_x2_prepared(
-    metric: AggMetric,
-    candidate: &PreparedRanking<'_>,
-    inputs: &[PreparedRanking<'_>],
-) -> Result<u64, AggregateError> {
-    if inputs.is_empty() {
-        return Err(AggregateError::NoInputs);
-    }
     let mut total = 0u64;
     for s in inputs {
-        total += distance_x2_prepared(metric, candidate, s)?;
+        total += scale * bm.prepared(&cand, &PreparedRanking::new(s))?;
     }
     Ok(total)
 }
@@ -272,8 +239,6 @@ mod tests {
             BucketOrder::from_keys(&[2, 2, 2, 1, 3]),
         ];
         let cand = BucketOrder::from_keys(&[1, 1, 2, 3, 2]);
-        let pc = PreparedRanking::new(&cand);
-        let pin: Vec<PreparedRanking<'_>> = inputs.iter().map(PreparedRanking::new).collect();
         for metric in AggMetric::ALL {
             let direct: u64 = inputs
                 .iter()
@@ -291,18 +256,6 @@ mod tests {
                 total_cost_x2(metric, &cand, &inputs).unwrap(),
                 direct,
                 "{}",
-                metric.name()
-            );
-            assert_eq!(
-                total_cost_x2_prepared(metric, &pc, &pin).unwrap(),
-                direct,
-                "{} prepared",
-                metric.name()
-            );
-            assert_eq!(
-                distance_x2_prepared(metric, &pc, &pin[0]).unwrap(),
-                distance_x2(metric, &cand, &inputs[0]).unwrap(),
-                "{} pair",
                 metric.name()
             );
         }
@@ -378,18 +331,15 @@ mod tests {
     #[test]
     fn errors() {
         let a = BucketOrder::trivial(3);
-        assert!(total_cost_x2(AggMetric::KProf, &a, &[]).is_err());
         assert_eq!(
-            total_cost_x2_prepared(AggMetric::KProf, &PreparedRanking::new(&a), &[]),
+            total_cost_x2(AggMetric::KProf, &a, &[]),
             Err(AggregateError::NoInputs)
         );
         let b = BucketOrder::trivial(4);
-        assert!(distance_x2_prepared(
-            AggMetric::FHaus,
-            &PreparedRanking::new(&a),
-            &PreparedRanking::new(&b)
-        )
-        .is_err());
+        assert!(matches!(
+            total_cost_x2(AggMetric::FHaus, &b, std::slice::from_ref(&a)),
+            Err(AggregateError::DomainMismatch { .. })
+        ));
         let f = vec![Pos::ZERO; 2];
         assert!(total_l1_x2(&f, std::slice::from_ref(&a)).is_err());
     }

@@ -20,6 +20,14 @@
 //!   that is not present is a typed
 //!   [`AggregateError::UnknownVoter`] with state untouched — never a
 //!   panic;
+//! * each edit method first runs its public check —
+//!   [`check_push`](DynamicProfile::check_push) (domain size, voter cap,
+//!   and the id the push will get),
+//!   [`check_remove`](DynamicProfile::check_remove) (unknown voter),
+//!   [`check_replace`](DynamicProfile::check_replace) (both) — and
+//!   nothing else can fail. A durability layer runs the same check
+//!   before it logs an edit, so every logged edit is one the engine
+//!   applies, and the rules exist in one place;
 //! * a generation counter and [`snapshot`](DynamicProfile::snapshot)
 //!   give batch consumers (kwiksort seeding, Schulze supports, local
 //!   Kemenization, the CLI) a consistent read view: a
@@ -416,9 +424,8 @@ impl DynamicProfile {
         self.voters.get(&id.0)
     }
 
-    /// The raw id the next successful push will be assigned. Durability
-    /// layers use this to write the push's log record *before* applying
-    /// it (write-ahead order) with the exact id the reply will carry.
+    /// The raw id the next successful push will be assigned — the id
+    /// counter a checkpoint stores for [`from_voters`](Self::from_voters).
     pub fn next_push_id(&self) -> u64 {
         self.next_id
     }
@@ -443,26 +450,71 @@ impl DynamicProfile {
         self.med.iter().map(|&v| Pos::from_half_units(v as i64))
     }
 
-    /// Pushes a new voter; `O(n²)`.
+    /// Checks a push without applying it and returns the id the push
+    /// will be assigned; `O(1)`. [`push_voter`](Self::push_voter) runs
+    /// this same check first, so `Ok` here guarantees the push succeeds
+    /// with that id.
     ///
     /// # Errors
     /// [`AggregateError::DomainMismatch`] if the ranking's domain size
     /// differs; [`AggregateError::TooManyVoters`] at the `u32` tally
-    /// capacity. Either way the engine is left untouched.
-    pub fn push_voter(&mut self, ranking: BucketOrder) -> Result<VoterId, AggregateError> {
-        let n = self.tally.len();
-        if ranking.len() != n {
-            return Err(AggregateError::DomainMismatch {
-                expected: n,
-                found: ranking.len(),
-            });
-        }
-        let m = self.tally.voters();
-        if m >= Self::MAX_VOTERS {
+    /// capacity.
+    pub fn check_push(&self, ranking: &BucketOrder) -> Result<VoterId, AggregateError> {
+        self.check_domain(ranking)?;
+        if self.tally.voters() >= Self::MAX_VOTERS {
             return Err(AggregateError::TooManyVoters {
                 limit: Self::MAX_VOTERS,
             });
         }
+        Ok(VoterId(self.next_id))
+    }
+
+    /// Checks a remove without applying it; `O(1)`.
+    /// [`remove_voter`](Self::remove_voter) runs this same check first,
+    /// so `Ok` here guarantees the remove succeeds.
+    ///
+    /// # Errors
+    /// [`AggregateError::UnknownVoter`] if `id` is not live.
+    pub fn check_remove(&self, id: VoterId) -> Result<(), AggregateError> {
+        if self.voters.contains_key(&id.0) {
+            Ok(())
+        } else {
+            Err(AggregateError::UnknownVoter { id: id.0 })
+        }
+    }
+
+    /// Checks a replace without applying it; `O(1)`.
+    /// [`replace_voter`](Self::replace_voter) runs this same check
+    /// first, so `Ok` here guarantees the replace succeeds.
+    ///
+    /// # Errors
+    /// [`AggregateError::DomainMismatch`], then
+    /// [`AggregateError::UnknownVoter`].
+    pub fn check_replace(&self, id: VoterId, ranking: &BucketOrder) -> Result<(), AggregateError> {
+        self.check_domain(ranking)?;
+        self.check_remove(id)
+    }
+
+    fn check_domain(&self, ranking: &BucketOrder) -> Result<(), AggregateError> {
+        let n = self.tally.len();
+        if ranking.len() == n {
+            Ok(())
+        } else {
+            Err(AggregateError::DomainMismatch {
+                expected: n,
+                found: ranking.len(),
+            })
+        }
+    }
+
+    /// Pushes a new voter; `O(n²)`.
+    ///
+    /// # Errors
+    /// As [`check_push`](Self::check_push); the engine is left
+    /// untouched on error.
+    pub fn push_voter(&mut self, ranking: BucketOrder) -> Result<VoterId, AggregateError> {
+        let id = self.check_push(&ranking)?;
+        let m = self.tally.voters();
         self.tally.push_voter(&ranking, &mut self.keys);
         let k = target_rank(self.policy, m + 1);
         for (e, p) in ranking.positions().iter().enumerate() {
@@ -478,23 +530,20 @@ impl DynamicProfile {
         }
         self.generation += 1;
         self.dirty.mark_all();
-        let id = self.next_id;
         self.next_id += 1;
-        self.voters.insert(id, ranking);
-        Ok(VoterId(id))
+        self.voters.insert(id.0, ranking);
+        Ok(id)
     }
 
     /// Removes a live voter and returns its stored ranking; `O(n²)`.
     ///
     /// # Errors
-    /// [`AggregateError::UnknownVoter`] if `id` is not live — typed,
-    /// never a panic, with the engine untouched (in particular no tally
-    /// cell is decremented).
+    /// As [`check_remove`](Self::check_remove) — typed, never a panic,
+    /// with the engine untouched (in particular no tally cell is
+    /// decremented).
     pub fn remove_voter(&mut self, id: VoterId) -> Result<BucketOrder, AggregateError> {
-        let ranking = self
-            .voters
-            .remove(&id.0)
-            .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
+        self.check_remove(id)?;
+        let ranking = self.voters.remove(&id.0).expect("checked live");
         let m = self.tally.voters();
         self.tally.remove_voter(&ranking, &mut self.keys);
         let k = if m > 1 {
@@ -528,25 +577,16 @@ impl DynamicProfile {
     /// implies a relation change.
     ///
     /// # Errors
-    /// [`AggregateError::UnknownVoter`] /
-    /// [`AggregateError::DomainMismatch`]; the engine is untouched on
-    /// error.
+    /// As [`check_replace`](Self::check_replace); the engine is
+    /// untouched on error.
     pub fn replace_voter(
         &mut self,
         id: VoterId,
         ranking: BucketOrder,
     ) -> Result<BucketOrder, AggregateError> {
+        self.check_replace(id, &ranking)?;
         let n = self.tally.len();
-        if ranking.len() != n {
-            return Err(AggregateError::DomainMismatch {
-                expected: n,
-                found: ranking.len(),
-            });
-        }
-        let slot = self
-            .voters
-            .get_mut(&id.0)
-            .ok_or(AggregateError::UnknownVoter { id: id.0 })?;
+        let slot = self.voters.get_mut(&id.0).expect("checked live");
         let old = std::mem::replace(slot, ranking);
         let new = &*slot;
         let m = self.tally.voters();
@@ -798,6 +838,13 @@ mod tests {
         let before = dp.snapshot().unwrap();
         let gen = dp.generation();
         let ghost = VoterId::from_raw(id.raw() + 100);
+        // The checks the edits run first answer the same, without
+        // editing.
+        let unknown = Err(AggregateError::UnknownVoter { id: ghost.raw() });
+        assert_eq!(dp.check_remove(ghost), unknown);
+        assert_eq!(dp.check_replace(ghost, &keys(&[3, 2, 1])), unknown);
+        assert_eq!(dp.check_remove(id), Ok(()));
+        assert_eq!(dp.check_push(&keys(&[1, 2, 3])), Ok(VoterId::from_raw(1)));
         assert_eq!(
             dp.remove_voter(ghost),
             Err(AggregateError::UnknownVoter { id: ghost.raw() })
@@ -832,6 +879,20 @@ mod tests {
             dp.replace_voter(id, BucketOrder::trivial(2)),
             Err(AggregateError::DomainMismatch { .. })
         ));
+        // Domain size is checked before liveness, by the edit and by
+        // its check alike.
+        let ghost = VoterId::from_raw(9);
+        for checked in [
+            dp.check_push(&BucketOrder::trivial(4)).map(|_| ()),
+            dp.check_replace(id, &BucketOrder::trivial(2)),
+            dp.check_replace(ghost, &BucketOrder::trivial(2)),
+            dp.replace_voter(ghost, BucketOrder::trivial(2)).map(|_| ()),
+        ] {
+            assert!(matches!(
+                checked,
+                Err(AggregateError::DomainMismatch { .. })
+            ));
+        }
         assert_eq!(dp.generation(), gen);
     }
 

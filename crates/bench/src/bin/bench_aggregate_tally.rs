@@ -47,7 +47,7 @@
 
 use bucketrank_aggregate::cost::{total_cost_x2, AggMetric};
 use bucketrank_aggregate::local::local_kemenize_with_tally;
-use bucketrank_aggregate::tally::ProfileTally;
+use bucketrank_aggregate::tally::{ProfileTally, CHUNK_VOTERS};
 use bucketrank_bench::oracle;
 use bucketrank_bench::report::{fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
@@ -130,10 +130,13 @@ fn naive_local_kemenize(candidate: &BucketOrder, inputs: &[BucketOrder]) -> Buck
 }
 
 /// Effective bytes one tiled tally build touches: the accumulate pass
-/// writes `m·n²` `u16` partial cells, then the widen pass touches the
-/// `n²` `u32` `strict` matrix once.
+/// writes `m·n²` `u16` cells. A profile of at most
+/// [`CHUNK_VOTERS`] voters accumulates straight into its `u16` tally
+/// and widens nothing; a wider one also touches the `n²` `u32`
+/// `strict` matrix once.
 fn tiled_build_bytes(m: usize, n: usize) -> f64 {
-    (m * n * n * 2 + n * n * 4) as f64
+    let widen = if m <= CHUNK_VOTERS { 0 } else { n * n * 4 };
+    (m * n * n * 2 + widen) as f64
 }
 
 /// Effective bytes the naive per-pair scan touches: one conditional

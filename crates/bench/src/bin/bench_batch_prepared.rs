@@ -61,6 +61,20 @@ fn per_call<T>(mut f: impl FnMut() -> T) -> f64 {
     t0.elapsed().as_secs_f64() / f64::from(BATCH)
 }
 
+/// `BucketOrder::from_keys` behind a call boundary: the layout rows
+/// and gate time the same out-of-line code wherever `main` lands.
+#[inline(never)]
+fn flat_from_keys(keys: &[u32]) -> BucketOrder {
+    BucketOrder::from_keys(keys)
+}
+
+/// `NestedOrder::from_keys` behind a call boundary, as
+/// [`flat_from_keys`].
+#[inline(never)]
+fn nested_from_keys(keys: &[u32]) -> NestedOrder {
+    NestedOrder::from_keys(keys)
+}
+
 /// The `Kprof` matrix with the pair-statistics lane pinned to the
 /// sweep kernel — the baseline the lane gate measures against. Mirrors
 /// `pairwise_matrix_prepared` shape-for-shape: the thread's scratch,
@@ -181,10 +195,10 @@ fn main() {
             && nested.clone().same_as(&flat.clone());
         group(&format!("order layout ({on} elements × {ok} buckets)"));
         let build = s.bench(&format!("order/from_keys/{on}x{ok}"), || {
-            BucketOrder::from_keys(&keys)
+            flat_from_keys(&keys)
         });
         let build_nested = s.bench(&format!("order/from_keys/nested/{on}x{ok}"), || {
-            NestedOrder::from_keys(&keys)
+            nested_from_keys(&keys)
         });
         let clone = s.bench(&format!("order/clone/{on}x{ok}"), || flat.clone());
         let clone_nested = s.bench(&format!("order/clone/nested/{on}x{ok}"), || nested.clone());
@@ -291,12 +305,13 @@ fn main() {
     // one at 512x16. The machine's speed can drift by more than that
     // ratio within a second, so each of 15 rounds times both sides
     // back to back (alternating which goes first) and the gate reads
-    // the median of the per-round ratios.
+    // the median of the per-round ratios. Both sides go through the
+    // out-of-line wrappers, so edits to `main` cannot move the ratio.
     let keys = bucket_keys(&mut rng, 512, 16);
     let mut rounds: Vec<(f64, f64)> = (0..15)
         .map(|i| {
-            let nested = || per_call(|| NestedOrder::from_keys(&keys));
-            let flat = || per_call(|| BucketOrder::from_keys(&keys));
+            let nested = || per_call(|| nested_from_keys(&keys));
+            let flat = || per_call(|| flat_from_keys(&keys));
             if i % 2 == 0 {
                 let n = nested();
                 (n, flat())

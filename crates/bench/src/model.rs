@@ -322,13 +322,9 @@ impl ModelService {
                 format!("session {name:?} already exists"),
             ));
         }
-        let policy = match policy {
-            WirePolicy::Lower => MedianPolicy::Lower,
-            WirePolicy::Upper => MedianPolicy::Upper,
-        };
         let session = Session {
             n,
-            policy,
+            policy: policy.into(),
             next_id: 0,
             voters: BTreeMap::new(),
         };

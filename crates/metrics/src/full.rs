@@ -79,12 +79,14 @@ pub fn diaconis_graham(sigma: &BucketOrder, tau: &BucketOrder) -> Result<(u64, u
     Ok((k, f))
 }
 
-/// Maximum possible Kendall distance on a domain of size `n`: `n(n−1)/2`.
+/// Maximum possible Kendall distance on a domain of size `n`: `n(n−1)/2`
+/// (also the `Kprof` and `KHaus` diameter, see [`crate::normalized`]).
 pub fn kendall_diameter(n: usize) -> u64 {
     (n as u64) * (n.saturating_sub(1) as u64) / 2
 }
 
-/// Maximum possible footrule distance on a domain of size `n`: `⌊n²/2⌋`.
+/// Maximum possible footrule distance on a domain of size `n`: `⌊n²/2⌋`
+/// (also the `Fprof` and `FHaus` diameter).
 pub fn footrule_diameter(n: usize) -> u64 {
     (n as u64) * (n as u64) / 2
 }

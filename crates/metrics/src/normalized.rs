@@ -15,20 +15,9 @@
 //! distances — every per-pair penalty and per-element displacement is
 //! maximized by the reversal — which the tests verify exhaustively.)
 
+use crate::full::{footrule_diameter, kendall_diameter};
 use crate::{footrule, hausdorff, kendall, MetricsError};
 use bucketrank_core::BucketOrder;
-
-/// The maximum possible `Kprof` (and `KHaus`) on a domain of `n`
-/// elements: one full penalty per pair.
-pub fn kendall_diameter(n: usize) -> u64 {
-    (n as u64) * (n.saturating_sub(1) as u64) / 2
-}
-
-/// The maximum possible `Fprof` (and `FHaus`) on a domain of `n`
-/// elements: `⌊n²/2⌋`.
-pub fn footrule_diameter(n: usize) -> u64 {
-    (n as u64) * (n as u64) / 2
-}
 
 fn normalize(x2_value: u64, diameter: u64, scale: f64) -> f64 {
     if diameter == 0 {

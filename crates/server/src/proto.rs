@@ -44,6 +44,7 @@
 //! drives random, truncated and oversized byte streams through both
 //! the decoder and a live socket to pin this down).
 
+use bucketrank_aggregate::MedianPolicy;
 use bucketrank_core::BucketOrder;
 use std::io::{self, Read, Write};
 
@@ -266,9 +267,9 @@ pub struct WireRule {
     pub max: u32,
 }
 
-/// Median policy on the wire (mirrors
-/// [`bucketrank_aggregate::MedianPolicy`] without a dependency edge in
-/// the encoding layer).
+/// Median policy on the wire: the one-byte code of
+/// [`bucketrank_aggregate::MedianPolicy`], with one `From` conversion
+/// each way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WirePolicy {
     /// Lower median.
@@ -290,6 +291,24 @@ impl WirePolicy {
             0 => Ok(WirePolicy::Lower),
             1 => Ok(WirePolicy::Upper),
             _ => Err(ProtoError::BadValue { what: "median policy" }),
+        }
+    }
+}
+
+impl From<WirePolicy> for MedianPolicy {
+    fn from(p: WirePolicy) -> Self {
+        match p {
+            WirePolicy::Lower => MedianPolicy::Lower,
+            WirePolicy::Upper => MedianPolicy::Upper,
+        }
+    }
+}
+
+impl From<MedianPolicy> for WirePolicy {
+    fn from(p: MedianPolicy) -> Self {
+        match p {
+            MedianPolicy::Lower => WirePolicy::Lower,
+            MedianPolicy::Upper => WirePolicy::Upper,
         }
     }
 }

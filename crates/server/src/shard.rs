@@ -27,6 +27,18 @@
 //! profile mutexes inside it; the pair-metric path takes a profile
 //! mutex alone and never touches the shard mutex afterwards.
 //!
+//! # Write path
+//!
+//! Memory-only and durable shards run one edit sequence: **check →
+//! log → apply → publish**. The check is the engine's own
+//! ([`DynamicProfile::check_push`], [`check_remove`](
+//! DynamicProfile::check_remove), [`check_replace`](
+//! DynamicProfile::check_replace)), so the shard holds no copy of the
+//! edit rules and a rejection is the engine's typed error. Only a
+//! durable shard logs, through its one append site; the apply cannot
+//! fail once the check passed; then the session's snapshot is
+//! republished. A rejected edit logs and changes nothing.
+//!
 //! # Durability
 //!
 //! With a data directory configured, every acknowledged lifecycle or
@@ -40,12 +52,15 @@
 //! so eviction checkpoints never double-apply), truncates corruption
 //! at the first fault, and ends with a full compaction — after a
 //! restart the log is empty and every session's checkpoint is
-//! current.
+//! current. Replay runs each logged edit through the same check and
+//! apply as a live edit: a record the check refuses, or a push whose
+//! logged id is not the id the check returns, is the fault, and
+//! nothing of it is applied.
 
 use crate::proto::{ErrorCode, Response, ShardStats, WirePolicy};
 use crate::wal::{self, Checkpoint, WalError, WalOp, WalRecord, WalWriter};
 use bucketrank_aggregate::dynamic::{DynamicProfile, DynamicSnapshot, VoterId};
-use bucketrank_aggregate::{AggregateError, MedianPolicy};
+use bucketrank_aggregate::AggregateError;
 use bucketrank_core::BucketOrder;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -179,6 +194,70 @@ pub(crate) enum Edit {
     },
 }
 
+impl Edit {
+    /// The engine's check for this edit: `Ok` with the voter id the
+    /// edit assigns (a push) or addresses, or the engine's rejection.
+    /// `Ok` guarantees [`Edit::apply`] succeeds.
+    fn check(&self, dp: &DynamicProfile) -> Result<u64, AggregateError> {
+        match self {
+            Edit::Push { ranking } => dp.check_push(ranking).map(VoterId::raw),
+            Edit::Remove { voter } => dp.check_remove(VoterId::from_raw(*voter)).map(|()| *voter),
+            Edit::Replace { voter, ranking } => dp
+                .check_replace(VoterId::from_raw(*voter), ranking)
+                .map(|()| *voter),
+        }
+    }
+
+    /// The WAL op logging this edit on session `name`, given the voter
+    /// id [`Edit::check`] returned.
+    fn record(&self, name: &str, voter: u64) -> WalOp {
+        let name = name.to_owned();
+        match self {
+            Edit::Push { ranking } => WalOp::Push {
+                name,
+                voter,
+                ranking: ranking.clone(),
+            },
+            Edit::Remove { .. } => WalOp::Remove { name, voter },
+            Edit::Replace { ranking, .. } => WalOp::Replace {
+                name,
+                voter,
+                ranking: ranking.clone(),
+            },
+        }
+    }
+
+    /// The logged edit of a push/remove/replace op and the voter id the
+    /// op carries — for a push, the id it was acknowledged with.
+    fn logged(op: WalOp) -> (Edit, u64) {
+        match op {
+            WalOp::Push { voter, ranking, .. } => (Edit::Push { ranking }, voter),
+            WalOp::Remove { voter, .. } => (Edit::Remove { voter }, voter),
+            WalOp::Replace { voter, ranking, .. } => (Edit::Replace { voter, ranking }, voter),
+            WalOp::Create { .. } | WalOp::Drop { .. } => unreachable!("not an edit op"),
+        }
+    }
+
+    /// Applies a checked edit and returns its reply.
+    fn apply(self, dp: &mut DynamicProfile) -> Response {
+        const CHECKED: &str = "a checked edit applies";
+        match self {
+            Edit::Push { ranking } => Response::VoterPushed {
+                voter: dp.push_voter(ranking).expect(CHECKED).raw(),
+            },
+            Edit::Remove { voter } => {
+                dp.remove_voter(VoterId::from_raw(voter)).expect(CHECKED);
+                Response::VoterRemoved
+            }
+            Edit::Replace { voter, ranking } => {
+                dp.replace_voter(VoterId::from_raw(voter), ranking)
+                    .expect(CHECKED);
+                Response::VoterReplaced
+            }
+        }
+    }
+}
+
 /// A checkpoint file reference: its monotonic file id and the shard
 /// sequence number its contents are current through.
 #[derive(Clone, Copy)]
@@ -189,6 +268,93 @@ struct CkptRef {
 
 fn ckpt_file(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("ckpt-{id}.bin"))
+}
+
+/// The file id of a `ckpt-<id>.bin` path, if it names a checkpoint.
+fn ckpt_id(path: &Path) -> Option<u64> {
+    path.file_name()?
+        .to_str()?
+        .strip_prefix("ckpt-")?
+        .strip_suffix(".bin")?
+        .parse()
+        .ok()
+}
+
+/// Rebuilds a checkpointed session's engine — the one restore path,
+/// shared by startup and fault-in.
+fn restore(ck: Checkpoint) -> Result<DynamicProfile, AggregateError> {
+    DynamicProfile::from_voters(ck.n as usize, ck.policy.into(), ck.voters, ck.next_id)
+}
+
+/// A session as recovery rebuilds it, before it becomes a slot.
+struct Recovered {
+    dp: DynamicProfile,
+    last_seq: u64,
+    ckpt: Option<CkptRef>,
+}
+
+/// Replays one WAL record onto the recovered sessions. Edits run the
+/// live path's check and apply; `Err` is the fault, with nothing of the
+/// record applied.
+fn replay(
+    sessions: &mut HashMap<String, Recovered>,
+    drop_horizon: &HashMap<String, u64>,
+    rec: WalRecord,
+) -> Result<(), WalError> {
+    let seq = rec.seq;
+    match rec.op {
+        WalOp::Create { name, n, policy } => match sessions.get(&name) {
+            Some(r) if seq <= r.last_seq => {}
+            Some(_) => return Err(WalError::DuplicateCreate { seq, name }),
+            None => {
+                let dp = DynamicProfile::new(n as usize, policy.into());
+                sessions.insert(
+                    name,
+                    Recovered {
+                        dp,
+                        last_seq: seq,
+                        ckpt: None,
+                    },
+                );
+            }
+        },
+        WalOp::Drop { name } => {
+            if sessions.get(&name).is_some_and(|r| seq > r.last_seq) {
+                sessions.remove(&name);
+            }
+        }
+        op => {
+            let Some(r) = sessions.get_mut(op.session()) else {
+                if drop_horizon.get(op.session()).is_some_and(|&d| seq < d) {
+                    // The session these edits built was dropped later
+                    // in this same log (which is why its checkpoint
+                    // anchor is gone): every effect is unobservable,
+                    // skipping is exact.
+                    return Ok(());
+                }
+                let name = op.session().to_owned();
+                return Err(WalError::UnknownSession { seq, name });
+            };
+            if seq <= r.last_seq {
+                return Ok(());
+            }
+            let (edit, logged) = Edit::logged(op);
+            match edit.check(&r.dp) {
+                Ok(voter) if voter == logged => {}
+                Ok(found) => {
+                    return Err(WalError::IdMismatch {
+                        seq,
+                        expected: logged,
+                        found,
+                    })
+                }
+                Err(error) => return Err(WalError::Edit { seq, error }),
+            }
+            edit.apply(&mut r.dp);
+            r.last_seq = seq;
+        }
+    }
+    Ok(())
 }
 
 /// A session slot: in memory, or evicted to its checkpoint file.
@@ -219,6 +385,24 @@ struct ShardState {
     /// The shard's monotonic edit sequence number (last issued).
     seq: u64,
     dur: Option<Durability>,
+}
+
+impl ShardState {
+    /// Number of resident sessions.
+    fn resident(&self) -> usize {
+        self.slots
+            .values()
+            .filter(|s| matches!(s, Slot::Resident { .. }))
+            .count()
+    }
+
+    /// Deletes a superseded checkpoint file, best effort: a survivor is
+    /// swept by the next compaction.
+    fn remove_checkpoint(&self, ck: Option<CkptRef>) {
+        if let (Some(ck), Some(dur)) = (ck, self.dur.as_ref()) {
+            let _ = fs::remove_file(ckpt_file(&dur.dir, ck.id));
+        }
+    }
 }
 
 /// Per-shard monotonic counters, updated with atomics so paths that do
@@ -252,6 +436,10 @@ impl Shard {
     /// A memory-only shard (no WAL, no checkpoints, no eviction — at
     /// capacity, creates are refused exactly as before sharding).
     pub(crate) fn new(cap: usize, global_cap: usize) -> Shard {
+        Shard::with_state(cap, global_cap, 0, None)
+    }
+
+    fn with_state(cap: usize, global_cap: usize, seq: u64, dur: Option<Durability>) -> Shard {
         Shard {
             cap,
             global_cap,
@@ -260,8 +448,8 @@ impl Shard {
             counters: ShardCounters::default(),
             state: Mutex::new(ShardState {
                 slots: HashMap::new(),
-                seq: 0,
-                dur: None,
+                seq,
+                dur,
             }),
         }
     }
@@ -289,14 +477,9 @@ impl Shard {
         let mut ckpts: Vec<(u64, PathBuf)> = Vec::new();
         for entry in fs::read_dir(&dir)? {
             let path = entry?.path();
-            let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("");
-            if name.ends_with(".tmp") {
+            if path.extension().is_some_and(|e| e == "tmp") {
                 let _ = fs::remove_file(&path);
-            } else if let Some(id) = name
-                .strip_prefix("ckpt-")
-                .and_then(|s| s.strip_suffix(".bin"))
-                .and_then(|s| s.parse::<u64>().ok())
-            {
+            } else if let Some(id) = ckpt_id(&path) {
                 ckpts.push((id, path));
             }
         }
@@ -308,49 +491,30 @@ impl Shard {
         // skipped — the orphan cleanup below removes them.
         let mut by_name: HashMap<String, (u64, Checkpoint)> = HashMap::new();
         for (id, path) in ckpts {
-            let ck = match Checkpoint::read(&path)? {
-                Ok(ck) => ck,
-                Err(_) => continue,
+            let Ok(ck) = Checkpoint::read(&path)? else {
+                continue;
             };
-            match by_name.get(&ck.name) {
-                Some((_, held)) if held.last_seq >= ck.last_seq => {}
-                _ => {
-                    by_name.insert(ck.name.clone(), (id, ck));
-                }
+            if by_name
+                .get(&ck.name)
+                .is_none_or(|(_, held)| held.last_seq < ck.last_seq)
+            {
+                by_name.insert(ck.name.clone(), (id, ck));
             }
         }
 
-        struct Rebuilt {
-            dp: DynamicProfile,
-            last_seq: u64,
-            ckpt: Option<CkptRef>,
-        }
-        let mut sessions: HashMap<String, Rebuilt> = HashMap::new();
+        let mut sessions: HashMap<String, Recovered> = HashMap::new();
         let mut seq = 0u64;
         for (name, (id, ck)) in by_name {
-            let policy = match ck.policy {
-                WirePolicy::Lower => MedianPolicy::Lower,
-                WirePolicy::Upper => MedianPolicy::Upper,
-            };
-            let Ok(dp) = DynamicProfile::from_voters(ck.n as usize, policy, ck.voters, ck.next_id)
-            else {
-                // The file framed and decoded but its contents are
-                // inconsistent (duplicate ids, id ≥ next_id): typed
-                // corruption, skipped like a CRC failure.
+            let last_seq = ck.last_seq;
+            // A file that framed and decoded but whose contents are
+            // inconsistent (duplicate ids, id ≥ next_id) is typed
+            // corruption, skipped like a CRC failure.
+            let Ok(dp) = restore(ck) else {
                 continue;
             };
-            seq = seq.max(ck.last_seq);
-            sessions.insert(
-                name,
-                Rebuilt {
-                    dp,
-                    last_seq: ck.last_seq,
-                    ckpt: Some(CkptRef {
-                        id,
-                        seq: ck.last_seq,
-                    }),
-                },
-            );
+            seq = seq.max(last_seq);
+            let ckpt = Some(CkptRef { id, seq: last_seq });
+            sessions.insert(name, Recovered { dp, last_seq, ckpt });
         }
 
         // Replay the WAL's valid prefix; stop — without panicking and
@@ -374,112 +538,18 @@ impl Shard {
             }
         }
         let total_records = scan.records.len();
-        let mut fault_at: Option<usize> = None;
-        let mut replay_fault: Option<WalError> = None;
-        'replay: for (idx, rec) in scan.records.into_iter().enumerate() {
+        let mut fault: Option<(usize, WalError)> = None;
+        for (idx, rec) in scan.records.into_iter().enumerate() {
             seq = seq.max(rec.seq);
-            let name = rec.op.session().to_owned();
-            match rec.op {
-                WalOp::Create { name, n, policy } => match sessions.get(&name) {
-                    Some(r) if rec.seq <= r.last_seq => {}
-                    Some(_) => {
-                        replay_fault = Some(WalError::DuplicateCreate { seq: rec.seq, name });
-                        fault_at = Some(idx);
-                        break 'replay;
-                    }
-                    None => {
-                        let policy = match policy {
-                            WirePolicy::Lower => MedianPolicy::Lower,
-                            WirePolicy::Upper => MedianPolicy::Upper,
-                        };
-                        sessions.insert(
-                            name,
-                            Rebuilt {
-                                dp: DynamicProfile::new(n as usize, policy),
-                                last_seq: rec.seq,
-                                ckpt: None,
-                            },
-                        );
-                    }
-                },
-                WalOp::Drop { name } => {
-                    if let Some(r) = sessions.get(&name) {
-                        if rec.seq > r.last_seq {
-                            sessions.remove(&name);
-                        }
-                    }
-                }
-                op => {
-                    let Some(r) = sessions.get_mut(&name) else {
-                        if drop_horizon.get(&name).is_some_and(|&d| rec.seq < d) {
-                            // The session these edits built was dropped
-                            // later in this same log (which is why its
-                            // checkpoint anchor is gone): every effect
-                            // is unobservable, skipping is exact.
-                            continue;
-                        }
-                        replay_fault = Some(WalError::UnknownSession { seq: rec.seq, name });
-                        fault_at = Some(idx);
-                        break 'replay;
-                    };
-                    if rec.seq <= r.last_seq {
-                        continue;
-                    }
-                    let applied: Result<(), WalError> = match op {
-                        WalOp::Push { voter, ranking, .. } => {
-                            match r.dp.push_voter(ranking) {
-                                Ok(id) if id.raw() == voter => Ok(()),
-                                Ok(id) => {
-                                    // The log says this push was issued
-                                    // a different id than the engine
-                                    // reproduces: retract it so the
-                                    // surviving state is exactly the
-                                    // record's predecessors.
-                                    let _ = r.dp.remove_voter(id);
-                                    Err(WalError::IdMismatch {
-                                        seq: rec.seq,
-                                        expected: voter,
-                                        found: id.raw(),
-                                    })
-                                }
-                                Err(e) => Err(WalError::Edit {
-                                    seq: rec.seq,
-                                    error: e,
-                                }),
-                            }
-                        }
-                        WalOp::Remove { voter, .. } => r
-                            .dp
-                            .remove_voter(VoterId::from_raw(voter))
-                            .map(|_| ())
-                            .map_err(|e| WalError::Edit {
-                                seq: rec.seq,
-                                error: e,
-                            }),
-                        WalOp::Replace { voter, ranking, .. } => r
-                            .dp
-                            .replace_voter(VoterId::from_raw(voter), ranking)
-                            .map(|_| ())
-                            .map_err(|e| WalError::Edit {
-                                seq: rec.seq,
-                                error: e,
-                            }),
-                        WalOp::Create { .. } | WalOp::Drop { .. } => unreachable!("handled above"),
-                    };
-                    match applied {
-                        Ok(()) => r.last_seq = rec.seq,
-                        Err(e) => {
-                            replay_fault = Some(e);
-                            fault_at = Some(idx);
-                            break 'replay;
-                        }
-                    }
-                }
+            if let Err(e) = replay(&mut sessions, &drop_horizon, rec) {
+                fault = Some((idx, e));
+                break;
             }
         }
-        if replay_fault.is_none() {
-            replay_fault = scan.corruption;
-        }
+        let (unapplied, fault) = match fault {
+            Some((idx, e)) => (total_records - idx, Some(e)),
+            None => (0, scan.corruption),
+        };
         // Surface the fault for operators without failing startup: the
         // valid prefix stands, and the compaction below resets the log.
         // A torn tail is the expected residue of a crash mid-append (the
@@ -487,19 +557,16 @@ impl Shard {
         // other fault discards a suffix that may hold acknowledged
         // records, so the whole log is preserved for post-mortem before
         // compaction truncates it.
-        if let Some(fault) = &replay_fault {
-            let unapplied = fault_at.map_or(0, |i| total_records - i);
+        if let Some(fault) = &fault {
             let tail_bytes = wal_len.saturating_sub(scan.valid_len);
             let benign_tear = matches!(fault, WalError::TornTail { .. }) && unapplied == 0;
-            let preserved = if benign_tear {
-                None
+            let kept = if benign_tear {
+                String::new()
             } else {
-                wal::preserve_corrupt(&wal_path)
-            };
-            let kept = match &preserved {
-                Some(p) => format!("; log preserved at {}", p.display()),
-                None if benign_tear => String::new(),
-                None => "; log could NOT be preserved".to_owned(),
+                match wal::preserve_corrupt(&wal_path) {
+                    Some(p) => format!("; log preserved at {}", p.display()),
+                    None => "; log could NOT be preserved".to_owned(),
+                }
             };
             eprintln!(
                 "bucketrank-server: WAL recovery truncated at a fault: {fault} \
@@ -507,24 +574,14 @@ impl Shard {
             );
         }
 
-        let shard = Shard {
-            cap,
-            global_cap,
-            tick: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            counters: ShardCounters::default(),
-            state: Mutex::new(ShardState {
-                slots: HashMap::new(),
-                seq,
-                dur: Some(Durability {
-                    dir,
-                    wal: WalWriter::open(&wal_path)?,
-                    next_file_id,
-                    checkpoint_every: checkpoint_every.max(1),
-                    since_compact: 0,
-                }),
-            }),
+        let dur = Durability {
+            dir,
+            wal: WalWriter::open(&wal_path)?,
+            next_file_id,
+            checkpoint_every: checkpoint_every.max(1),
+            since_compact: 0,
         };
+        let shard = Shard::with_state(cap, global_cap, seq, Some(dur));
         let recovered = sessions.len() as u64;
         {
             let mut st = shard.state.lock().expect("shard lock");
@@ -548,11 +605,7 @@ impl Shard {
             // Evict down to the cap, deterministically (reverse name
             // order goes to disk first); checkpoints are current, so
             // eviction here writes nothing.
-            let mut resident = st
-                .slots
-                .values()
-                .filter(|s| matches!(s, Slot::Resident { .. }))
-                .count();
+            let mut resident = st.resident();
             for name in names.iter().rev() {
                 if resident <= shard.cap {
                     break;
@@ -597,28 +650,16 @@ impl Shard {
 
     /// Number of resident sessions.
     pub(crate) fn resident(&self) -> usize {
-        self.state
-            .lock()
-            .expect("shard lock")
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Resident { .. }))
-            .count()
+        self.state.lock().expect("shard lock").resident()
     }
 
     /// This shard's stats row.
     pub(crate) fn stats(&self) -> ShardStats {
         let st = self.state.lock().expect("shard lock");
-        let (mut sessions, mut evicted) = (0u64, 0u64);
-        for slot in st.slots.values() {
-            match slot {
-                Slot::Resident { .. } => sessions += 1,
-                Slot::Evicted { .. } => evicted += 1,
-            }
-        }
+        let sessions = st.resident() as u64;
         ShardStats {
             sessions,
-            evicted,
+            evicted: st.slots.len() as u64 - sessions,
             wal_records: self.counters.wal_records.load(Ordering::Relaxed),
             wal_bytes: st.dur.as_ref().map_or(0, |d| d.wal.bytes()),
             checkpoints: self.counters.checkpoints.load(Ordering::Relaxed),
@@ -636,44 +677,19 @@ impl Shard {
                 format!("session {name:?} already exists"),
             );
         }
-        let resident = st
-            .slots
-            .values()
-            .filter(|s| matches!(s, Slot::Resident { .. }))
-            .count();
-        if resident >= self.cap {
-            if st.dur.is_some() {
-                if let Some(victim) = self.lru_victim(&st) {
-                    if let Err(e) = self.evict_one(&mut st, &victim) {
-                        return io_response("eviction checkpoint failed", &e);
-                    }
-                } else {
-                    return error(ErrorCode::BadRequest, self.capacity_message());
-                }
-            } else {
-                return error(ErrorCode::BadRequest, self.capacity_message());
-            }
+        if let Err(resp) = self.make_room(&mut st) {
+            return resp;
         }
-        let mut last_seq = 0;
-        if st.dur.is_some() {
-            let rec = WalRecord {
-                seq: st.seq + 1,
-                op: WalOp::Create {
-                    name: name.to_owned(),
-                    n: n as u32,
-                    policy,
-                },
-            };
-            if let Err(e) = self.append_locked(&mut st, &rec) {
-                return io_response("write-ahead log append failed", &e);
-            }
-            last_seq = st.seq;
-        }
-        let mp = match policy {
-            WirePolicy::Lower => MedianPolicy::Lower,
-            WirePolicy::Upper => MedianPolicy::Upper,
+        let op = || WalOp::Create {
+            name: name.to_owned(),
+            n: n as u32,
+            policy,
         };
-        let session = Arc::new(Session::new(DynamicProfile::new(n, mp)));
+        let last_seq = match self.log(&mut st, op) {
+            Ok(seq) => seq,
+            Err(resp) => return resp,
+        };
+        let session = Arc::new(Session::new(DynamicProfile::new(n, policy.into())));
         self.touch(&session);
         st.slots.insert(
             name.to_owned(),
@@ -694,47 +710,35 @@ impl Shard {
         let Some(slot) = st.slots.remove(name) else {
             return unknown_session(name);
         };
-        if st.dur.is_some() {
-            let rec = WalRecord {
-                seq: st.seq + 1,
-                op: WalOp::Drop {
-                    name: name.to_owned(),
-                },
-            };
-            if let Err(e) = self.append_locked(&mut st, &rec) {
-                // Not acknowledged: the session stays.
-                st.slots.insert(name.to_owned(), slot);
-                return io_response("write-ahead log append failed", &e);
-            }
-            let ckpt = match &slot {
-                Slot::Resident { ckpt, .. } => *ckpt,
-                Slot::Evicted { ckpt } => Some(*ckpt),
-            };
-            if let (Some(ck), Some(dur)) = (ckpt, st.dur.as_ref()) {
-                // Safe to delete eagerly: the synced Drop record above
-                // both supersedes the checkpoint (a crash before this
-                // delete replays the checkpoint, then drops it) and
-                // anchors any pre-drop edit records still in the log
-                // (replay skips edits that precede a later Drop, so
-                // losing the checkpoint cannot fault the recovery of
-                // sessions logged after this one). Deleting here — not
-                // in compaction's orphan sweep — also closes the window
-                // where a crash between WAL truncation and the sweep
-                // would resurrect the dropped session from its
-                // leftover checkpoint. Best effort regardless: a
-                // survivor is superseded by the Drop record until the
-                // sweep removes it.
-                let _ = fs::remove_file(ckpt_file(&dur.dir, ck.id));
-            }
+        let op = || WalOp::Drop {
+            name: name.to_owned(),
+        };
+        if let Err(resp) = self.log(&mut st, op) {
+            // Not acknowledged: the session stays.
+            st.slots.insert(name.to_owned(), slot);
+            return resp;
         }
+        // Safe to delete eagerly: the synced Drop record above both
+        // supersedes the checkpoint (a crash before this delete replays
+        // the checkpoint, then drops it) and anchors any pre-drop edit
+        // records still in the log (replay skips edits that precede a
+        // later Drop, so losing the checkpoint cannot fault the
+        // recovery of sessions logged after this one). Deleting here —
+        // not in compaction's orphan sweep — also closes the window
+        // where a crash between WAL truncation and the sweep would
+        // resurrect the dropped session from its leftover checkpoint.
+        st.remove_checkpoint(match slot {
+            Slot::Resident { ckpt, .. } => ckpt,
+            Slot::Evicted { ckpt } => Some(ckpt),
+        });
         self.epoch.fetch_add(1, Ordering::Release);
         self.maybe_compact(&mut st);
         Response::SessionDropped
     }
 
-    /// Applies one edit: resolve (faulting an evicted session back
-    /// in), log the record ahead of the state change, apply, publish.
-    /// Failed edits log nothing and leave every layer untouched.
+    /// Applies one edit: resolve (faulting an evicted session back in),
+    /// then the one write sequence — check, log, apply, publish (see
+    /// the [module docs](self)).
     pub(crate) fn edit(&self, name: &str, edit: Edit) -> Response {
         let mut st = self.state.lock().expect("shard lock");
         let session = match self.resolve_locked(&mut st, name) {
@@ -743,106 +747,22 @@ impl Shard {
         };
         self.touch(&session);
         let mut dp = session.profile.lock().expect("edit lock");
-        if st.dur.is_some() {
-            // Write-ahead order: validate exactly as the engine will,
-            // log the record, then apply. The validations mirror the
-            // engine's own checks (and their order), so the subsequent
-            // apply cannot fail and the error bytes on the reject path
-            // are identical to the memory-only service's.
-            let checked: Result<(WalOp, Response), AggregateError> = match &edit {
-                Edit::Push { ranking } => {
-                    let n = dp.len();
-                    if ranking.len() != n {
-                        Err(AggregateError::DomainMismatch {
-                            expected: n,
-                            found: ranking.len(),
-                        })
-                    } else if dp.voters() >= DynamicProfile::MAX_VOTERS {
-                        Err(AggregateError::TooManyVoters {
-                            limit: DynamicProfile::MAX_VOTERS,
-                        })
-                    } else {
-                        let voter = dp.next_push_id();
-                        Ok((
-                            WalOp::Push {
-                                name: name.to_owned(),
-                                voter,
-                                ranking: ranking.clone(),
-                            },
-                            Response::VoterPushed { voter },
-                        ))
-                    }
-                }
-                Edit::Remove { voter } => {
-                    if dp.get_voter(VoterId::from_raw(*voter)).is_none() {
-                        Err(AggregateError::UnknownVoter { id: *voter })
-                    } else {
-                        Ok((
-                            WalOp::Remove {
-                                name: name.to_owned(),
-                                voter: *voter,
-                            },
-                            Response::VoterRemoved,
-                        ))
-                    }
-                }
-                Edit::Replace { voter, ranking } => {
-                    let n = dp.len();
-                    if ranking.len() != n {
-                        Err(AggregateError::DomainMismatch {
-                            expected: n,
-                            found: ranking.len(),
-                        })
-                    } else if dp.get_voter(VoterId::from_raw(*voter)).is_none() {
-                        Err(AggregateError::UnknownVoter { id: *voter })
-                    } else {
-                        Ok((
-                            WalOp::Replace {
-                                name: name.to_owned(),
-                                voter: *voter,
-                                ranking: ranking.clone(),
-                            },
-                            Response::VoterReplaced,
-                        ))
-                    }
-                }
-            };
-            let (op, ok_resp) = match checked {
-                Ok(v) => v,
-                Err(e) => return agg_error(&e),
-            };
-            let rec = WalRecord {
-                seq: st.seq + 1,
-                op,
-            };
-            if let Err(e) = self.append_locked(&mut st, &rec) {
-                return io_response("write-ahead log append failed", &e);
-            }
-            let seq = st.seq;
-            if let Some(Slot::Resident { last_seq, .. }) = st.slots.get_mut(name) {
-                *last_seq = seq;
-            }
-            match apply_edit(&mut dp, edit) {
-                Ok(_) => {
-                    session.publish(&dp);
-                    drop(dp);
-                    self.maybe_compact(&mut st);
-                    ok_resp
-                }
-                // Unreachable by the pre-validation above; answered
-                // typed regardless (the stray record will fail replay
-                // the same way and be truncated there).
-                Err(e) => agg_error(&e),
-            }
-        } else {
-            match apply_edit(&mut dp, edit) {
-                Ok(resp) => {
-                    session.publish(&dp);
-                    resp
-                }
-                Err(e) => agg_error(&e),
-            }
+        let voter = match edit.check(&dp) {
+            Ok(voter) => voter,
+            Err(e) => return agg_error(&e),
+        };
+        let seq = match self.log(&mut st, || edit.record(name, voter)) {
+            Ok(seq) => seq,
+            Err(resp) => return resp,
+        };
+        if let Some(Slot::Resident { last_seq, .. }) = st.slots.get_mut(name) {
+            *last_seq = seq;
         }
+        let reply = edit.apply(&mut dp);
+        session.publish(&dp);
+        drop(dp);
+        self.maybe_compact(&mut st);
+        reply
     }
 
     /// Resolves a session for a read or pair-metric, faulting an
@@ -859,62 +779,51 @@ impl Shard {
         st: &mut ShardState,
         name: &str,
     ) -> Result<Arc<Session>, Response> {
-        match st.slots.get(name) {
-            None => Err(unknown_session(name)),
-            Some(Slot::Resident { session, .. }) => Ok(Arc::clone(session)),
-            Some(Slot::Evicted { ckpt }) => {
-                let ck = *ckpt;
-                let resident = st
-                    .slots
-                    .values()
-                    .filter(|s| matches!(s, Slot::Resident { .. }))
-                    .count();
-                if resident >= self.cap {
-                    if let Some(victim) = self.lru_victim(st) {
-                        self.evict_one(st, &victim)
-                            .map_err(|e| io_response("eviction checkpoint failed", &e))?;
-                    }
-                }
-                let dur = st.dur.as_ref().expect("evicted slots require durability");
-                let path = ckpt_file(&dur.dir, ck.id);
-                let loaded = Checkpoint::read(&path)
-                    .map_err(|e| io_response("checkpoint read failed", &e))?
-                    .map_err(|e| {
-                        error(
-                            ErrorCode::BadRequest,
-                            format!("session {name:?} failed to restore: {e}"),
-                        )
-                    })?;
-                let policy = match loaded.policy {
-                    WirePolicy::Lower => MedianPolicy::Lower,
-                    WirePolicy::Upper => MedianPolicy::Upper,
-                };
-                let dp = DynamicProfile::from_voters(
-                    loaded.n as usize,
-                    policy,
-                    loaded.voters,
-                    loaded.next_id,
-                )
-                .map_err(|e| {
-                    error(
-                        ErrorCode::BadRequest,
-                        format!("session {name:?} failed to restore: {e}"),
-                    )
-                })?;
-                let session = Arc::new(Session::new(dp));
-                st.slots.insert(
-                    name.to_owned(),
-                    Slot::Resident {
-                        session: Arc::clone(&session),
-                        last_seq: ck.seq,
-                        ckpt: Some(ck),
-                    },
-                );
-                self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
-                self.epoch.fetch_add(1, Ordering::Release);
-                Ok(session)
-            }
+        let ck = match st.slots.get(name) {
+            None => return Err(unknown_session(name)),
+            Some(Slot::Resident { session, .. }) => return Ok(Arc::clone(session)),
+            Some(Slot::Evicted { ckpt }) => *ckpt,
+        };
+        self.make_room(st)?;
+        let dur = st.dur.as_ref().expect("evicted slots require durability");
+        let failed = |e: &dyn std::fmt::Display| {
+            error(
+                ErrorCode::BadRequest,
+                format!("session {name:?} failed to restore: {e}"),
+            )
+        };
+        let loaded = Checkpoint::read(&ckpt_file(&dur.dir, ck.id))
+            .map_err(|e| io_response("checkpoint read failed", &e))?
+            .map_err(|e| failed(&e))?;
+        let dp = restore(loaded).map_err(|e| failed(&e))?;
+        let session = Arc::new(Session::new(dp));
+        st.slots.insert(
+            name.to_owned(),
+            Slot::Resident {
+                session: Arc::clone(&session),
+                last_seq: ck.seq,
+                ckpt: Some(ck),
+            },
+        );
+        self.counters.recoveries.fetch_add(1, Ordering::Relaxed);
+        self.epoch.fetch_add(1, Ordering::Release);
+        Ok(session)
+    }
+
+    /// Makes room for one more resident session: at the cap, evicts
+    /// the least recently touched one. A memory-only shard never
+    /// evicts, so there the cap refuses the request.
+    fn make_room(&self, st: &mut ShardState) -> Result<(), Response> {
+        if st.resident() < self.cap {
+            return Ok(());
         }
+        let victim = st
+            .dur
+            .as_ref()
+            .and_then(|_| self.lru_victim(st))
+            .ok_or_else(|| error(ErrorCode::BadRequest, self.capacity_message()))?;
+        self.evict_one(st, &victim)
+            .map_err(|e| io_response("eviction checkpoint failed", &e))
     }
 
     /// The resident session least recently touched.
@@ -950,9 +859,7 @@ impl Shard {
             Some(ck) if ck.seq == last_seq => ck,
             _ => {
                 let ck = self.write_checkpoint(st, name, &session, last_seq)?;
-                if let (Some(prev), Some(dur)) = (old, st.dur.as_ref()) {
-                    let _ = fs::remove_file(ckpt_file(&dur.dir, prev.id));
-                }
+                st.remove_checkpoint(old);
                 ck
             }
         };
@@ -977,14 +884,10 @@ impl Shard {
         let path = ckpt_file(&dur.dir, id);
         let bytes = {
             let dp = session.profile.lock().expect("edit lock");
-            let policy = match dp.policy() {
-                MedianPolicy::Lower => WirePolicy::Lower,
-                MedianPolicy::Upper => WirePolicy::Upper,
-            };
             Checkpoint {
                 name: name.to_owned(),
                 n: dp.len() as u32,
-                policy,
+                policy: dp.policy().into(),
                 next_id: dp.next_push_id(),
                 last_seq,
                 voters: dp
@@ -1001,26 +904,35 @@ impl Shard {
         Ok(CkptRef { id, seq: last_seq })
     }
 
-    /// Appends one record, syncing before return; bumps the counters
-    /// and the compaction countdown.
-    fn append_locked(&self, st: &mut ShardState, rec: &WalRecord) -> io::Result<()> {
-        let dur = st.dur.as_mut().expect("append requires durability");
-        dur.wal.append(rec)?;
+    /// The shard's one append site: on a durable shard, appends `op` as
+    /// the next record, synced before return, and returns its sequence
+    /// number; a memory-only shard logs nothing and returns 0.
+    fn log(&self, st: &mut ShardState, op: impl FnOnce() -> WalOp) -> Result<u64, Response> {
+        let Some(dur) = st.dur.as_mut() else {
+            return Ok(0);
+        };
+        let rec = WalRecord {
+            seq: st.seq + 1,
+            op: op(),
+        };
+        dur.wal
+            .append(&rec)
+            .map_err(|e| io_response("write-ahead log append failed", &e))?;
         dur.since_compact += 1;
         st.seq = rec.seq;
         self.counters.wal_records.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        Ok(rec.seq)
     }
 
     /// Compacts when the countdown says so. Compaction failures are
     /// swallowed (the WAL simply keeps growing — correctness never
     /// depends on compaction happening).
     fn maybe_compact(&self, st: &mut ShardState) {
-        let due = match st.dur.as_ref() {
-            Some(d) => d.since_compact >= d.checkpoint_every,
-            None => false,
-        };
-        if due {
+        if st
+            .dur
+            .as_ref()
+            .is_some_and(|d| d.since_compact >= d.checkpoint_every)
+        {
             let _ = self.compact_locked(st);
         }
     }
@@ -1049,9 +961,7 @@ impl Shard {
             .collect();
         for (name, session, last_seq, old) in stale {
             let fresh = self.write_checkpoint(st, &name, &session, last_seq)?;
-            if let (Some(prev), Some(dur)) = (old, st.dur.as_ref()) {
-                let _ = fs::remove_file(ckpt_file(&dur.dir, prev.id));
-            }
+            st.remove_checkpoint(old);
             if let Some(Slot::Resident { ckpt, .. }) = st.slots.get_mut(&name) {
                 *ckpt = Some(fresh);
             }
@@ -1073,17 +983,9 @@ impl Shard {
             .collect();
         let dur = st.dur.as_ref().expect("checked above");
         if let Ok(entries) = fs::read_dir(&dur.dir) {
-            for entry in entries.flatten() {
-                let path = entry.path();
-                let name = path.file_name().and_then(|s| s.to_str()).unwrap_or("");
-                if let Some(id) = name
-                    .strip_prefix("ckpt-")
-                    .and_then(|s| s.strip_suffix(".bin"))
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    if !referenced.contains(&id) {
-                        let _ = fs::remove_file(&path);
-                    }
+            for path in entries.flatten().map(|e| e.path()) {
+                if ckpt_id(&path).is_some_and(|id| !referenced.contains(&id)) {
+                    let _ = fs::remove_file(&path);
                 }
             }
         }
@@ -1091,24 +993,10 @@ impl Shard {
     }
 }
 
-/// Runs one edit against the engine, mapping success to its reply.
-fn apply_edit(dp: &mut DynamicProfile, edit: Edit) -> Result<Response, AggregateError> {
-    match edit {
-        Edit::Push { ranking } => dp
-            .push_voter(ranking)
-            .map(|id| Response::VoterPushed { voter: id.raw() }),
-        Edit::Remove { voter } => dp
-            .remove_voter(VoterId::from_raw(voter))
-            .map(|_| Response::VoterRemoved),
-        Edit::Replace { voter, ranking } => dp
-            .replace_voter(VoterId::from_raw(voter), ranking)
-            .map(|_| Response::VoterReplaced),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bucketrank_aggregate::MedianPolicy;
 
     #[test]
     fn publish_recycles_only_views_no_reader_holds() {

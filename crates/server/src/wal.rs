@@ -149,18 +149,20 @@ pub enum WalError {
         /// The session name.
         name: String,
     },
-    /// Replaying a push reproduced a different voter id than the one
-    /// acknowledged — the log and engine disagree on id assignment.
+    /// A logged push carries a different voter id than the one the
+    /// engine's check assigns — the log and engine disagree on id
+    /// assignment. Replay refuses the record before applying it.
     IdMismatch {
         /// The record's sequence number.
         seq: u64,
         /// The id the record carries.
         expected: u64,
-        /// The id the replayed push produced.
+        /// The id the engine's check assigns.
         found: u64,
     },
-    /// Replaying an edit failed in the engine (e.g. a remove of an id
-    /// the reconstructed profile does not hold).
+    /// A logged edit fails the engine's check (e.g. a remove of an id
+    /// the reconstructed profile does not hold); nothing of it is
+    /// applied.
     Edit {
         /// The record's sequence number.
         seq: u64,
@@ -192,7 +194,7 @@ impl std::fmt::Display for WalError {
             }
             WalError::IdMismatch { seq, expected, found } => write!(
                 f,
-                "WAL record {seq} expected voter id {expected}, replay produced {found}"
+                "WAL record {seq} expected voter id {expected}, the engine assigns {found}"
             ),
             WalError::Edit { seq, error } => {
                 write!(f, "WAL record {seq} failed to replay: {error}")

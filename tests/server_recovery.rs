@@ -27,6 +27,7 @@
 
 use bucketrank::server::proto::{ErrorCode, MetricKind, Request, Response, WirePolicy};
 use bucketrank::server::service::{Service, ServiceConfig};
+use bucketrank::server::wal::{WalOp, WalRecord, WalWriter};
 use bucketrank::server::{Client, Server, ServerConfig};
 use bucketrank::BucketOrder;
 use bucketrank_bench::model::{assert_reply, ModelService};
@@ -209,8 +210,13 @@ fn run_durable(dir: &Path, name: &str, n: usize, script: &[EditOp]) -> Vec<Reque
 
 /// Asserts a recovered single-shard service serves exactly the model of
 /// the surviving `acked` records (a model that knows nothing of the
-/// session when the create itself was torn away).
-fn assert_recovers_prefix(dir: &Path, name: &str, n: usize, acked: &[Request]) {
+/// session when the create itself was torn away); returns both.
+fn assert_recovers_prefix(
+    dir: &Path,
+    name: &str,
+    n: usize,
+    acked: &[Request],
+) -> (Service, ModelService) {
     let mut model = ModelService::new();
     for req in acked {
         let resp = model.handle(req);
@@ -233,6 +239,7 @@ fn assert_recovers_prefix(dir: &Path, name: &str, n: usize, acked: &[Request]) {
             "torn-tail recovery diverged on {req:?}"
         );
     }
+    (svc, model)
 }
 
 /// Torn mid-record tails at a sampled offset: truncating the WAL
@@ -455,6 +462,89 @@ fn corrupt_wal_suffix_is_preserved_for_post_mortem() {
         preserved_logs(&shard_dir).is_empty(),
         "a plain torn tail must not be preserved"
     );
+}
+
+/// A log whose acknowledged prefix (a 3-element session holding
+/// voters 0 and 1) is followed by `bad`, a CRC-valid record the engine
+/// refuses, and then a well-formed push that replay would accept
+/// without the refusal. Recovery must serve exactly the model of the
+/// prefix — nothing of `bad` or of the push after it — keep the log
+/// for post-mortem, and give the next push id 2.
+fn assert_replay_refuses(bad: WalOp) {
+    let keys = |k: &[i64]| BucketOrder::from_keys(k);
+    let name = "torn";
+    let script = [
+        EditOp::Push(keys(&[1, 2, 3])),
+        EditOp::Push(keys(&[1, 1, 2])),
+    ];
+    let tmp = TempDir::new("recovery-refused");
+    let acked = run_durable(tmp.path(), name, 3, &script);
+    let shard_dir = tmp.path().join("shard-0");
+    let mut wal = WalWriter::open(&shard_dir.join("wal.log")).expect("open wal");
+    let after = WalOp::Push {
+        name: name.into(),
+        voter: 2,
+        ranking: keys(&[3, 2, 1]),
+    };
+    for (seq, op) in (acked.len() as u64 + 1..).zip([bad.clone(), after]) {
+        wal.append(&WalRecord { seq, op }).expect("append");
+    }
+    let written = std::fs::read(wal.path()).expect("read wal");
+
+    let (svc, mut model) = assert_recovers_prefix(tmp.path(), name, 3, &acked);
+    let kept = preserved_logs(&shard_dir);
+    assert_eq!(kept.len(), 1, "{bad:?}: the log must be kept: {kept:?}");
+    assert_eq!(std::fs::read(&kept[0]).expect("read kept"), written);
+    // Every id the refused record, the push after it, or a replay that
+    // let either through would hold is still unknown.
+    for voter in 2..=7 {
+        let req = Request::RemoveVoter {
+            session: name.into(),
+            voter,
+        };
+        assert_eq!(
+            svc.handle(req.clone()),
+            model.handle(&req),
+            "{bad:?}: voter {voter}"
+        );
+    }
+    let push = Request::PushVoter {
+        session: name.into(),
+        ranking: keys(&[2, 2, 1]),
+    };
+    let reply = svc.handle(push.clone());
+    assert_eq!(
+        reply,
+        Response::VoterPushed { voter: 2 },
+        "{bad:?}: next id"
+    );
+    assert_eq!(reply, model.handle(&push));
+}
+
+/// A push whose logged voter id is not the one the engine assigns
+/// (`WalError::IdMismatch`; the engine's next id is 2).
+#[test]
+fn push_with_a_foreign_voter_id_stops_replay_before_it() {
+    assert_replay_refuses(WalOp::Push {
+        name: "torn".into(),
+        voter: 5,
+        ranking: BucketOrder::from_keys(&[3, 3, 1]),
+    });
+}
+
+/// A remove or replace of a voter that is not live (`WalError::Edit`
+/// carrying the engine's `UnknownVoter`).
+#[test]
+fn edit_of_a_dead_voter_stops_replay_before_it() {
+    assert_replay_refuses(WalOp::Remove {
+        name: "torn".into(),
+        voter: 7,
+    });
+    assert_replay_refuses(WalOp::Replace {
+        name: "torn".into(),
+        voter: 7,
+        ranking: BucketOrder::from_keys(&[3, 3, 1]),
+    });
 }
 
 /// The CI heavy lane's exhaustive matrix: for a handful of fixed
