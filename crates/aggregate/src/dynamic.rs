@@ -35,7 +35,7 @@
 //!   snapshots never observe later edits, even from other threads.
 //!   [`snapshot_reusing`](DynamicProfile::snapshot_reusing) copies the
 //!   same view into a retired snapshot's buffers, so a republish after
-//!   every edit need not allocate.
+//!   every edit need not allocate its `O(n²)` matrix.
 //!
 //! # Update algebra
 //!
@@ -72,12 +72,27 @@
 //! the traffic of a retract pass plus an add pass — and needs no
 //! separate dirty scan.
 //!
-//! Median ranks use one counting array per element over the half-unit
-//! position grid `2..=2n` (positions of an `n`-element bucket order are
-//! half-integers), plus a median pointer and a count of values strictly
-//! below it. Inserting or deleting one position moves the pointer past
-//! at most the populated values between the old and new median —
-//! amortized `O(1)` per element per edit, `O(n)` per voter edit.
+//! Median ranks keep, per element, the live voters' positions as
+//! sorted runs of (half-unit position, multiplicity), plus a median
+//! pointer (an index into the runs) and a count of positions in the
+//! runs before it. All elements share one flat buffer with one
+//! per-element capacity, which doubles when an element runs out of
+//! room and is capped at the `2n − 1` distinct positions an
+//! `n`-element order can produce; it halves again as voters leave. So
+//! median state is `O(n·min(m, 2n))`: 256 KiB at 32 voters × 512
+//! elements, where a counting array over the position grid `2..=2n`
+//! held `n·(2n+1)` cells (2 MiB at n = 512, whatever `m`). An edit
+//! finds a position's run by binary search within the window its value
+//! allows (one run once the runs cover their range, as they do when
+//! `m ≫ n`), and moves the pointer over runs, never over the position
+//! grid. A run that empties stays in place until its element needs the
+//! room, so a position that comes back costs no shift.
+//!
+//! A [`DynamicSnapshot`] builds the median order once, when it is
+//! taken, with a counting scatter over the median positions; its
+//! `median_order`, `top_k` and `full_ranking` copy or cut that order
+//! in `O(n)`, and `to_type` projects the medians with
+//! `project_to_type`, itself a counting pass.
 //!
 //! # Dirty-row contract
 //!
@@ -102,9 +117,11 @@
 //! `O(m·n²)`. The dynamic path therefore wins by a factor `Θ(m)` for
 //! single-voter churn and the batch build wins only when most of the
 //! profile changes between queries (fewer than a handful of surviving
-//! voters per rebuild). A median-only query is the exception: every
-//! edit still pays the `O(n²)` tally maintenance that query never
-//! reads, so at small `m` an `O(m·n log m)` median rebuild wins.
+//! voters per rebuild). A median-only query still pays the `O(n²)`
+//! tally maintenance it never reads, against an `O(m·n log m)` median
+//! rebuild; with `u16` tally cells the update is level with the
+//! rebuild or ahead at every measured shape, closest at 16 × 512
+//! (1.0–1.2×).
 //! `BENCH_dynamic.json` (the `bench_dynamic` binary) records the
 //! measured trajectory; see DESIGN.md §3.3c.
 
@@ -202,78 +219,217 @@ fn target_rank(policy: MedianPolicy, m: usize) -> u32 {
     }
 }
 
-/// Restores the median-pointer invariant `lt ≤ k < lt + counts[med]`
-/// for one element's rank multiset, where `lt` counts stored values
-/// strictly below the pointer's value and `k` is the 0-based target
-/// rank of the policy's median among the `m` stored values.
-fn ms_rebalance(counts: &[u32], med: &mut usize, lt: &mut u32, k: u32) {
-    while *lt > k {
-        // Step to the previous populated value; its occupants move
-        // from "strictly below" to "at the median".
-        let mut p = *med;
-        loop {
-            p -= 1;
-            if counts[p] > 0 {
-                break;
-            }
-        }
-        *lt -= counts[p];
-        *med = p;
+/// One run of an element's position multiset: a half-unit position and
+/// the number of live voters placing the element there. A run whose
+/// count falls to zero stays in place until its element needs the room,
+/// so a position that comes back costs no shift.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    pos: u32,
+    count: u32,
+}
+
+/// The index of position `v` among an element's runs (sorted, distinct
+/// positions), or the index it would be inserted at. Distinct integer
+/// positions put `v` within `v − first` runs of the start and
+/// `last − v` runs of the end; once the runs cover their range densely,
+/// as they do when `m ≫ n`, that window is a single run.
+fn find(row: &[Run], v: u32) -> Result<usize, usize> {
+    let (Some(first), Some(last)) = (row.first(), row.last()) else {
+        return Err(0);
+    };
+    if v < first.pos {
+        return Err(0);
     }
-    while *lt + counts[*med] <= k {
-        *lt += counts[*med];
-        let mut q = *med;
-        loop {
-            q += 1;
-            if counts[q] > 0 {
-                break;
-            }
+    if v > last.pos {
+        return Err(row.len());
+    }
+    let lo = (row.len() - 1).saturating_sub((last.pos - v) as usize);
+    let hi = ((v - first.pos) as usize).min(row.len() - 1);
+    row[lo..=hi]
+        .binary_search_by_key(&v, |r| r.pos)
+        .map(|i| lo + i)
+        .map_err(|i| lo + i)
+}
+
+/// One element's place in [`MedianRuns`]: how many runs it has, the
+/// index of the run holding its median, how many stored positions lie
+/// in the runs before that one, and the median position itself (so a
+/// snapshot reads the medians in one sequential pass).
+#[derive(Debug, Clone, Copy, Default)]
+struct Head {
+    len: u32,
+    med: u32,
+    below: u32,
+    median: u32,
+}
+
+impl Head {
+    /// Restores the median-pointer invariant `below ≤ k < below +
+    /// row[med].count` over the element's runs `row`, where `k` is the
+    /// 0-based target rank of the policy's median among a nonempty
+    /// multiset. The pointer steps over runs only, never over the
+    /// position grid.
+    fn rebalance(&mut self, row: &[Run], k: u32) {
+        while self.below > k {
+            self.med -= 1;
+            self.below -= row[self.med as usize].count;
         }
-        *med = q;
+        while self.below + row[self.med as usize].count <= k {
+            self.below += row[self.med as usize].count;
+            self.med += 1;
+        }
+        self.median = row[self.med as usize].pos;
     }
 }
 
-/// Inserts one position value `v` into an element's rank multiset
-/// (`new_m` = multiset size after the insert).
-fn ms_insert(counts: &mut [u32], med: &mut usize, lt: &mut u32, v: usize, new_m: usize, k: u32) {
-    counts[v] += 1;
-    if new_m == 1 {
-        *med = v;
-        *lt = 0;
-        return;
-    }
-    if v < *med {
-        *lt += 1;
-    }
-    ms_rebalance(counts, med, lt, k);
+/// The per-element multisets of live voters' positions, as sorted runs
+/// of (position, multiplicity) in one flat buffer: element `e`'s runs
+/// are `runs[e·cap..][..len]`. When an element needs a run and its row
+/// is full, its empty runs are dropped; if more than half the row is
+/// still live, the shared capacity `cap` doubles, up to the `2n − 1`
+/// distinct half-unit positions an `n`-element order can produce. It
+/// halves once the voters fit in a quarter of it. So `cap` stays below
+/// `4·min(m, 2n)`, and the buffer holds `O(n·min(m, 2n))` runs.
+#[derive(Debug, Clone)]
+struct MedianRuns {
+    cap: usize,
+    heads: Vec<Head>,
+    runs: Vec<Run>,
 }
 
-/// Deletes one position value `v` from an element's rank multiset
-/// (`new_m` = multiset size after the delete; the pointer is parked
-/// when the multiset empties).
-fn ms_remove(counts: &mut [u32], med: &mut usize, lt: &mut u32, v: usize, new_m: usize, k: u32) {
-    counts[v] -= 1;
-    if new_m == 0 {
-        *lt = 0;
-        return;
-    }
-    if v < *med {
-        *lt -= 1;
-    } else if v == *med && counts[*med] == 0 {
-        // The median's value emptied: snap to the nearest populated
-        // value — above first (`lt` unchanged), else below.
-        if let Some(q) = (*med + 1..counts.len()).find(|&i| counts[i] > 0) {
-            *med = q;
-        } else {
-            let p = (0..*med)
-                .rev()
-                .find(|&i| counts[i] > 0)
-                .expect("nonempty multiset has a populated value");
-            *lt -= counts[p];
-            *med = p;
+impl MedianRuns {
+    fn new(n: usize) -> Self {
+        MedianRuns {
+            cap: 0,
+            heads: vec![Head::default(); n],
+            runs: Vec::new(),
         }
     }
-    ms_rebalance(counts, med, lt, k);
+
+    /// Element `e`'s runs and head.
+    fn row(&mut self, e: usize) -> (&mut [Run], &mut Head) {
+        let h = &mut self.heads[e];
+        let base = e * self.cap;
+        (&mut self.runs[base..base + h.len as usize], h)
+    }
+
+    /// Moves every element's live runs into a buffer of capacity `cap`,
+    /// dropping empty runs (the median's run is live, so the pointer
+    /// only shifts down past the dropped ones).
+    fn relayout(&mut self, cap: usize) {
+        let mut runs = vec![Run { pos: 0, count: 0 }; self.heads.len() * cap];
+        for (e, h) in self.heads.iter_mut().enumerate() {
+            let old = &self.runs[e * self.cap..][..h.len as usize];
+            let dropped_below = old[..h.med as usize].iter().filter(|r| r.count == 0).count();
+            let mut len = 0;
+            for &r in old.iter().filter(|r| r.count > 0) {
+                runs[e * cap + len] = r;
+                len += 1;
+            }
+            h.len = len as u32;
+            h.med -= dropped_below as u32;
+        }
+        self.runs = runs;
+        self.cap = cap;
+    }
+
+    /// The index of element `e`'s run at position `v`, inserting an
+    /// empty run there first if there is none.
+    fn slot(&mut self, e: usize, v: u32) -> usize {
+        let len = self.heads[e].len as usize;
+        let row = &self.runs[e * self.cap..][..len];
+        let i = match find(row, v) {
+            Ok(i) => return i,
+            Err(i) => i,
+        };
+        if len == self.cap {
+            // Make room: drop the empty runs, and double the capacity
+            // unless that frees at least half the row.
+            let live = row.iter().filter(|r| r.count > 0).count();
+            let cap = if 2 * live > self.cap || self.cap == 0 {
+                (2 * self.cap).clamp(1, 2 * self.heads.len() - 1)
+            } else {
+                self.cap
+            };
+            self.relayout(cap);
+            return self.slot(e, v);
+        }
+        let base = e * self.cap;
+        let row = &mut self.runs[base..base + len + 1];
+        row.copy_within(i..len, i + 1);
+        row[i] = Run { pos: v, count: 0 };
+        let h = &mut self.heads[e];
+        if len > 0 && i as u32 <= h.med {
+            h.med += 1;
+        }
+        h.len += 1;
+        i
+    }
+
+    /// Adds position `v` to element `e`'s multiset; `k` is the median's
+    /// target rank after the insert.
+    fn insert(&mut self, e: usize, v: u32, k: u32) {
+        let j = self.slot(e, v);
+        let (row, h) = self.row(e);
+        row[j].count += 1;
+        if (j as u32) < h.med {
+            h.below += 1;
+        }
+        h.rebalance(row, k);
+    }
+
+    /// Deletes one stored position `v` from element `e`'s multiset,
+    /// which stays nonempty; `k` is the median's target rank after the
+    /// delete.
+    fn remove(&mut self, e: usize, v: u32, k: u32) {
+        let (row, h) = self.row(e);
+        let i = find(row, v).expect("a stored position has a run");
+        row[i].count -= 1;
+        if (i as u32) < h.med {
+            h.below -= 1;
+        }
+        h.rebalance(row, k);
+    }
+
+    /// Moves one stored position of element `e` from `old` to `new`;
+    /// `k` is the median's target rank (the multiset size is unchanged).
+    fn replace(&mut self, e: usize, old: u32, new: u32, k: u32) {
+        let j = self.slot(e, new);
+        let (row, h) = self.row(e);
+        let i = find(row, old).expect("a stored position has a run");
+        row[i].count -= 1;
+        row[j].count += 1;
+        h.below = h.below + u32::from(j < h.med as usize) - u32::from(i < h.med as usize);
+        h.rebalance(row, k);
+    }
+
+    /// Empties every multiset and releases the buffer.
+    fn clear(&mut self) {
+        self.heads.fill(Head::default());
+        self.runs = Vec::new();
+        self.cap = 0;
+    }
+
+    /// Halves the capacity while `m ≥ 1` voters fit in a quarter of it:
+    /// each element has at most `m` live runs, so `cap / 2 ≥ 2m` still
+    /// holds them, and `m` must double again before the next growth.
+    fn shrink_to_voters(&mut self, m: usize) {
+        let mut cap = self.cap;
+        while 4 * m <= cap {
+            cap /= 2;
+        }
+        if cap != self.cap {
+            self.relayout(cap);
+        }
+    }
+}
+
+/// A position of an `n`-element order as stored in the runs: half-units
+/// in `2..=2n` (the tally's `n × n` matrix bounds `n` far below
+/// `u32::MAX / 2`).
+fn half_units(p: Pos) -> u32 {
+    p.half_units() as u32
 }
 
 /// The streaming profile engine; see the [module docs](self).
@@ -288,17 +444,8 @@ pub struct DynamicProfile {
     voters: HashMap<u64, BucketOrder>,
     next_id: u64,
     generation: u64,
-    /// Counting-array width: half-unit positions of an `n`-element
-    /// order lie in `2..=2n`, indexed directly.
-    span: usize,
-    /// `counts[e·span + v]` = live voters placing element `e` at
-    /// half-unit position `v`.
-    counts: Vec<u32>,
-    /// Per-element median pointer (an index into the element's count
-    /// row; meaningful only while voters are live).
-    med: Vec<usize>,
-    /// Per-element count of stored positions strictly below `med`.
-    lt: Vec<u32>,
+    /// Per-element position multisets with their median pointers.
+    medians: MedianRuns,
     dirty: DirtyRows,
     /// Reused key buffers for the tally's edit passes.
     keys: EditKeys,
@@ -314,17 +461,13 @@ impl DynamicProfile {
 
     /// An empty engine over a fixed `n`-element domain.
     pub fn new(n: usize, policy: MedianPolicy) -> Self {
-        let span = 2 * n + 1;
         DynamicProfile {
             tally: ProfileTally::empty(n),
             policy,
             voters: HashMap::new(),
             next_id: 0,
             generation: 0,
-            span,
-            counts: vec![0; n * span],
-            med: vec![0; n],
-            lt: vec![0; n],
+            medians: MedianRuns::new(n),
             dirty: DirtyRows::new(n),
             keys: EditKeys::default(),
         }
@@ -447,7 +590,10 @@ impl DynamicProfile {
 
     /// The maintained median vector as positions.
     fn medians(&self) -> impl Iterator<Item = Pos> + '_ {
-        self.med.iter().map(|&v| Pos::from_half_units(v as i64))
+        self.medians
+            .heads
+            .iter()
+            .map(|h| Pos::from_half_units(i64::from(h.median)))
     }
 
     /// Checks a push without applying it and returns the id the push
@@ -518,15 +664,7 @@ impl DynamicProfile {
         self.tally.push_voter(&ranking, &mut self.keys);
         let k = target_rank(self.policy, m + 1);
         for (e, p) in ranking.positions().iter().enumerate() {
-            let row = &mut self.counts[e * self.span..(e + 1) * self.span];
-            ms_insert(
-                row,
-                &mut self.med[e],
-                &mut self.lt[e],
-                p.half_units() as usize,
-                m + 1,
-                k,
-            );
+            self.medians.insert(e, half_units(*p), k);
         }
         self.generation += 1;
         self.dirty.mark_all();
@@ -546,21 +684,14 @@ impl DynamicProfile {
         let ranking = self.voters.remove(&id.0).expect("checked live");
         let m = self.tally.voters();
         self.tally.remove_voter(&ranking, &mut self.keys);
-        let k = if m > 1 {
-            target_rank(self.policy, m - 1)
+        if m == 1 {
+            self.medians.clear();
         } else {
-            0
-        };
-        for (e, p) in ranking.positions().iter().enumerate() {
-            let row = &mut self.counts[e * self.span..(e + 1) * self.span];
-            ms_remove(
-                row,
-                &mut self.med[e],
-                &mut self.lt[e],
-                p.half_units() as usize,
-                m - 1,
-                k,
-            );
+            let k = target_rank(self.policy, m - 1);
+            for (e, p) in ranking.positions().iter().enumerate() {
+                self.medians.remove(e, half_units(*p), k);
+            }
+            self.medians.shrink_to_voters(m - 1);
         }
         self.generation += 1;
         self.dirty.mark_all();
@@ -589,27 +720,17 @@ impl DynamicProfile {
         let slot = self.voters.get_mut(&id.0).expect("checked live");
         let old = std::mem::replace(slot, ranking);
         let new = &*slot;
-        let m = self.tally.voters();
-        let k_rm = if m > 1 {
-            target_rank(self.policy, m - 1)
-        } else {
-            0
-        };
-        let k_ins = target_rank(self.policy, m);
+        let k = target_rank(self.policy, self.tally.voters());
         let dirty = &mut self.dirty;
         self.tally
             .replace_voter(&old, new, &mut self.keys, |a| dirty.mark(a));
         let old_pos = old.positions();
         let new_pos = new.positions();
         for e in 0..n {
-            let ov = old_pos[e].half_units() as usize;
-            let nv = new_pos[e].half_units() as usize;
-            if ov == nv {
-                continue;
+            let (ov, nv) = (half_units(old_pos[e]), half_units(new_pos[e]));
+            if ov != nv {
+                self.medians.replace(e, ov, nv, k);
             }
-            let row = &mut self.counts[e * self.span..(e + 1) * self.span];
-            ms_remove(row, &mut self.med[e], &mut self.lt[e], ov, m - 1, k_rm);
-            ms_insert(row, &mut self.med[e], &mut self.lt[e], nv, m, k_ins);
         }
         self.generation += 1;
         Ok(old)
@@ -652,8 +773,9 @@ impl DynamicProfile {
 
     /// A consistent owned read view of the current epoch: the tally,
     /// the median vector, and the generation, cloned atomically (this
-    /// method takes `&self`, so no edit can interleave). Held
-    /// snapshots never observe later edits.
+    /// method takes `&self`, so no edit can interleave), plus the
+    /// median order built from them. Held snapshots never observe later
+    /// edits.
     ///
     /// # Errors
     /// [`AggregateError::NoInputs`] when no voter is live (matching
@@ -665,11 +787,12 @@ impl DynamicProfile {
     /// [`snapshot`](DynamicProfile::snapshot), copied into the buffers
     /// of `spare` — a retired snapshot of this or any other engine —
     /// instead of freshly allocated ones. The result equals
-    /// `snapshot()` exactly; only the allocation is saved. A spare of
-    /// the same domain size takes the copy at memcpy speed with no
-    /// allocation; a spare of another size is grown or trimmed to fit,
-    /// so it never keeps a larger domain's memory alive. `None` is the
-    /// plain `snapshot()` path.
+    /// `snapshot()` exactly; only the allocations are saved. A spare of
+    /// the same domain size takes the tally and medians at memcpy speed
+    /// with no allocation (the `O(n)` median order is built afresh); a
+    /// spare of another size is grown or trimmed to fit, so it never
+    /// keeps a larger domain's memory alive. `None` is the plain
+    /// `snapshot()` path.
     ///
     /// # Errors
     /// [`AggregateError::NoInputs`] when no voter is live; the spare is
@@ -685,12 +808,14 @@ impl DynamicProfile {
             generation: 0,
             tally: ProfileTally::empty(0),
             medians: Vec::new(),
+            order: BucketOrder::trivial(0),
         });
         snap.generation = self.generation;
         snap.tally.clone_from(&self.tally);
         snap.medians.clear();
         snap.medians.extend(self.medians());
         snap.medians.shrink_to_fit();
+        snap.order = induced_ranking(&snap.medians);
         Ok(snap)
     }
 }
@@ -701,11 +826,18 @@ impl DynamicProfile {
 /// feeds kwiksort, Schulze, MC4 and local Kemenization exactly as a
 /// freshly built one would, and the shaping methods mirror the batch
 /// aggregators in [`crate::median`].
+///
+/// The median order is built once, when the snapshot is taken. It ranks
+/// the ids by (median, id), the order the batch projections cut, so
+/// `median_order`, `top_k` and `full_ranking` copy or cut it in
+/// `O(n)`; `to_type` projects the medians with `project_to_type`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DynamicSnapshot {
     generation: u64,
     tally: ProfileTally,
     medians: Vec<Pos>,
+    /// `induced_ranking(medians)`.
+    order: BucketOrder,
 }
 
 impl DynamicSnapshot {
@@ -733,7 +865,7 @@ impl DynamicSnapshot {
     /// medians tied) — [`median_order`](crate::median::median_order)
     /// of the live voters at the epoch.
     pub fn median_order(&self) -> BucketOrder {
-        induced_ranking(&self.medians)
+        self.order.clone()
     }
 
     /// Median aggregation into a top-`k` list — [`aggregate_top_k`](
@@ -743,16 +875,20 @@ impl DynamicSnapshot {
     /// # Errors
     /// [`AggregateError::InvalidK`].
     pub fn top_k(&self, k: usize) -> Result<BucketOrder, AggregateError> {
-        let alpha = TypeSeq::top_k(self.medians.len(), k)?;
-        Ok(project_to_type(&self.medians, &alpha)?)
+        let n = self.medians.len();
+        let top = self
+            .order
+            .by_rank()
+            .get(..k)
+            .ok_or(AggregateError::InvalidK { k, domain_size: n })?;
+        Ok(BucketOrder::top_k(n, top)?)
     }
 
     /// Median aggregation into a full ranking — [`aggregate_full`](
     /// crate::median::aggregate_full) of the live voters at the epoch
-    /// (Theorem 11).
+    /// (Theorem 11): the median order with ties broken by id.
     pub fn full_ranking(&self) -> BucketOrder {
-        let alpha = TypeSeq::full(self.medians.len());
-        project_to_type(&self.medians, &alpha).expect("full type always matches the domain")
+        self.order.arbitrary_full_refinement()
     }
 
     /// Median aggregation into a prescribed type — [`aggregate_to_type`](
@@ -1020,6 +1156,66 @@ mod tests {
             DynamicProfile::from_voters(3, MedianPolicy::Upper, pairs, 2),
             Err(AggregateError::InvalidVoterId { id: 2 })
         ));
+    }
+
+    #[test]
+    fn median_state_is_sized_by_the_voters() {
+        // 32 voters placing 512 elements on 8 levels: each element has
+        // at most 32 live runs, and the capacity doubles only while
+        // more than half a full row is live, so it stops at 64 slots
+        // per element, where a counting array over the position grid
+        // would hold 2n + 1 = 1025 cells per element.
+        let n = 512;
+        let mut state = 0x2004_u64;
+        let mut level = || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 61) as u32
+        };
+        let inputs: Vec<BucketOrder> = (0..32)
+            .map(|_| BucketOrder::from_u32_keys(&(0..n).map(|_| level()).collect::<Vec<_>>()))
+            .collect();
+        let (mut dp, ids) = DynamicProfile::from_profile(&inputs, MedianPolicy::Lower).unwrap();
+        let slots = |dp: &DynamicProfile| dp.medians.runs.capacity();
+        assert!(slots(&dp) <= n * 64, "{} run slots", slots(&dp));
+        assert!(slots(&dp) < n * (2 * n + 1));
+        assert_matches_rebuild(&dp);
+        // Draining the voters releases the runs.
+        for id in ids {
+            dp.remove_voter(id).unwrap();
+            assert!(slots(&dp) <= 4 * n * dp.voters().max(1));
+        }
+        assert_eq!(slots(&dp), 0);
+    }
+
+    #[test]
+    fn replace_churn_compacts_the_runs_and_keeps_the_medians() {
+        // Six voters over 48 elements replaced by shuffled full rankings:
+        // each element sees far more distinct positions than it has live
+        // runs, so its row keeps filling with emptied runs and must drop
+        // them (with the median pointer shifted past them) instead of
+        // growing.
+        let n = 48;
+        let mut state = 0x5eed_u64;
+        let mut next = move |bound: usize| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 33) as usize % bound
+        };
+        let mut shuffled = || {
+            let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
+            for i in (1..n).rev() {
+                ids.swap(i, next(i + 1));
+            }
+            BucketOrder::from_permutation(&ids).unwrap()
+        };
+        for policy in [MedianPolicy::Lower, MedianPolicy::Upper] {
+            let inputs: Vec<BucketOrder> = (0..6).map(|_| shuffled()).collect();
+            let (mut dp, ids) = DynamicProfile::from_profile(&inputs, policy).unwrap();
+            for step in 0..400 {
+                dp.replace_voter(ids[step % ids.len()], shuffled()).unwrap();
+                assert_matches_rebuild(&dp);
+                assert!(dp.medians.cap < 4 * ids.len(), "capacity {}", dp.medians.cap);
+            }
+        }
     }
 
     #[test]

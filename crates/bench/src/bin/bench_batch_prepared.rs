@@ -23,14 +23,18 @@
 //! `order/from_keys/…` and `order/clone/…` rows time building and
 //! cloning one `BucketOrder` (`n`x`k`: `n` elements in `k` equal
 //! buckets) against the nested one-`Vec`-per-bucket layout of
-//! `bucketrank_bench::oracle::NestedOrder`. Every row's output must equal
-//! the oracle's, and the flat `from_keys` must hold ≥2× over the nested
-//! one at 512x16 (the decode shape of a served 512-element ranking).
+//! `bucketrank_bench::oracle::NestedOrder`; `order/from_u32_keys/…`
+//! times the counting-scatter constructor the server decodes rankings
+//! with. Every row's output must equal the oracle's, and the flat
+//! `from_keys` must hold ≥2× over the nested one at 512x16 (the decode
+//! shape of a served 512-element ranking), read as the median round
+//! ratio of `bucketrank_bench::timing::ab`. The report's `gates`
+//! section records that ratio with its quartiles.
 
 use bucketrank_bench::oracle::NestedOrder;
 use bucketrank_bench::report::{env_usize, fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
-use bucketrank_bench::timing::{group, Measurement, Sampler};
+use bucketrank_bench::timing::{ab, group, Measurement, Sampler};
 use bucketrank_core::BucketOrder;
 use bucketrank_metrics::batch::{
     pairwise_matrix, pairwise_matrix_with, prepare_all, weighted_pairwise_matrix, BatchMetric,
@@ -50,6 +54,10 @@ fn bucket_keys(rng: &mut Pcg32, n: usize, k: usize) -> Vec<u32> {
     ids.shuffle(rng);
     ids.iter().map(|&r| (r as usize * k / n) as u32).collect()
 }
+
+/// Alternating rounds the order layout gate reads its median ratio
+/// over.
+const ORDER_GATE_ROUNDS: usize = 31;
 
 /// Mean seconds per call over a batch of 64 calls.
 fn per_call<T>(mut f: impl FnMut() -> T) -> f64 {
@@ -192,13 +200,17 @@ fn main() {
         let nested = NestedOrder::from_keys(&keys);
         order_exact &= flat.num_buckets() == ok
             && nested.same_as(&flat)
-            && nested.clone().same_as(&flat.clone());
+            && nested.clone().same_as(&flat.clone())
+            && nested.same_as(&BucketOrder::from_u32_keys(&keys));
         group(&format!("order layout ({on} elements × {ok} buckets)"));
         let build = s.bench(&format!("order/from_keys/{on}x{ok}"), || {
             flat_from_keys(&keys)
         });
         let build_nested = s.bench(&format!("order/from_keys/nested/{on}x{ok}"), || {
             nested_from_keys(&keys)
+        });
+        let build_u32 = s.bench(&format!("order/from_u32_keys/{on}x{ok}"), || {
+            BucketOrder::from_u32_keys(&keys)
         });
         let clone = s.bench(&format!("order/clone/{on}x{ok}"), || flat.clone());
         let clone_nested = s.bench(&format!("order/clone/nested/{on}x{ok}"), || nested.clone());
@@ -210,8 +222,18 @@ fn main() {
             format!("order/clone/{on}x{ok}"),
             clone_nested.min_ns / clone.min_ns,
         ));
-        all.extend([build, build_nested, clone, clone_nested]);
+        all.extend([build, build_nested, build_u32, clone, clone_nested]);
     }
+
+    // Order layout gate (checked at the end): the flat `from_keys` must
+    // hold ≥2× over the nested one at 512x16. Both sides go through the
+    // out-of-line wrappers, so edits to `main` cannot move the ratio.
+    let keys = bucket_keys(&mut rng, 512, 16);
+    let order_gate = ab(
+        || per_call(|| nested_from_keys(&keys)),
+        || per_call(|| flat_from_keys(&keys)),
+        ORDER_GATE_ROUNDS,
+    );
 
     let roofline = memcpy_bandwidth();
     println!(
@@ -230,6 +252,7 @@ fn main() {
         .ratios("weighted_speedups", &weighted_speedups)
         .ratios("order_speedups", &order_speedups)
         .bandwidths("effective_bandwidth", &bandwidths)
+        .array("gates", &[order_gate.json("order/from_keys/512x16", 2.0)])
         .field_raw("roofline", roofline.json())
         .write(&out_path("BENCH_metrics.json"));
 
@@ -301,36 +324,13 @@ fn main() {
     }
 
     // Order layout gate: every layout row matched the nested oracle
-    // above, and the flat `from_keys` must hold ≥2× over the nested
-    // one at 512x16. The machine's speed can drift by more than that
-    // ratio within a second, so each of 15 rounds times both sides
-    // back to back (alternating which goes first) and the gate reads
-    // the median of the per-round ratios. Both sides go through the
-    // out-of-line wrappers, so edits to `main` cannot move the ratio.
-    let keys = bucket_keys(&mut rng, 512, 16);
-    let mut rounds: Vec<(f64, f64)> = (0..15)
-        .map(|i| {
-            let nested = || per_call(|| nested_from_keys(&keys));
-            let flat = || per_call(|| flat_from_keys(&keys));
-            if i % 2 == 0 {
-                let n = nested();
-                (n, flat())
-            } else {
-                let f = flat();
-                (nested(), f)
-            }
-        })
-        .collect();
-    rounds.sort_by(|a, b| (a.0 / a.1).partial_cmp(&(b.0 / b.1)).expect("finite"));
-    let (nested_s, flat_s) = rounds[rounds.len() / 2];
-    let order_ratio = nested_s / flat_s;
-    let order_pass = order_exact && order_ratio >= 2.0;
+    // above, and the median round ratio holds the bound.
+    let order_pass = order_exact && order_gate.median >= 2.0;
     let verdict = if order_pass { "PASS" } else { "FAIL" };
     println!(
         "order layout gate (512x16, == nested oracle and from_keys >= 2x nested): \
-         exact {order_exact}, median round nested {:.2}us vs flat {:.2}us = {order_ratio:.2}x [{verdict}]",
-        nested_s * 1e6,
-        flat_s * 1e6
+         exact {order_exact}, median of {} rounds {:.2}x (IQR {:.2}-{:.2}) [{verdict}]",
+        order_gate.rounds, order_gate.median, order_gate.q1, order_gate.q3
     );
     if !order_pass {
         std::process::exit(1);

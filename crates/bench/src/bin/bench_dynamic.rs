@@ -3,7 +3,10 @@
 //! layer.
 //!
 //! Each shape `(m voters × n elements)` measures one single-voter edit
-//! followed immediately by a query, both ways:
+//! followed immediately by a query, both ways. The grid spans both
+//! sides of the median state's size, `O(n·min(m, 2n))` runs: `m < 2n`
+//! at 16 voters and at 256 × 512, `m ≈ 2n` at 256 × 128, and
+//! `m ≫ 2n` at 4096 × 64.
 //!
 //! * **replace**: the dynamic edit alone — one fused `O(n²)` pass that
 //!   retracts the old ranking, adds the new one and marks dirty rows
@@ -18,18 +21,16 @@
 //!   served workloads' candidates, so the tied-pair cost of the scan is
 //!   measured too.
 //! * **medians**: replace one voter, then read the full median-rank
-//!   vector. Dynamic = incremental multiset maintenance; rebuild =
-//!   `median_positions` over all `m` voters. This cycle has a genuine
-//!   crossover: a dynamic replace pays the `O(n²)` pairwise-tally
-//!   maintenance whether or not the query needs it, while the
-//!   median-only rebuild is `O(m·n log m)` — so rebuild wins when
-//!   `m ≲ n` and the engine wins above (and always wins when the
-//!   workload also queries the tally, which is what it exists for).
-//!   That is why `update_medians` stays below 1× rebuild at 16 × 512:
-//!   the `replace` row alone (the `n²` tally cells a median-only query
-//!   never reads) costs more than sorting 16 positions per element.
-//!   Reported as a scaling trajectory, separate from the regression
-//!   check.
+//!   vector. Dynamic = incremental maintenance of each element's
+//!   position runs; rebuild = `median_positions` over all `m` voters.
+//!   A dynamic replace pays the `O(n²)` pairwise-tally maintenance
+//!   whether or not the query needs it, while the median-only rebuild
+//!   is `O(m·n log m)`, so this is the cycle where the engine's margin
+//!   is thinnest: 1.0–1.2× at 16 × 512 with `u16` tally cells (it
+//!   read below 1× while the cells were `u32`). The engine always
+//!   wins when the workload also queries the tally, which is what it
+//!   exists for. Reported as a scaling trajectory, separate from the
+//!   regression check.
 //! * **snapshot**: the cost of copying a consistent read view off the
 //!   live engine (reported as a trajectory, not gated — it is the price
 //!   of isolation, paid only by consumers that hold views across
@@ -48,7 +49,20 @@
 //!   (`MALLOC_MMAP_THRESHOLD_=131072`) puts both at about 500 µs. The
 //!   recycle row reuses warm pages, so it reads about 43 µs, memcpy
 //!   speed for 1 MiB, under either setting. With `u16` cells both rows
-//!   read about 16 µs at n = 512.
+//!   read about 16 µs at n = 512. A view also carries the epoch's
+//!   median order, built when the view is taken (one counting scatter
+//!   over the medians, about 1 µs at n ≤ 128 and 3–5 µs at n = 512),
+//!   so that every median read of the epoch cuts it instead of sorting.
+//! * **replace_publish/cycled8/32x512** (one row, after the grid): the
+//!   served shape. Eight engines of 32 voters × 512 elements take a
+//!   replace plus a `snapshot_reusing` republish in turn, so each edit
+//!   finds its engine's state out of the core's caches, as a server
+//!   holding many sessions does. This is where the size of the median
+//!   state shows; a hot single engine hides it.
+//!
+//! Every replacement comes from a ring of 17 rankings. Each voter is
+//! revisited every `m` edits (every `8·m` in the cycled row) with `m`
+//! a power of two, so an odd ring hands it a new ranking each time.
 //!
 //! The crossover: an update-then-query cycle saves a factor `Θ(m)`
 //! over rebuild-then-query, so the dynamic path wins whenever more
@@ -64,7 +78,7 @@
 //! `BUCKETRANK_BENCH_FAST=1` runs the smoke-gate pass on shrunken
 //! shapes.
 
-use bucketrank_aggregate::dynamic::DynamicProfile;
+use bucketrank_aggregate::dynamic::{DynamicProfile, VoterId};
 use bucketrank_aggregate::median::median_positions;
 use bucketrank_aggregate::tally::ProfileTally;
 use bucketrank_aggregate::MedianPolicy;
@@ -73,6 +87,14 @@ use bucketrank_bench::timing::{group, Measurement, Sampler};
 use bucketrank_core::{BucketOrder, ElementId};
 use bucketrank_workloads::random::random_few_valued;
 use bucketrank_workloads::rng::{Pcg32, Rng, SeedableRng};
+
+/// Replacement rankings per ring (see the module docs): odd, so a
+/// voter revisited every power-of-two number of edits gets a different
+/// ranking each time.
+const RING: usize = 17;
+
+/// Engines the served cycle rotates through.
+const CYCLED_ENGINES: usize = 8;
 
 fn random_full(rng: &mut Pcg32, n: usize) -> BucketOrder {
     let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
@@ -90,9 +112,9 @@ fn main() {
     // them so CI stays quick; the committed baseline uses the full
     // grid.
     let shapes: &[(usize, usize)] = if fast {
-        &[(8, 32), (16, 64)]
+        &[(8, 32), (16, 64), (256, 16)]
     } else {
-        &[(16, 128), (16, 512), (256, 128), (256, 512)]
+        &[(16, 128), (16, 512), (256, 128), (256, 512), (4096, 64)]
     };
 
     let s = Sampler::default();
@@ -107,7 +129,7 @@ fn main() {
         let tied_candidate = random_few_valued(&mut rng, n, 16);
         // A ring of replacement rankings so every iteration applies a
         // genuinely different edit (no no-op replace fast paths).
-        let ring: Vec<BucketOrder> = (0..16)
+        let ring: Vec<BucketOrder> = (0..RING)
             .map(|_| random_few_valued(&mut rng, n, 8))
             .collect();
         let (mut dp, ids) =
@@ -183,6 +205,39 @@ fn main() {
         all.extend(kemeny_rows);
         all.extend([upd_med_dyn, upd_med_rebuild, snapshot, recycle]);
     }
+
+    // The served shape: several sessions' engines, each edit a replace
+    // plus a republish, cycled so every edit finds its engine's state
+    // out of cache, as a server holding many sessions does.
+    let (cm, cn) = if fast { (16, 64) } else { (32, 512) };
+    let mut rng = Pcg32::seed_from_u64(2025);
+    let ring: Vec<BucketOrder> = (0..RING)
+        .map(|_| random_few_valued(&mut rng, cn, 8))
+        .collect();
+    let mut engines: Vec<(DynamicProfile, Vec<VoterId>)> = (0..CYCLED_ENGINES)
+        .map(|_| {
+            let profile: Vec<BucketOrder> =
+                (0..cm).map(|_| random_few_valued(&mut rng, cn, 8)).collect();
+            DynamicProfile::from_profile(&profile, MedianPolicy::Lower).unwrap()
+        })
+        .collect();
+    group(&format!(
+        "served cycle ({CYCLED_ENGINES} engines of {cm} voters × {cn} elements)"
+    ));
+    let mut spare = None;
+    let mut i = 0usize;
+    let cycled = s.bench(
+        &format!("replace_publish/cycled{CYCLED_ENGINES}/{cm}x{cn}"),
+        || {
+            i += 1;
+            let (dp, ids) = &mut engines[i % CYCLED_ENGINES];
+            dp.replace_voter(ids[(i / CYCLED_ENGINES) % cm], ring[i % ring.len()].clone())
+                .unwrap();
+            let snap = dp.snapshot_reusing(spare.take()).unwrap();
+            spare = Some(std::hint::black_box(snap));
+        },
+    );
+    all.push(cycled);
 
     BenchReport::new("bench_dynamic")
         .shapes(shapes)

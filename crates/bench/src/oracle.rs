@@ -21,11 +21,16 @@
 //! its bucket's `Vec`, then validation). `BucketOrder` now stores the
 //! rank-ordered domain and bucket boundaries as flat arrays; this type
 //! is the baseline its construction and clone are timed against.
+//!
+//! [`project_to_type`] is `consistent::project_to_type` as first
+//! written: a stable comparison sort of the ids by score, then a sort
+//! of each cut bucket. The library now ranks small-span scores by
+//! counting and lays the buckets out with a second scatter.
 
 use bucketrank_aggregate::kwiksort::kwiksort_with_tally;
 use bucketrank_aggregate::minmax::{ClassConstraints, MinMaxObjective, DEFAULT_RESTARTS};
 use bucketrank_aggregate::{AggregateError, ProfileTally};
-use bucketrank_core::{BucketOrder, ElementId, Pos};
+use bucketrank_core::{BucketOrder, CoreError, ElementId, Pos, TypeSeq};
 
 /// A bucket order in the nested layout: buckets in rank order, one
 /// `Vec` each, elements ascending within a bucket.
@@ -101,6 +106,35 @@ impl NestedOrder {
             && order.bucket_indices() == &self.bucket_of[..]
             && (0..self.buckets.len()).all(|i| order.bucket_position(i) == self.bucket_pos[i])
     }
+}
+
+/// The oracle for `consistent::project_to_type`: sort the ids by `f`
+/// (stable, so equal scores keep ascending ids), cut them into buckets
+/// of `alpha`'s sizes, and sort each bucket.
+///
+/// # Errors
+/// [`CoreError::TypeSizeMismatch`] if `alpha` does not sum to
+/// `f.len()`.
+pub fn project_to_type(f: &[Pos], alpha: &TypeSeq) -> Result<BucketOrder, CoreError> {
+    let n = f.len();
+    if alpha.domain_size() != n {
+        return Err(CoreError::TypeSizeMismatch {
+            type_total: alpha.domain_size(),
+            domain_size: n,
+        });
+    }
+    let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
+    ids.sort_by(|&a, &b| f[a as usize].cmp(&f[b as usize]));
+    let mut rest = &ids[..];
+    let mut buckets = Vec::with_capacity(alpha.num_buckets());
+    for &size in alpha.sizes() {
+        let (bucket, tail) = rest.split_at(size);
+        let mut bucket = bucket.to_vec();
+        bucket.sort_unstable();
+        buckets.push(bucket);
+        rest = tail;
+    }
+    BucketOrder::from_buckets(n, buckets)
 }
 
 /// The oracle for `aggregate::minmax::minmax_aggregate`: the same seeds,

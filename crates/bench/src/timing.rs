@@ -149,6 +149,74 @@ impl Sampler {
     }
 }
 
+/// The result of an [`ab`] comparison: over the rounds, the median
+/// ratio of the baseline's cost to the candidate's (above 1 when the
+/// candidate is cheaper) and the ratio's quartiles.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AbRatio {
+    /// Rounds run.
+    pub rounds: usize,
+    /// Median round ratio.
+    pub median: f64,
+    /// Lower quartile of the round ratios.
+    pub q1: f64,
+    /// Upper quartile of the round ratios.
+    pub q3: f64,
+}
+
+impl AbRatio {
+    /// One JSON object for a gate's row in a `BENCH_*.json` file: the
+    /// gate's name and bound, the median ratio and its quartiles.
+    pub fn json(&self, name: &str, bound: f64) -> String {
+        format!(
+            "{{\"name\":\"{name}\",\"bound\":{bound},\"ratio\":{:.3},\"q1\":{:.3},\"q3\":{:.3},\"rounds\":{}}}",
+            self.median, self.q1, self.q3, self.rounds
+        )
+    }
+}
+
+/// The shared A/B method of the bench gates. Each of `rounds` rounds
+/// runs `baseline` and `candidate` back to back, alternating which goes
+/// first, and records `baseline() / candidate()`; each closure returns
+/// its own cost (seconds per call, per request, …), so the caller picks
+/// what is timed. The machine's speed drifts within a run, but both
+/// sides of a round see nearly the same machine, so the drift mostly
+/// cancels in the round's ratio; the median over rounds drops the
+/// rounds a burst of interference split.
+///
+/// # Panics
+/// If `rounds` is zero or a cost is not a positive finite number.
+pub fn ab(
+    mut baseline: impl FnMut() -> f64,
+    mut candidate: impl FnMut() -> f64,
+    rounds: usize,
+) -> AbRatio {
+    assert!(rounds > 0, "an A/B comparison needs at least one round");
+    let mut ratios: Vec<f64> = (0..rounds)
+        .map(|round| {
+            let (base, cand) = if round % 2 == 0 {
+                let base = baseline();
+                (base, candidate())
+            } else {
+                let cand = candidate();
+                (baseline(), cand)
+            };
+            assert!(
+                base > 0.0 && cand > 0.0 && base.is_finite() && cand.is_finite(),
+                "costs must be positive and finite, got {base} and {cand}"
+            );
+            base / cand
+        })
+        .collect();
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    AbRatio {
+        rounds,
+        median: ratios[rounds / 2],
+        q1: ratios[rounds / 4],
+        q3: ratios[3 * rounds / 4],
+    }
+}
+
 /// Prints a group header, mirroring criterion's benchmark groups.
 pub fn group(title: &str) {
     println!("\n== {title} ==");
@@ -185,6 +253,31 @@ mod tests {
         assert!(j.contains("\"name\":\"batch/prepared/seq/64x512\""));
         assert!(j.contains("\"iters\":7"));
         assert!(j.contains("\"min_ns\":1234.6"));
+    }
+
+    #[test]
+    fn ab_alternates_and_reports_quartiles() {
+        // Round costs: the baseline is 3 units until round 5, then 2;
+        // the candidate always 1. Ratios (sorted): 2, 2, 3, 3, 3, 3, 3.
+        let order = std::cell::RefCell::new(Vec::new());
+        let mut base_calls = 0;
+        let r = ab(
+            || {
+                base_calls += 1;
+                order.borrow_mut().push('b');
+                if base_calls > 5 { 2.0 } else { 3.0 }
+            },
+            || {
+                order.borrow_mut().push('c');
+                1.0
+            },
+            7,
+        );
+        assert_eq!(r, AbRatio { rounds: 7, median: 3.0, q1: 2.0, q3: 3.0 });
+        assert_eq!(order.into_inner().iter().collect::<String>(), "bccbbccbbccbbc");
+        let j = r.json("gate", 2.0);
+        assert!(j.contains("\"name\":\"gate\"") && j.contains("\"ratio\":3.000"));
+        assert!(j.contains("\"bound\":2") && j.contains("\"rounds\":7"));
     }
 
     #[test]

@@ -115,6 +115,60 @@ impl BucketOrder {
         Self::group_by_key(keys, |a, b| b.cmp(a))
     }
 
+    /// [`from_keys`](Self::from_keys) for `u32` keys, in `O(n + span)`
+    /// when the keys span (max − min) at most `4n` values: bucket
+    /// indices, ranks and half-unit positions all do. The ids are then
+    /// placed by one stable counting scatter instead of a comparison
+    /// sort; wider keys take the sort. Either way the result equals
+    /// `from_keys(keys)`.
+    ///
+    /// ```
+    /// use bucketrank_core::BucketOrder;
+    ///
+    /// let keys = [2u32, 0, 2, 1];
+    /// assert_eq!(BucketOrder::from_u32_keys(&keys), BucketOrder::from_keys(&keys));
+    /// ```
+    pub fn from_u32_keys(keys: &[u32]) -> BucketOrder {
+        Self::from_int_keys(keys, i64::from)
+    }
+
+    /// [`from_keys`](Self::from_keys) over keys with an integer `value`
+    /// that orders them. When the values span at most `4n`, a counting
+    /// pass numbers the distinct values in order (each is one bucket)
+    /// and [`from_bucket_of`](Self::from_bucket_of) lays the buckets
+    /// out; wider values take the comparison sort.
+    pub(crate) fn from_int_keys<K: Copy + Ord>(keys: &[K], value: impl Fn(K) -> i64) -> BucketOrder {
+        let n = keys.len();
+        if n == 0 {
+            return Self::from_keys(keys);
+        }
+        let (lo, hi) = keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| {
+            let v = value(k);
+            (lo.min(v), hi.max(v))
+        });
+        let span = match hi.checked_sub(lo) {
+            Some(span) if span as u64 <= SCATTER_SPAN_PER_ELEMENT * n as u64 => span as usize,
+            _ => return Self::from_keys(keys),
+        };
+        let slot = |k: K| (value(k) - lo) as usize;
+        // Count each value; then each populated value, in order, opens
+        // the next bucket, and its slot holds that bucket's index.
+        let mut bucket = vec![0u32; span + 1];
+        for &k in keys {
+            bucket[slot(k)] += 1;
+        }
+        let mut starts = Vec::with_capacity(n.min(span + 1) + 1);
+        starts.push(0u32);
+        let mut end = 0u32;
+        for b in bucket.iter_mut().filter(|b| **b > 0) {
+            end += *b;
+            *b = starts.len() as u32 - 1;
+            starts.push(end);
+        }
+        let bucket_of = keys.iter().map(|&k| bucket[slot(k)]).collect();
+        Self::from_bucket_of(bucket_of, starts)
+    }
+
     /// One stable sort of the ids by `cmp` on their keys (so tied ids stay
     /// ascending), then one pass that opens a bucket wherever the key
     /// changes.
@@ -186,6 +240,42 @@ impl BucketOrder {
             for &e in &by_rank[w[0] as usize..w[1] as usize] {
                 bucket_of[e as usize] = bi as u32;
             }
+        }
+        Self::assemble(by_rank, starts, bucket_of)
+    }
+
+    /// Cuts `ranked`, the domain in some rank order, into consecutive
+    /// buckets of `alpha`'s sizes, each bucket's ids ascending: every id
+    /// takes its bucket index from its rank, and
+    /// [`from_bucket_of`](Self::from_bucket_of) lays the buckets out,
+    /// `O(n)`. The caller guarantees `alpha` sums to `ranked.len()`.
+    pub(crate) fn cut_to_type(ranked: &[ElementId], alpha: &TypeSeq) -> BucketOrder {
+        let mut starts = Vec::with_capacity(alpha.num_buckets() + 1);
+        starts.push(0u32);
+        let mut bucket_of = vec![0u32; ranked.len()];
+        let mut rest = ranked;
+        for (bi, &size) in alpha.sizes().iter().enumerate() {
+            let (bucket, tail) = rest.split_at(size);
+            for &e in bucket {
+                bucket_of[e as usize] = bi as u32;
+            }
+            rest = tail;
+            starts.push(starts[bi] + size as u32);
+        }
+        Self::from_bucket_of(bucket_of, starts)
+    }
+
+    /// Builds the order from each element's bucket index and the bucket
+    /// boundaries (which the caller guarantees agree): one stable
+    /// counting scatter of the ids by bucket index, `O(n + k)`, puts
+    /// each bucket's ids in ascending order.
+    fn from_bucket_of(bucket_of: Vec<u32>, starts: Vec<u32>) -> BucketOrder {
+        let mut next = starts.clone();
+        let mut by_rank = vec![0 as ElementId; bucket_of.len()];
+        for (e, &b) in bucket_of.iter().enumerate() {
+            let slot = &mut next[b as usize];
+            by_rank[*slot as usize] = e as ElementId;
+            *slot += 1;
         }
         Self::assemble(by_rank, starts, bucket_of)
     }
@@ -415,6 +505,11 @@ impl BucketOrder {
         s
     }
 }
+
+/// The widest key span (max − min), per element, that
+/// `from_int_keys` ranks by counting; wider keys take the comparison
+/// sort.
+const SCATTER_SPAN_PER_ELEMENT: u64 = 4;
 
 /// The boundaries of `k` singleton buckets, `0, 1, …, k`.
 fn singleton_starts(k: usize) -> Vec<u32> {

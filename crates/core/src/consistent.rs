@@ -54,14 +54,21 @@ pub fn consistent_with(f: &[Pos], sigma: &BucketOrder) -> Result<bool, CoreError
 }
 
 /// The partial ranking `f̄` *induced* by a score vector (Section 6): rank
-/// by `f` ascending, equal scores tied.
+/// by `f` ascending, equal scores tied. `O(n)` when the scores span at
+/// most `4n` half-units, as every median vector does (its values are
+/// positions in `2..=2n`); a comparison sort otherwise.
 pub fn induced_ranking(f: &[Pos]) -> BucketOrder {
-    BucketOrder::from_keys(f)
+    BucketOrder::from_int_keys(f, Pos::half_units)
 }
 
 /// The canonical member of `⟨f⟩_α`: sort elements by `f` (ties by element
 /// id, making the choice deterministic) and cut into buckets of the sizes
 /// prescribed by `alpha`.
+///
+/// `O(n)` when the scores span at most `4n` half-units: the induced
+/// ranking `f̄` orders the ids by counting, and one counting scatter
+/// lays each cut bucket out in id order. Wider scores are ordered by a
+/// comparison sort instead.
 ///
 /// By Lemma 27 the result minimizes `L1(·, f)` over all partial rankings of
 /// type `alpha`. With `alpha = TypeSeq::top_k(n, k)` this is exactly the
@@ -79,18 +86,8 @@ pub fn project_to_type(f: &[Pos], alpha: &TypeSeq) -> Result<BucketOrder, CoreEr
             domain_size: n,
         });
     }
-    // A stable sort over ascending ids breaks score ties by id.
-    let mut ids: Vec<ElementId> = (0..n as ElementId).collect();
-    ids.sort_by(|&a, &b| f[a as usize].cmp(&f[b as usize]));
-    let mut starts = Vec::with_capacity(alpha.num_buckets() + 1);
-    starts.push(0u32);
-    let mut cursor = 0usize;
-    for &s in alpha.sizes() {
-        ids[cursor..cursor + s].sort_unstable();
-        cursor += s;
-        starts.push(cursor as u32);
-    }
-    Ok(BucketOrder::from_ranked(ids, starts))
+    // `f̄` ranks the ids by score, equal scores by id: the order to cut.
+    Ok(BucketOrder::cut_to_type(induced_ranking(f).by_rank(), alpha))
 }
 
 /// Enumerates **every** bucket order on a domain of size `n` (all ordered

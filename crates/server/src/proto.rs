@@ -790,7 +790,7 @@ impl<'a> Cursor<'a> {
         for _ in 0..n {
             keys.push(self.u32()?);
         }
-        Ok(BucketOrder::from_keys(&keys))
+        Ok(BucketOrder::from_u32_keys(&keys))
     }
 
     pub(crate) fn finish(self) -> Result<(), ProtoError> {

@@ -13,10 +13,19 @@
 //! routes must compare equal and hash equal. The `Buckets` view and
 //! `from_buckets`' error precedence on inputs with several faults are
 //! pinned explicitly.
+//!
+//! `from_u32_keys` and `induced_ranking` rank keys spanning at most
+//! `4n` values by a counting scatter and wider keys by the comparison
+//! sort; both routes, and the boundary between them, must equal
+//! `from_keys`. `project_to_type` (ranked by counting, cut buckets laid
+//! out by a second scatter) must equal the sort-based
+//! `bucketrank_bench::oracle::project_to_type`, on scores whose ties
+//! straddle the cuts.
 
-use bucketrank::core::consistent::project_to_type;
+use bucketrank::core::consistent::{induced_ranking, project_to_type};
 use bucketrank::core::CoreError;
-use bucketrank::{BucketOrder, BucketOrderBuilder, ElementId, Pos};
+use bucketrank::{BucketOrder, BucketOrderBuilder, ElementId, Pos, TypeSeq};
+use bucketrank_bench::oracle;
 use bucketrank_testkit::prelude::*;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
@@ -259,6 +268,14 @@ fn check_levels(levels: &[u32], rng: &mut Pcg32) {
             &route("Pos"),
         );
     }
+    // The counting routes agree with the sort whatever the span: dense
+    // levels are ranked by counting, sparse and near-max keys by the
+    // sort, and `Pos` half-units through `induced_ranking`.
+    for (keys, kind) in [(&dense, "dense"), (&sparse, "sparse"), (&near_max, "near-max")] {
+        let route = format!("from_u32_keys {kind}");
+        assert_same(&BucketOrder::from_keys(keys), &BucketOrder::from_u32_keys(keys), &route);
+    }
+    assert_same(&base, &induced_ranking(&pos), "induced_ranking route");
     // `u32::MAX − l` descending, and `i64` keys descending, rank like
     // the dense keys ascending.
     assert_same(
@@ -363,6 +380,106 @@ fn top_k_trivial_and_identity_match_the_reference() {
             assert_transforms(&order, &reference, &mut rng);
         }
     }
+}
+
+/// `from_u32_keys` and the `Pos` route through `induced_ranking` must
+/// equal `from_keys`, and the nested reference, on `keys`.
+fn check_counting_route(keys: &[u32], route: &str) {
+    let reference = nested_from_keys(keys, false);
+    let sorted = BucketOrder::from_keys(keys);
+    let counted = BucketOrder::from_u32_keys(keys);
+    assert_layout(&counted, &reference, route);
+    assert_same(&sorted, &counted, route);
+    let pos: Vec<Pos> = keys.iter().map(|&k| Pos::from_half_units(i64::from(k))).collect();
+    assert_same(&sorted, &induced_ranking(&pos), &format!("{route}, Pos"));
+}
+
+#[test]
+fn counting_routes_match_from_keys_at_their_bounds() {
+    let mut rng = Pcg32::seed_from_u64(0x5CA7);
+    for n in 0..=64usize {
+        let nn = n as u32;
+        // A span of exactly 4n takes the scatter, 4n + 1 the sort: both
+        // end keys present, random keys in between.
+        for span in [4 * nn, 4 * nn + 1] {
+            let mut keys: Vec<u32> = (0..nn).map(|_| 7 + rng.gen_range(0..=span)).collect();
+            if n >= 2 {
+                keys[0] = 7;
+                keys[n - 1] = 7 + span;
+            }
+            keys.shuffle(&mut rng);
+            check_counting_route(&keys, &format!("span {span} at n = {n}"));
+        }
+        // All keys equal: one bucket, span zero.
+        check_counting_route(&vec![u32::MAX; n], &format!("all equal at n = {n}"));
+        check_counting_route(&vec![0; n], &format!("all zero at n = {n}"));
+        // Sparse keys near u32::MAX: the sort fallback.
+        let sparse: Vec<u32> = (0..nn).map(|_| u32::MAX - rng.gen_range(0..8) * 0x0100_0000).collect();
+        check_counting_route(&sparse, &format!("sparse near max at n = {n}"));
+    }
+    // n ∈ {0, 1} over the extreme keys.
+    check_counting_route(&[], "n = 0");
+    for k in [0, 1, u32::MAX] {
+        check_counting_route(&[k], &format!("n = 1, key {k}"));
+    }
+    // Two keys at the ends of the u32 range: the widest span.
+    check_counting_route(&[u32::MAX, 0], "0 and u32::MAX");
+}
+
+/// Cut points placed inside every run of tied scores (ranked by score,
+/// ties by id), then the sizes between them: each cut splits a tie.
+fn straddling_type(f: &[Pos]) -> TypeSeq {
+    let mut sorted = f.to_vec();
+    sorted.sort_unstable();
+    let mut cuts = vec![0];
+    for r in 1..sorted.len() {
+        if sorted[r] == sorted[r - 1] && (r < 2 || sorted[r - 2] != sorted[r - 1]) {
+            cuts.push(r);
+        }
+    }
+    cuts.push(f.len());
+    cuts.dedup();
+    TypeSeq::new(cuts.windows(2).map(|w| w[1] - w[0]).filter(|&s| s > 0).collect()).unwrap()
+}
+
+#[test]
+fn project_to_type_matches_the_sort_based_oracle() {
+    let gen = gen::from_fn(|rng: &mut Pcg32| {
+        let n = rng.gen_range(0..=64usize);
+        // Few levels make ties; a wide multiplier forces the sort.
+        let levels = rng.gen_range(1..=n as i64 + 1);
+        let scale = if rng.gen_range(0..4u32) == 0 { 1_000_003 } else { 1 };
+        let f: Vec<i64> = (0..n).map(|_| 2 + rng.gen_range(0..levels) * scale).collect();
+        let mut sizes = Vec::new();
+        let mut left = n;
+        while left > 0 {
+            let s = rng.gen_range(1..=left);
+            sizes.push(s);
+            left -= s;
+        }
+        (f, sizes)
+    });
+    check("bucket_order_layout/project_to_type", gen, |(f, sizes)| {
+        let f: Vec<Pos> = f.iter().map(|&h| Pos::from_half_units(h)).collect();
+        let n = f.len();
+        let mut types = vec![
+            TypeSeq::new(sizes.clone()).unwrap(),
+            straddling_type(&f),
+            TypeSeq::full(n),
+        ];
+        types.extend((0..=n).map(|k| TypeSeq::top_k(n, k).unwrap()));
+        for alpha in &types {
+            let got = project_to_type(&f, alpha).unwrap();
+            let want = oracle::project_to_type(&f, alpha).unwrap();
+            assert_same(&got, &want, &format!("project_to_type onto {:?}", alpha.sizes()));
+        }
+        let wrong = TypeSeq::full(n + 1);
+        assert_eq!(
+            project_to_type(&f, &wrong),
+            oracle::project_to_type(&f, &wrong),
+            "type size mismatch"
+        );
+    });
 }
 
 #[test]

@@ -12,6 +12,14 @@
 //! drained rows must leave every row-local consumer (majority digraph,
 //! MC4 transition matrix) equal to a full rebuild. Unknown-voter edits must be typed errors
 //! that leave the engine byte-identical — never a panic or underflow.
+//!
+//! A many-voters lane (`m ≫ 2n`: up to 300 voters over at most 6
+//! elements) pushes until nearly every element holds a run at each of
+//! its `2n − 1` possible positions, then drains the engine to empty and
+//! refills it, so the per-element position runs grow to their cap and
+//! shrink back. After every step the medians, `median_order`, every
+//! `top_k`, and `full_ranking` must equal a rebuild from the live
+//! voters.
 
 use bucketrank::access::medrank::top_k_from_medians;
 use bucketrank::aggregate::condorcet::MajorityGraph;
@@ -22,7 +30,8 @@ use bucketrank::aggregate::median::{
 };
 use bucketrank::aggregate::tally::ProfileTally;
 use bucketrank::aggregate::{AggregateError, MedianPolicy};
-use bucketrank::{BucketOrder, TypeSeq};
+use bucketrank::{BucketOrder, Pos, TypeSeq};
+use bucketrank_bench::oracle;
 use bucketrank_testkit::gen::{script_domain, EditOp};
 use bucketrank_testkit::prelude::*;
 
@@ -240,6 +249,120 @@ fn snapshot_aggregates_match_the_batch_pipeline() {
                     snap.to_type(&alpha).unwrap(),
                     aggregate_to_type(profile, &alpha, policy).unwrap()
                 );
+            }
+        },
+    );
+}
+
+/// A churn script over `n ≤ 6` elements: pushes (with a few replaces
+/// and removes) up to `m ≫ 2n` voters, then a drain to empty (with a
+/// few pushes), then a short refill.
+fn many_voter_script() -> impl Gen<Value = Vec<EditOp>> {
+    gen::from_fn(|rng: &mut Pcg32| {
+        let n = rng.gen_range(1..=6usize);
+        let target = rng.gen_range(4 * n + 1..=300usize);
+        let ranking = |rng: &mut Pcg32| {
+            if rng.gen_range(0..4u32) == 0 {
+                BucketOrder::trivial(n)
+            } else {
+                let levels = rng.gen_range(1..=n as u32);
+                let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..levels)).collect();
+                BucketOrder::from_keys(&keys)
+            }
+        };
+        let mut script = Vec::new();
+        let mut m = 0usize;
+        while m < target {
+            match rng.gen_range(0..20u32) {
+                0 => script.push(EditOp::Replace(rng.gen_range(0..=m), ranking(rng))),
+                1 if m > 0 => {
+                    script.push(EditOp::Remove(rng.gen_range(0..m)));
+                    m -= 1;
+                }
+                _ => {
+                    script.push(EditOp::Push(ranking(rng)));
+                    m += 1;
+                }
+            }
+        }
+        while m > 0 {
+            if rng.gen_range(0..10u32) == 0 {
+                script.push(EditOp::Push(ranking(rng)));
+                m += 1;
+            } else {
+                script.push(EditOp::Remove(rng.gen_range(0..m)));
+                m -= 1;
+            }
+        }
+        for _ in 0..rng.gen_range(1..=2 * n) {
+            script.push(EditOp::Push(ranking(rng)));
+        }
+        script
+    })
+}
+
+/// Per-element medians of the live voters by counting over the
+/// half-unit grid `2..=2n`, independent of the engine's runs.
+fn counted_medians(live: &[(VoterId, BucketOrder)], n: usize, policy: MedianPolicy) -> Vec<Pos> {
+    let m = live.len();
+    let k = match policy {
+        MedianPolicy::Lower => (m - 1) / 2,
+        MedianPolicy::Upper => m / 2,
+    };
+    (0..n as u32)
+        .map(|e| {
+            let mut counts = vec![0usize; 2 * n + 1];
+            for (_, r) in live {
+                counts[r.position(e).half_units() as usize] += 1;
+            }
+            let mut seen = 0;
+            let v = (0..counts.len())
+                .find(|&v| {
+                    seen += counts[v];
+                    seen > k
+                })
+                .expect("m > k");
+            Pos::from_half_units(v as i64)
+        })
+        .collect()
+}
+
+#[test]
+fn many_voters_grow_and_drain_the_median_runs() {
+    check(
+        "many_voters_grow_and_drain_the_median_runs",
+        many_voter_script(),
+        |script| {
+            let n = script_domain(script);
+            for policy in [MedianPolicy::Lower, MedianPolicy::Upper] {
+                let mut dp = DynamicProfile::new(n, policy);
+                let mut live: Vec<(VoterId, BucketOrder)> = Vec::new();
+                for op in script {
+                    apply_op(&mut dp, &mut live, op);
+                    if live.is_empty() {
+                        assert!(matches!(dp.snapshot(), Err(AggregateError::NoInputs)));
+                        continue;
+                    }
+                    let medians = counted_medians(&live, n, policy);
+                    assert_eq!(dp.median_positions().unwrap(), medians, "medians after {op:?}");
+                    let order = BucketOrder::from_keys(&medians);
+                    assert_eq!(dp.median_order().unwrap(), order);
+                    let snap = dp.snapshot().unwrap();
+                    assert_eq!(snap.median_positions(), &medians[..]);
+                    assert_eq!(snap.median_order(), order);
+                    for k in 0..=n {
+                        let alpha = TypeSeq::top_k(n, k).unwrap();
+                        assert_eq!(
+                            snap.top_k(k).unwrap(),
+                            oracle::project_to_type(&medians, &alpha).unwrap(),
+                            "top_{k} after {op:?}"
+                        );
+                    }
+                    assert_eq!(
+                        snap.full_ranking(),
+                        oracle::project_to_type(&medians, &TypeSeq::full(n)).unwrap()
+                    );
+                }
             }
         },
     );
