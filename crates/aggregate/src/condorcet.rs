@@ -55,42 +55,6 @@ impl MajorityGraph {
         MajorityGraph { n, beats }
     }
 
-    /// Refreshes the rows (and matching columns) named in `rows` from
-    /// the tally — the dirty-row consumer hook for [`crate::dynamic`]:
-    /// after an edit, recomputing just the rows drained by
-    /// [`DynamicProfile::take_dirty`](crate::dynamic::DynamicProfile::take_dirty)
-    /// leaves the graph equal to a full [`MajorityGraph::from_tally`]
-    /// rebuild, because pairs between two clean rows are guaranteed
-    /// unchanged.
-    ///
-    /// # Errors
-    /// [`AggregateError::DomainMismatch`] if the tally's domain size
-    /// differs from the graph's.
-    pub fn refresh_rows(
-        &mut self,
-        tally: &ProfileTally,
-        rows: &[ElementId],
-    ) -> Result<(), AggregateError> {
-        let n = self.n;
-        if tally.len() != n {
-            return Err(AggregateError::DomainMismatch {
-                expected: n,
-                found: tally.len(),
-            });
-        }
-        for &a in rows {
-            for b in 0..n as ElementId {
-                if b == a {
-                    continue;
-                }
-                let margin = tally.margin(a, b);
-                self.beats[a as usize * n + b as usize] = margin > 0;
-                self.beats[b as usize * n + a as usize] = margin < 0;
-            }
-        }
-        Ok(())
-    }
-
     /// Domain size.
     pub fn len(&self) -> usize {
         self.n
@@ -309,26 +273,6 @@ mod tests {
             g.adjacent_condorcet_violation(&BucketOrder::trivial(3)),
             None
         );
-    }
-
-    #[test]
-    fn refresh_rows_matches_full_rebuild() {
-        let before = vec![keys(&[1, 2, 3, 4]), keys(&[2, 1, 4, 3]), keys(&[1, 1, 2, 2])];
-        // Replace the last voter: pairs (0,1) and (2,3) flip relation.
-        let after = vec![keys(&[1, 2, 3, 4]), keys(&[2, 1, 4, 3]), keys(&[2, 1, 3, 2])];
-        let mut g = MajorityGraph::build(&before).unwrap();
-        let tally = ProfileTally::build(&after).unwrap();
-        g.refresh_rows(&tally, &[0, 1, 2, 3]).unwrap();
-        assert_eq!(g, MajorityGraph::from_tally(&tally));
-        // Refreshing no rows is a no-op; wrong domain is typed.
-        let unchanged = g.clone();
-        g.refresh_rows(&tally, &[]).unwrap();
-        assert_eq!(g, unchanged);
-        let small = ProfileTally::build(&[keys(&[1, 2])]).unwrap();
-        assert!(matches!(
-            g.refresh_rows(&small, &[0]),
-            Err(AggregateError::DomainMismatch { .. })
-        ));
     }
 
     #[test]

@@ -67,10 +67,8 @@
 //! Replace is **one fused pass** over the rows: each cell moves by the
 //! new contribution minus the old one (wrapping arithmetic at the cell
 //! width; the final cell is a live-voter count, which fits that width,
-//! so it is exact), and the same sweep finds whether any pair in the
-//! row changed relation. It reads and writes the matrix once — half
-//! the traffic of a retract pass plus an add pass — and needs no
-//! separate dirty scan.
+//! so it is exact). It reads and writes the matrix once — half the
+//! traffic of a retract pass plus an add pass.
 //!
 //! Median ranks keep, per element, the live voters' positions as
 //! sorted runs of (half-unit position, multiplicity), plus a median
@@ -94,23 +92,6 @@
 //! in `O(n)`, and `to_type` projects the medians with
 //! `project_to_type`, itself a counting pass.
 //!
-//! # Dirty-row contract
-//!
-//! [`take_dirty`](DynamicProfile::take_dirty) drains the set of
-//! elements whose tally **row**, majority relation, or median may have
-//! changed since the last drain. Push and remove mark every row (the
-//! voter count enters every weight and majority threshold); replace
-//! marks exactly the endpoints of pairs the old and new ranking order
-//! differently, in ascending row order ([`DirtyRows::rows`] lists rows
-//! in the order they were first marked since the last drain) — rows
-//! outside the drained set are guaranteed byte-identical, so row-local
-//! consumers refresh only what an update touched:
-//! [`MajorityGraph::refresh_rows`](
-//! crate::condorcet::MajorityGraph::refresh_rows), [`refresh_mc4_rows`](
-//! crate::markov::refresh_mc4_rows), and `medrank`'s
-//! `top_k_from_medians` in the access crate re-serve from the
-//! maintained median vector.
-//!
 //! # Crossover
 //!
 //! An update-then-query cycle costs `O(n²)`; rebuild-then-query costs
@@ -119,9 +100,8 @@
 //! profile changes between queries (fewer than a handful of surviving
 //! voters per rebuild). A median-only query still pays the `O(n²)`
 //! tally maintenance it never reads, against an `O(m·n log m)` median
-//! rebuild; with `u16` tally cells the update is level with the
-//! rebuild or ahead at every measured shape, closest at 16 × 512
-//! (1.0–1.2×).
+//! rebuild; with `u16` tally cells the update is ahead of the rebuild
+//! at every measured shape, closest at 16 × 512 (1.8–2.6×).
 //! `BENCH_dynamic.json` (the `bench_dynamic` binary) records the
 //! measured trajectory; see DESIGN.md §3.3c.
 
@@ -130,7 +110,7 @@ use crate::median::MedianPolicy;
 use crate::tally::{EditKeys, ProfileTally};
 use crate::AggregateError;
 use bucketrank_core::consistent::{induced_ranking, project_to_type};
-use bucketrank_core::{BucketOrder, ElementId, Pos, TypeSeq};
+use bucketrank_core::{BucketOrder, Pos, TypeSeq};
 use std::collections::HashMap;
 
 /// Opaque handle for one live voter in a [`DynamicProfile`]; returned
@@ -155,59 +135,6 @@ impl VoterId {
 impl std::fmt::Display for VoterId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "voter#{}", self.0)
-    }
-}
-
-/// The set of elements whose tally row, majority relation, or median
-/// may have changed since the last [`DynamicProfile::take_dirty`] — a
-/// conservative over-approximation (see the [module docs](self) for
-/// the exact contract). Rows **not** in the set are guaranteed
-/// unchanged.
-#[derive(Debug, Clone)]
-pub struct DirtyRows {
-    flags: Vec<bool>,
-    rows: Vec<ElementId>,
-}
-
-impl DirtyRows {
-    fn new(n: usize) -> Self {
-        DirtyRows {
-            flags: vec![false; n],
-            rows: Vec::new(),
-        }
-    }
-
-    fn mark(&mut self, e: ElementId) {
-        if !self.flags[e as usize] {
-            self.flags[e as usize] = true;
-            self.rows.push(e);
-        }
-    }
-
-    fn mark_all(&mut self) {
-        for e in 0..self.flags.len() as ElementId {
-            self.mark(e);
-        }
-    }
-
-    /// Whether element `e`'s row is marked dirty.
-    pub fn contains(&self, e: ElementId) -> bool {
-        self.flags[e as usize]
-    }
-
-    /// The dirty rows, in first-marked order.
-    pub fn rows(&self) -> &[ElementId] {
-        &self.rows
-    }
-
-    /// Number of dirty rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether no row is dirty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -446,7 +373,6 @@ pub struct DynamicProfile {
     generation: u64,
     /// Per-element position multisets with their median pointers.
     medians: MedianRuns,
-    dirty: DirtyRows,
     /// Reused key buffers for the tally's edit passes.
     keys: EditKeys,
 }
@@ -468,7 +394,6 @@ impl DynamicProfile {
             next_id: 0,
             generation: 0,
             medians: MedianRuns::new(n),
-            dirty: DirtyRows::new(n),
             keys: EditKeys::default(),
         }
     }
@@ -667,7 +592,6 @@ impl DynamicProfile {
             self.medians.insert(e, half_units(*p), k);
         }
         self.generation += 1;
-        self.dirty.mark_all();
         self.next_id += 1;
         self.voters.insert(id.0, ranking);
         Ok(id)
@@ -694,18 +618,13 @@ impl DynamicProfile {
             self.medians.shrink_to_voters(m - 1);
         }
         self.generation += 1;
-        self.dirty.mark_all();
         Ok(ranking)
     }
 
     /// Replaces a live voter's ranking in place (the voter count is
     /// unchanged) and returns the previous ranking; `O(n²)` in one
     /// fused pass over the tally rows that retracts the old
-    /// contribution, adds the new one and finds the dirty rows. Marks
-    /// dirty, in ascending row order, exactly the endpoints of pairs
-    /// the old and new ranking order differently — an element whose
-    /// median moved is always among them, because a position change
-    /// implies a relation change.
+    /// contribution and adds the new one.
     ///
     /// # Errors
     /// As [`check_replace`](Self::check_replace); the engine is
@@ -721,9 +640,7 @@ impl DynamicProfile {
         let old = std::mem::replace(slot, ranking);
         let new = &*slot;
         let k = target_rank(self.policy, self.tally.voters());
-        let dirty = &mut self.dirty;
-        self.tally
-            .replace_voter(&old, new, &mut self.keys, |a| dirty.mark(a));
+        self.tally.replace_voter(&old, new, &mut self.keys);
         let old_pos = old.positions();
         let new_pos = new.positions();
         for e in 0..n {
@@ -747,28 +664,6 @@ impl DynamicProfile {
             return Err(AggregateError::NoInputs);
         }
         Ok(self.medians().collect())
-    }
-
-    /// The partial ranking induced by the maintained median vector
-    /// (equals [`median_order`](crate::median::median_order)).
-    ///
-    /// # Errors
-    /// [`AggregateError::NoInputs`].
-    pub fn median_order(&self) -> Result<BucketOrder, AggregateError> {
-        Ok(induced_ranking(&self.median_positions()?))
-    }
-
-    /// The rows dirtied since the last [`take_dirty`](Self::take_dirty)
-    /// (without draining them).
-    pub fn dirty_rows(&self) -> &DirtyRows {
-        &self.dirty
-    }
-
-    /// Drains and returns the dirty-row set, leaving it empty; see the
-    /// [module docs](self) for the contract. Taking a snapshot does
-    /// **not** drain.
-    pub fn take_dirty(&mut self) -> DirtyRows {
-        std::mem::replace(&mut self.dirty, DirtyRows::new(self.tally.len()))
     }
 
     /// A consistent owned read view of the current epoch: the tally,
@@ -823,9 +718,9 @@ impl DynamicProfile {
 /// An immutable consistent view of a [`DynamicProfile`] epoch: owns
 /// the tally and median vector, so it is `Send + Sync` and unaffected
 /// by later edits. Batch consumers run on it unchanged — the tally
-/// feeds kwiksort, Schulze, MC4 and local Kemenization exactly as a
-/// freshly built one would, and the shaping methods mirror the batch
-/// aggregators in [`crate::median`].
+/// feeds kwiksort, Schulze, the majority digraph and local
+/// Kemenization exactly as a freshly built one would, and the shaping
+/// methods mirror the batch aggregators in [`crate::median`].
 ///
 /// The median order is built once, when the snapshot is taken. It ranks
 /// the ids by (median, id), the order the batch projections cut, so
@@ -849,11 +744,6 @@ impl DynamicSnapshot {
     /// The pairwise tally at the snapshot epoch.
     pub fn tally(&self) -> &ProfileTally {
         &self.tally
-    }
-
-    /// Consumes the snapshot, keeping only the tally.
-    pub fn into_tally(self) -> ProfileTally {
-        self.tally
     }
 
     /// The median-rank vector at the snapshot epoch.
@@ -906,6 +796,7 @@ impl DynamicSnapshot {
 mod tests {
     use super::*;
     use crate::median::{aggregate_top_k, median_positions, median_order};
+    use bucketrank_core::ElementId;
 
     fn keys(k: &[i64]) -> BucketOrder {
         BucketOrder::from_keys(k)
@@ -1033,25 +924,28 @@ mod tests {
     }
 
     #[test]
-    fn replace_marks_exactly_the_changed_pairs() {
+    fn replace_moves_exactly_the_changed_pairs() {
         let mut dp = DynamicProfile::new(4, MedianPolicy::Lower);
         let id = dp.push_voter(keys(&[1, 2, 3, 4])).unwrap();
         dp.push_voter(keys(&[1, 1, 2, 2])).unwrap();
-        dp.take_dirty();
-        // Identical replacement: nothing changes, nothing is dirty.
+        let cells = |dp: &DynamicProfile| dp.tally().strict_counts().iter().collect::<Vec<u32>>();
+        // Identical replacement: the tally and the medians stay as they
+        // were, and the edit still counts.
+        let before = dp.tally().clone();
+        let medians = dp.median_positions().unwrap();
+        let gen = dp.generation();
         dp.replace_voter(id, keys(&[1, 2, 3, 4])).unwrap();
-        assert!(dp.dirty_rows().is_empty());
-        // Swap elements 2 and 3 only: exactly that pair's endpoints.
+        assert_eq!(dp.tally(), &before);
+        assert_eq!(dp.median_positions().unwrap(), medians);
+        assert_eq!(dp.generation(), gen + 1);
+        // Swap elements 2 and 3 only: strict(2, 3) loses the voter,
+        // strict(3, 2) gains it, and no other cell moves.
+        let mut expected = cells(&dp);
+        expected[2 * 4 + 3] -= 1;
+        expected[3 * 4 + 2] += 1;
         dp.replace_voter(id, keys(&[1, 2, 4, 3])).unwrap();
-        let dirty = dp.take_dirty();
-        let mut rows = dirty.rows().to_vec();
-        rows.sort_unstable();
-        assert_eq!(rows, vec![2, 3]);
-        assert!(dirty.contains(2) && !dirty.contains(0));
-        assert_eq!(dirty.len(), 2);
-        // Push and remove dirty every row.
-        dp.push_voter(BucketOrder::trivial(4)).unwrap();
-        assert_eq!(dp.take_dirty().len(), 4);
+        assert_eq!(cells(&dp), expected);
+        assert_matches_rebuild(&dp);
     }
 
     #[test]

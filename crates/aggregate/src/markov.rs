@@ -223,78 +223,12 @@ fn mc4_row_into(t: &ProfileTally, u: ElementId, row: &mut [f64]) {
     row[u as usize] = 1.0 - moved as f64 * inv;
 }
 
-/// The full MC4 transition matrix (row-major, row-stochastic) from a
-/// prebuilt pairwise tally — e.g. a [`crate::dynamic::DynamicSnapshot`]'s.
-/// MC4's row for state `u` is a pure function of the tally's row `u`,
-/// which is what makes it maintainable under the dynamic engine's
-/// dirty-row contract (see [`refresh_mc4_rows`]).
-pub fn mc4_transition_matrix(tally: &ProfileTally) -> Vec<f64> {
-    let n = tally.len();
-    let mut p = vec![0.0f64; n * n];
-    for u in 0..n as ElementId {
-        mc4_row_into(tally, u, &mut p[u as usize * n..(u as usize + 1) * n]);
-    }
-    p
-}
-
-/// Recomputes in place only the MC4 transition rows named in `rows` —
-/// the dirty-row consumer hook for [`crate::dynamic`]: refreshing the
-/// rows drained by `DynamicProfile::take_dirty` after an edit leaves
-/// `p` equal to a full [`mc4_transition_matrix`] rebuild.
-///
-/// # Errors
-/// [`AggregateError::DomainMismatch`] if `p` is not an `n × n` matrix
-/// for the tally's domain.
-pub fn refresh_mc4_rows(
-    tally: &ProfileTally,
-    p: &mut [f64],
-    rows: &[ElementId],
-) -> Result<(), AggregateError> {
-    let n = tally.len();
-    if p.len() != n * n {
-        return Err(AggregateError::DomainMismatch {
-            expected: n * n,
-            found: p.len(),
-        });
-    }
-    for &u in rows {
-        mc4_row_into(tally, u, &mut p[u as usize * n..(u as usize + 1) * n]);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn keys(k: &[i64]) -> BucketOrder {
         BucketOrder::from_keys(k)
-    }
-
-    #[test]
-    fn mc4_matrix_from_tally_matches_batch_build() {
-        let inputs = vec![keys(&[1, 1, 2, 3]), keys(&[3, 2, 2, 1]), keys(&[2, 1, 3, 1])];
-        let tally = ProfileTally::build(&inputs).unwrap();
-        assert_eq!(
-            mc4_transition_matrix(&tally),
-            transition_matrix(&inputs, MarkovChain::Mc4, 4)
-        );
-    }
-
-    #[test]
-    fn refresh_mc4_rows_matches_full_rebuild() {
-        let before = vec![keys(&[1, 2, 3, 4]), keys(&[2, 1, 4, 3]), keys(&[1, 1, 2, 2])];
-        let after = vec![keys(&[1, 2, 3, 4]), keys(&[2, 1, 4, 3]), keys(&[2, 1, 3, 2])];
-        let old_tally = ProfileTally::build(&before).unwrap();
-        let new_tally = ProfileTally::build(&after).unwrap();
-        let mut p = mc4_transition_matrix(&old_tally);
-        refresh_mc4_rows(&new_tally, &mut p, &[0, 1, 2, 3]).unwrap();
-        assert_eq!(p, mc4_transition_matrix(&new_tally));
-        let mut wrong = vec![0.0; 9];
-        assert!(matches!(
-            refresh_mc4_rows(&new_tally, &mut wrong, &[0]),
-            Err(AggregateError::DomainMismatch { .. })
-        ));
     }
 
     #[test]

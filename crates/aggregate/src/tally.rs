@@ -96,7 +96,7 @@
 use crate::error::check_inputs;
 use crate::AggregateError;
 use bucketrank_core::{BucketOrder, ElementId};
-use std::ops::{AddAssign, BitAnd, BitOr, BitOrAssign, BitXor, SubAssign};
+use std::ops::{AddAssign, BitAnd, BitXor, SubAssign};
 
 /// Rows per accumulation tile: the write slab kept cache-hot while a
 /// chunk's voters stream past it. `TILE_ROWS × n` `u16` cells is 16 KB
@@ -138,9 +138,7 @@ trait Cell:
     + Into<u32>
     + AddAssign
     + SubAssign
-    + BitOrAssign
     + BitAnd<Output = Self>
-    + BitOr<Output = Self>
     + BitXor<Output = Self>
 {
     /// The largest cell value.
@@ -335,24 +333,17 @@ fn apply_voter<C: Cell>(
 
 /// One fused row pass of [`ProfileTally::replace_voter`]: retracts
 /// the old ranking's contribution to row `a` and adds the new one's in
-/// the same sweep (`oa`/`na` = element `a`'s old/new bucket index), and
-/// reports whether any pair in the row changed relation (order or tie).
+/// the same sweep (`oa`/`na` = element `a`'s old/new bucket index).
 /// Cells and bucket keys share one width. `strict` moves by
-/// `win_new − win_old` in wrapping arithmetic at that width — the true
-/// cell after the edit is a live-voter count, which fits it, so the
-/// wrapped result is exact. The diagonal needs no split: an element
-/// ties itself in both rankings, so its delta and its changed-relation
-/// bit are zero.
+/// `[nb > na] − [ob > oa]` in wrapping arithmetic at that width — the
+/// true cell after the edit is a live-voter count, which fits it, so
+/// the wrapped result is exact. The diagonal needs no split: an element
+/// ties itself in both rankings, so its delta is zero.
 #[inline]
-fn replace_row<C: Cell>(strict: &mut [C], old: &[C], new: &[C], oa: C, na: C) -> bool {
-    let mut changed = C::default();
+fn replace_row<C: Cell>(strict: &mut [C], old: &[C], new: &[C], oa: C, na: C) {
     for ((s, &ob), &nb) in strict.iter_mut().zip(old).zip(new) {
-        let (win_old, tie_old) = (C::from(ob > oa), C::from(ob == oa));
-        let (win_new, tie_new) = (C::from(nb > na), C::from(nb == na));
-        *s = s.wrapping_add(win_new).wrapping_sub(win_old);
-        changed |= (win_new ^ win_old) | (tie_new ^ tie_old);
+        *s = s.wrapping_add(C::from(nb > na)).wrapping_sub(C::from(ob > oa));
     }
-    changed != C::default()
 }
 
 /// A read-only view of a tally's strict-count matrix (`n × n`,
@@ -563,14 +554,12 @@ impl ProfileTally {
 
     /// Swaps a counted voter's `old` ranking for `new` in one fused
     /// pass over the rows (the voter count and so the width are
-    /// unchanged), calling `changed(a)` in ascending order for every
-    /// row `a` in which some pair changed relation (order or tie).
+    /// unchanged).
     pub(crate) fn replace_voter(
         &mut self,
         old: &BucketOrder,
         new: &BucketOrder,
         keys: &mut EditKeys,
-        mut changed: impl FnMut(ElementId),
     ) {
         debug_assert!(old.len() == self.n && new.len() == self.n && self.m > 0);
         let n = self.n;
@@ -580,10 +569,8 @@ impl ProfileTally {
             let nb = Cell::keys(new.bucket_indices(), kn);
             // `max(1)`: an empty domain has no rows, but a chunk width
             // must be nonzero.
-            for (a, row) in s.chunks_exact_mut(n.max(1)).enumerate() {
-                if replace_row(row, ob, nb, ob[a], nb[a]) {
-                    changed(a as ElementId);
-                }
+            for ((row, &oa), &na) in s.chunks_exact_mut(n.max(1)).zip(ob).zip(nb) {
+                replace_row(row, ob, nb, oa, na);
             }
         })
     }

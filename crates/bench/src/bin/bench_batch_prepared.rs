@@ -17,8 +17,10 @@
 //! (16 × 4096, so the count tree is three levels deep) in both modes.
 //! Hard gates run in both modes: the dispatched `Kprof` matrix (the
 //! counting lane on this bucketed workload) must hold ≥1.5× over the
-//! forced sweep-lane baseline, and the prepared
-//! `FHaus` matrix ≥20× over the direct one.
+//! forced sweep-lane baseline, every prepared weighted matrix ≥1× over
+//! its naive per-pair path, and the prepared `FHaus` matrix ≥20× over
+//! the direct one. The lane and weighted gates read the median round
+//! ratio of `bucketrank_bench::timing::ab`.
 //!
 //! `order/from_keys/…` and `order/clone/…` rows time building and
 //! cloning one `BucketOrder` (`n`x`k`: `n` elements in `k` equal
@@ -29,12 +31,12 @@
 //! `from_keys` must hold ≥2× over the nested one at 512x16 (the decode
 //! shape of a served 512-element ranking), read as the median round
 //! ratio of `bucketrank_bench::timing::ab`. The report's `gates`
-//! section records that ratio with its quartiles.
+//! section records each `ab` gate's ratio with its quartiles.
 
 use bucketrank_bench::oracle::NestedOrder;
 use bucketrank_bench::report::{env_usize, fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
-use bucketrank_bench::timing::{ab, group, Measurement, Sampler};
+use bucketrank_bench::timing::{ab, group, AbRatio, Measurement, Sampler};
 use bucketrank_core::BucketOrder;
 use bucketrank_metrics::batch::{
     pairwise_matrix, pairwise_matrix_with, prepare_all, weighted_pairwise_matrix, BatchMetric,
@@ -55,9 +57,8 @@ fn bucket_keys(rng: &mut Pcg32, n: usize, k: usize) -> Vec<u32> {
     ids.iter().map(|&r| (r as usize * k / n) as u32).collect()
 }
 
-/// Alternating rounds the order layout gate reads its median ratio
-/// over.
-const ORDER_GATE_ROUNDS: usize = 31;
+/// Alternating rounds each `ab` gate reads its median ratio over.
+const GATE_ROUNDS: usize = 31;
 
 /// Mean seconds per call over a batch of 64 calls.
 fn per_call<T>(mut f: impl FnMut() -> T) -> f64 {
@@ -67,6 +68,22 @@ fn per_call<T>(mut f: impl FnMut() -> T) -> f64 {
         std::hint::black_box(f());
     }
     t0.elapsed().as_secs_f64() / f64::from(BATCH)
+}
+
+/// Mean seconds per call over as many calls as fill a millisecond (one
+/// call when a call takes longer): the matrix gates' per-side cost,
+/// short enough that a full-shape round stays a few milliseconds.
+fn per_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    let t0 = std::time::Instant::now();
+    let mut calls = 0u32;
+    loop {
+        std::hint::black_box(f());
+        calls += 1;
+        let elapsed = t0.elapsed().as_secs_f64();
+        if elapsed >= 1e-3 {
+            return elapsed / f64::from(calls);
+        }
+    }
 }
 
 /// `BucketOrder::from_keys` behind a call boundary: the layout rows
@@ -232,8 +249,29 @@ fn main() {
     let order_gate = ab(
         || per_call(|| nested_from_keys(&keys)),
         || per_call(|| flat_from_keys(&keys)),
-        ORDER_GATE_ROUNDS,
+        GATE_ROUNDS,
     );
+
+    // Kprof lane gate (checked at the end): the dispatched matrix
+    // (counting lane on this ≤8-bucket workload) against the forced
+    // sweep lane, both preparing the profile inside the timing.
+    let lane_gate = ab(
+        || per_ms(|| kprof_matrix_sweep(&prepare_all(&profile).unwrap())),
+        || per_ms(|| pairwise_matrix(&profile, BatchMetric::KProfX2).unwrap()),
+        GATE_ROUNDS,
+    );
+
+    // Weighted lane gate (checked at the end): each prepared weighted
+    // matrix against its naive per-pair path.
+    let weighted_gates: Vec<(String, AbRatio)> = WeightedMetric::ALL
+        .into_iter()
+        .map(|metric| {
+            let naive = || pairwise_matrix_with(&profile, |a, b| metric.naive(a, b, &weights));
+            let prepared = || weighted_pairwise_matrix(&profile, metric, &weights);
+            let gate = ab(|| per_ms(naive), || per_ms(prepared), GATE_ROUNDS);
+            (format!("batch/{}/{m}x{n}", metric.name()), gate)
+        })
+        .collect();
 
     let roofline = memcpy_bandwidth();
     println!(
@@ -242,6 +280,13 @@ fn main() {
         roofline.buffer_bytes >> 20,
         roofline.reps
     );
+
+    let kprof_gate_name = format!("batch/kprof_x2/dispatched_vs_sweep/{m}x{n}");
+    let mut gate_rows = vec![
+        order_gate.json("order/from_keys/512x16", 2.0),
+        lane_gate.json(&kprof_gate_name, 1.5),
+    ];
+    gate_rows.extend(weighted_gates.iter().map(|(name, gate)| gate.json(name, 1.0)));
 
     BenchReport::new("bench_batch_prepared")
         .field_usize("m", m)
@@ -252,7 +297,7 @@ fn main() {
         .ratios("weighted_speedups", &weighted_speedups)
         .ratios("order_speedups", &order_speedups)
         .bandwidths("effective_bandwidth", &bandwidths)
-        .array("gates", &[order_gate.json("order/from_keys/512x16", 2.0)])
+        .array("gates", &gate_rows)
         .field_raw("roofline", roofline.json())
         .write(&out_path("BENCH_metrics.json"));
 
@@ -267,28 +312,14 @@ fn main() {
         worst.1, worst.0
     );
 
-    // Hard lane gate: the dispatched Kprof matrix (counting lane on
-    // this ≤8-bucket workload) must hold ≥1.5× over the forced
-    // sweep-lane baseline. Best-of-3 `Instant` timings; runs in
-    // both modes on the same profile as the rows above.
-    let mut sweep_s = f64::INFINITY;
-    let mut table_s = f64::INFINITY;
-    for _ in 0..3 {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(kprof_matrix_sweep(&prepare_all(&profile).unwrap()));
-        sweep_s = sweep_s.min(t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(pairwise_matrix(&profile, BatchMetric::KProfX2).unwrap());
-        table_s = table_s.min(t0.elapsed().as_secs_f64());
-    }
-    let ratio = sweep_s / table_s;
-    let verdict = if ratio >= 1.5 { "PASS" } else { "FAIL" };
+    // Hard lane gate: the dispatched Kprof matrix must hold ≥1.5× over
+    // the forced sweep-lane baseline, as the median round ratio.
+    let verdict = if lane_gate.median >= 1.5 { "PASS" } else { "FAIL" };
     println!(
-        "kprof lane gate ({m}x{n}, dispatched >= 1.5x sweep lane): sweep {:.2}ms vs dispatched {:.2}ms = {ratio:.2}x [{verdict}]",
-        sweep_s * 1e3,
-        table_s * 1e3
+        "kprof lane gate ({m}x{n}, dispatched >= 1.5x sweep lane): median of {} rounds {:.2}x (IQR {:.2}-{:.2}) [{verdict}]",
+        lane_gate.rounds, lane_gate.median, lane_gate.q1, lane_gate.q3
     );
-    if ratio < 1.5 {
+    if lane_gate.median < 1.5 {
         std::process::exit(1);
     }
 
@@ -307,19 +338,19 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Weighted family gate: the prepared weighted matrix must not lose to the naive per-pair path on the same workload —
-    // the precomputed cumulative-mass scores have to pay for
-    // themselves.
-    let worst_weighted = weighted_speedups
+    // Weighted family gate: every prepared weighted matrix must not
+    // lose to its naive per-pair path on the same workload — the
+    // precomputed cumulative-mass scores have to pay for themselves.
+    let (worst_name, worst_weighted) = weighted_gates
         .iter()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"))
+        .min_by(|a, b| a.1.median.partial_cmp(&b.1.median).expect("finite"))
         .expect("nonempty");
-    let verdict = if worst_weighted.1 >= 1.0 { "PASS" } else { "FAIL" };
+    let verdict = if worst_weighted.median >= 1.0 { "PASS" } else { "FAIL" };
     println!(
-        "weighted lane gate ({m}x{n}, prepared >= 1x naive): worst {:.2}x ({}) [{verdict}]",
-        worst_weighted.1, worst_weighted.0
+        "weighted lane gate ({m}x{n}, prepared >= 1x naive): worst median of {} rounds {:.2}x (IQR {:.2}-{:.2}, {worst_name}) [{verdict}]",
+        worst_weighted.rounds, worst_weighted.median, worst_weighted.q1, worst_weighted.q3
     );
-    if worst_weighted.1 < 1.0 {
+    if worst_weighted.median < 1.0 {
         std::process::exit(1);
     }
 

@@ -9,8 +9,8 @@
 //! `m ≫ 2n` at 4096 × 64.
 //!
 //! * **replace**: the dynamic edit alone — one fused `O(n²)` pass that
-//!   retracts the old ranking, adds the new one and marks dirty rows
-//!   (the server's replace path, before it republishes a snapshot).
+//!   retracts the old ranking and adds the new one (the server's
+//!   replace path, before it republishes a snapshot).
 //! * **kemeny**: replace one voter, then evaluate one candidate's
 //!   Kemeny cost. Dynamic = `O(n²)` replace + `O(n²)` tally read;
 //!   rebuild = mutate the input list, `ProfileTally::build` (`O(m·n²)`)
@@ -26,8 +26,10 @@
 //!   A dynamic replace pays the `O(n²)` pairwise-tally maintenance
 //!   whether or not the query needs it, while the median-only rebuild
 //!   is `O(m·n log m)`, so this is the cycle where the engine's margin
-//!   is thinnest: 1.0–1.2× at 16 × 512 with `u16` tally cells (it
-//!   read below 1× while the cells were `u32`). The engine always
+//!   is thinnest: 1.8–2.6× at 16 × 512 with `u16` tally cells and a
+//!   replace pass that only moves counts (1.2–1.5× while the pass also
+//!   kept a per-row changed-relation flag, below 1× while the cells
+//!   were `u32`). The engine always
 //!   wins when the workload also queries the tally, which is what it
 //!   exists for. Reported as a scaling trajectory, separate from the
 //!   regression check.

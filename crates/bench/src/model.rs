@@ -18,6 +18,19 @@
 //! * `MinMaxAgg` — [`minmax::minmax_aggregate`] over the live voters in
 //!   ascending id order at the wire seed.
 //!
+//! # What a read observes
+//!
+//! The server answers `MedianOrder`, `TopK` and `KemenyCost` from the
+//! session's published snapshot, without the edit mutex. `PairMetric`,
+//! `WeightedDist`, `TopDiff` and `MinMaxAgg` clone the voters they need
+//! under the session's edit mutex and compute outside it. An edit
+//! applies and republishes under that mutex before it replies, so both
+//! kinds of read observe every edit acknowledged before the read was
+//! sent, and an edit still in flight is either wholly visible or not at
+//! all. The model applies each request atomically in arrival order,
+//! which is that rule for one client at a time; a concurrent-client
+//! check must admit either outcome for an edit in flight.
+//!
 //! Each reply's error precedence and message is written once here, in
 //! the order the server's request handlers apply them. The model keeps
 //! no shard counters and no resident-session cap: `Stats` is outside

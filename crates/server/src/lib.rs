@@ -22,9 +22,12 @@
 //!   sharded by a stable name hash, where edits go through a
 //!   per-session `DynamicProfile` under the owning shard's lock (and
 //!   onto its WAL before acknowledgement when a data directory is
-//!   configured), and reads go through immutable published
-//!   [`DynamicSnapshot`](bucketrank_aggregate::DynamicSnapshot)s so
-//!   they never block writers. Batches dispatch through
+//!   configured). The median, top-k and Kemeny-cost reads go through
+//!   immutable published
+//!   [`DynamicSnapshot`](bucketrank_aggregate::DynamicSnapshot)s, so
+//!   they never block writers; the pair reads and `MinMaxAgg` clone
+//!   the voters they need under the session's edit mutex and compute
+//!   outside it. Batches dispatch through
 //!   [`Service::handle_batch`], which amortizes the session lookup.
 //!   Restarting over the same data directory replays every
 //!   acknowledged edit; sessions beyond the resident cap park on disk

@@ -15,13 +15,15 @@
 //!   copied into the worker thread's spare (the last retired snapshot
 //!   no reader held) rather than into fresh allocations, so a steady
 //!   edit stream republishes at memcpy speed;
-//! * reads (`median_order`, `top_k`, `kemeny_cost`) clone the
-//!   published `Arc` and compute entirely on the owned snapshot — a
-//!   read **never holds the edit mutex**, so a slow or numerous read
+//! * snapshot reads (`median_order`, `top_k`, `kemeny_cost`) clone
+//!   the published `Arc` and compute entirely on the owned snapshot —
+//!   they **never hold the edit mutex**, so a slow or numerous read
 //!   mix cannot block writers (DESIGN.md §3.3d);
-//! * pairwise metrics between stored voter rankings clone the two
-//!   `O(n)` rankings under the edit mutex, then run the zero-alloc
-//!   [`PreparedRanking`] kernels outside it.
+//! * pairwise metrics between stored voter rankings (`pair_metric`,
+//!   `weighted_dist`, `top_diff`) clone the two `O(n)` rankings under
+//!   the edit mutex, then run the zero-alloc [`PreparedRanking`]
+//!   kernels outside it, and `minmax_agg` clones every live voter
+//!   under it; so these reads wait behind an edit in progress.
 //!
 //! Every handler is total: each failure maps to a typed
 //! [`ErrorCode`]-carrying [`Response::Error`] — a malformed or
@@ -325,8 +327,9 @@ impl Service {
         self.shard_for(name).create(name, n, policy)
     }
 
-    /// Serves one read from the published snapshot — the edit mutex is
-    /// never taken, so reads cannot block writers.
+    /// Serves one snapshot read (median order, top-k, Kemeny cost) from
+    /// the published snapshot — the edit mutex is never taken, so these
+    /// reads cannot block writers.
     fn read(
         &self,
         name: &str,

@@ -17,8 +17,11 @@
 //! one shard serialize — which is also what makes the WAL order equal
 //! the acknowledgement order. Reads never take the shard mutex beyond
 //! name resolution (and not even that when the caller's session cache
-//! is hot): they clone the session's published
-//! `Arc<DynamicSnapshot>` and compute on it outside every lock.
+//! is hot). The median, top-k and Kemeny-cost reads clone the
+//! session's published `Arc<DynamicSnapshot>` and compute on it
+//! outside every lock; the pair reads and `MinMaxAgg` take the
+//! session's profile mutex to clone the voters they need, then compute
+//! outside it.
 //!
 //! # Lock order
 //!

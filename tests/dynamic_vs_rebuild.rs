@@ -4,31 +4,26 @@
 //! single-voter, all-voters-removed and duplicate-voter trajectories),
 //! asserting after **every step** that the dynamic tally, median-rank
 //! vector and majority digraph are byte-identical to a from-scratch
-//! rebuild over the live voters. The dirty-row contract is pinned
-//! exactly: a drained set must equal its definition (all rows after a
-//! push or remove; after a replace, the endpoints of the pairs the old
-//! and new ranking order differently, ascending), rows outside it must
-//! be untouched in both matrix directions, and refreshing only the
-//! drained rows must leave every row-local consumer (majority digraph,
-//! MC4 transition matrix) equal to a full rebuild. Unknown-voter edits must be typed errors
-//! that leave the engine byte-identical — never a panic or underflow.
+//! rebuild over the live voters. Unknown-voter edits must be typed
+//! errors that leave the engine byte-identical — never a panic or
+//! underflow.
 //!
 //! A many-voters lane (`m ≫ 2n`: up to 300 voters over at most 6
 //! elements) pushes until nearly every element holds a run at each of
 //! its `2n − 1` possible positions, then drains the engine to empty and
 //! refills it, so the per-element position runs grow to their cap and
-//! shrink back. After every step the medians, `median_order`, every
-//! `top_k`, and `full_ranking` must equal a rebuild from the live
-//! voters.
+//! shrink back. After every step the medians and the snapshot's
+//! `median_order`, every `top_k`, and `full_ranking` must equal a
+//! rebuild from the live voters.
 
 use bucketrank::access::medrank::top_k_from_medians;
 use bucketrank::aggregate::condorcet::MajorityGraph;
 use bucketrank::aggregate::dynamic::{DynamicProfile, VoterId};
-use bucketrank::aggregate::markov::{mc4_transition_matrix, refresh_mc4_rows};
 use bucketrank::aggregate::median::{
     aggregate_full, aggregate_top_k, aggregate_to_type, median_order, median_positions,
 };
 use bucketrank::aggregate::tally::ProfileTally;
+use bucketrank::core::consistent::induced_ranking;
 use bucketrank::aggregate::{AggregateError, MedianPolicy};
 use bucketrank::{BucketOrder, Pos, TypeSeq};
 use bucketrank_bench::oracle;
@@ -83,26 +78,6 @@ fn apply_op(dp: &mut DynamicProfile, live: &mut Vec<(VoterId, BucketOrder)>, op:
     }
 }
 
-/// The dirty set an op must leave, by definition: every row after a
-/// push or a successful remove (the voter count enters every weight),
-/// none after a failed edit, and after a replace the endpoints of the
-/// pairs the old and new ranking order differently.
-fn expected_dirty(live: &[(VoterId, BucketOrder)], op: &EditOp, n: usize) -> Vec<u32> {
-    match op {
-        EditOp::Push(_) => (0..n as u32).collect(),
-        EditOp::Remove(_) if !live.is_empty() => (0..n as u32).collect(),
-        EditOp::Replace(i, new) if !live.is_empty() => {
-            let ob = live[i % live.len()].1.bucket_indices();
-            let nb = new.bucket_indices();
-            (0..n)
-                .filter(|&a| (0..n).any(|b| ob[a].cmp(&ob[b]) != nb[a].cmp(&nb[b])))
-                .map(|a| a as u32)
-                .collect()
-        }
-        _ => Vec::new(),
-    }
-}
-
 /// The full oracle: dynamic state must be byte-identical to a
 /// from-scratch rebuild over the live voters.
 fn assert_matches_rebuild(
@@ -154,60 +129,6 @@ fn dynamic_state_matches_rebuild_after_every_step() {
                     apply_op(&mut dp, &mut live, op);
                     assert_matches_rebuild(&dp, &live, policy);
                 }
-            }
-        },
-    );
-}
-
-#[test]
-fn dirty_rows_are_precise_and_refresh_consumers_to_a_full_rebuild() {
-    check(
-        "dirty_rows_are_precise_and_refresh_consumers_to_a_full_rebuild",
-        scripts(),
-        |script| {
-            let n = script_domain(script);
-            let mut dp = DynamicProfile::new(n, MedianPolicy::Lower);
-            let mut live: Vec<(VoterId, BucketOrder)> = Vec::new();
-            // Row-local consumers maintained purely through the
-            // dirty-row hooks from here on (both are well-defined on
-            // the zero-voter tally).
-            let mut graph = MajorityGraph::from_tally(dp.tally());
-            let mut mc4 = mc4_transition_matrix(dp.tally());
-            dp.take_dirty();
-            for op in script {
-                let prev = dp.clone();
-                let expected = expected_dirty(&live, op, n);
-                apply_op(&mut dp, &mut live, op);
-                let dirty = dp.take_dirty();
-                // Exactness: the drained set is the naive definition,
-                // in ascending row order.
-                assert_eq!(dirty.rows(), &expected[..], "dirty rows after {op:?}");
-                // Precision: a clean row is untouched in both matrix
-                // directions and keeps its median.
-                for a in 0..n as u32 {
-                    if dirty.contains(a) {
-                        continue;
-                    }
-                    for b in 0..n as u32 {
-                        assert_eq!(dp.tally().strict_count(a, b), prev.tally().strict_count(a, b));
-                        assert_eq!(dp.tally().strict_count(b, a), prev.tally().strict_count(b, a));
-                        assert_eq!(dp.tally().weight_x2(a, b), prev.tally().weight_x2(a, b));
-                        assert_eq!(dp.tally().weight_x2(b, a), prev.tally().weight_x2(b, a));
-                    }
-                    if dp.voters() > 0 && prev.voters() > 0 {
-                        assert_eq!(
-                            dp.median_positions().unwrap()[a as usize],
-                            prev.median_positions().unwrap()[a as usize],
-                            "clean row {a} moved its median"
-                        );
-                    }
-                }
-                // Sufficiency: refreshing exactly the drained rows
-                // brings every consumer to a full rebuild.
-                graph.refresh_rows(dp.tally(), dirty.rows()).unwrap();
-                refresh_mc4_rows(dp.tally(), &mut mc4, dirty.rows()).unwrap();
-                assert_eq!(graph, MajorityGraph::from_tally(dp.tally()));
-                assert_eq!(mc4, mc4_transition_matrix(dp.tally()));
             }
         },
     );
@@ -346,7 +267,7 @@ fn many_voters_grow_and_drain_the_median_runs() {
                     let medians = counted_medians(&live, n, policy);
                     assert_eq!(dp.median_positions().unwrap(), medians, "medians after {op:?}");
                     let order = BucketOrder::from_keys(&medians);
-                    assert_eq!(dp.median_order().unwrap(), order);
+                    assert_eq!(induced_ranking(&dp.median_positions().unwrap()), order);
                     let snap = dp.snapshot().unwrap();
                     assert_eq!(snap.median_positions(), &medians[..]);
                     assert_eq!(snap.median_order(), order);
