@@ -186,15 +186,37 @@ impl AbRatio {
 ///
 /// # Panics
 /// If `rounds` is zero or a cost is not a positive finite number.
-pub fn ab(
-    mut baseline: impl FnMut() -> f64,
-    mut candidate: impl FnMut() -> f64,
-    rounds: usize,
-) -> AbRatio {
+pub fn ab(baseline: impl FnMut() -> f64, candidate: impl FnMut() -> f64, rounds: usize) -> AbRatio {
     assert!(rounds > 0, "an A/B comparison needs at least one round");
-    let mut ratios: Vec<f64> = (0..rounds)
-        .map(|round| {
-            let (base, cand) = if round % 2 == 0 {
+    let mut gate = AbRounds::default();
+    gate.run(baseline, candidate, rounds);
+    gate.ratio()
+}
+
+/// An [`ab`] comparison taken in blocks of rounds at several points of
+/// a run. A slow phase of the machine that outlasts one block's few
+/// milliseconds but not the run then moves that block's rounds, not
+/// the median over all of them. Which side goes first alternates over
+/// the rounds of every block in turn.
+#[derive(Debug, Clone, Default)]
+pub struct AbRounds {
+    ratios: Vec<f64>,
+}
+
+impl AbRounds {
+    /// Runs `rounds` more rounds of `baseline` against `candidate`, as
+    /// [`ab`] does.
+    ///
+    /// # Panics
+    /// If a cost is not a positive finite number.
+    pub fn run(
+        &mut self,
+        mut baseline: impl FnMut() -> f64,
+        mut candidate: impl FnMut() -> f64,
+        rounds: usize,
+    ) {
+        for _ in 0..rounds {
+            let (base, cand) = if self.ratios.len().is_multiple_of(2) {
                 let base = baseline();
                 (base, candidate())
             } else {
@@ -205,15 +227,25 @@ pub fn ab(
                 base > 0.0 && cand > 0.0 && base.is_finite() && cand.is_finite(),
                 "costs must be positive and finite, got {base} and {cand}"
             );
-            base / cand
-        })
-        .collect();
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    AbRatio {
-        rounds,
-        median: ratios[rounds / 2],
-        q1: ratios[rounds / 4],
-        q3: ratios[3 * rounds / 4],
+            self.ratios.push(base / cand);
+        }
+    }
+
+    /// The median round ratio and its quartiles over every round so far.
+    ///
+    /// # Panics
+    /// If no round has run.
+    pub fn ratio(&self) -> AbRatio {
+        let rounds = self.ratios.len();
+        assert!(rounds > 0, "an A/B comparison needs at least one round");
+        let mut ratios = self.ratios.clone();
+        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        AbRatio {
+            rounds,
+            median: ratios[rounds / 2],
+            q1: ratios[rounds / 4],
+            q3: ratios[3 * rounds / 4],
+        }
     }
 }
 
@@ -278,6 +310,36 @@ mod tests {
         let j = r.json("gate", 2.0);
         assert!(j.contains("\"name\":\"gate\"") && j.contains("\"ratio\":3.000"));
         assert!(j.contains("\"bound\":2") && j.contains("\"rounds\":7"));
+    }
+
+    #[test]
+    fn ab_rounds_alternate_across_blocks() {
+        // Blocks of 3 and 2 rounds order the sides as one 5-round `ab`.
+        let order = std::cell::RefCell::new(String::new());
+        let mut gate = AbRounds::default();
+        for (rounds, base) in [(3, 4.0), (2, 2.0)] {
+            gate.run(
+                || {
+                    order.borrow_mut().push('b');
+                    base
+                },
+                || {
+                    order.borrow_mut().push('c');
+                    1.0
+                },
+                rounds,
+            );
+        }
+        assert_eq!(order.into_inner(), "bccbbccbbc");
+        assert_eq!(
+            gate.ratio(),
+            AbRatio {
+                rounds: 5,
+                median: 4.0,
+                q1: 2.0,
+                q3: 4.0
+            }
+        );
     }
 
     #[test]

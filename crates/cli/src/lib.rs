@@ -522,6 +522,106 @@ pub fn cmd_serve(
     ))
 }
 
+/// The x86-64-v3 features the host check covers; bit `i` of a feature
+/// set stands for `V3_FEATURES[i]`.
+pub const V3_FEATURES: [&str; 8] = [
+    "avx", "avx2", "bmi1", "bmi2", "fma", "lzcnt", "movbe", "f16c",
+];
+
+/// The features of [`V3_FEATURES`] this binary was compiled to use: all
+/// of them under the workspace's build policy (`.cargo/config.toml`
+/// sets `-C target-cpu=x86-64-v3` on x86_64), none in a baseline build.
+pub const COMPILED_V3: u32 = cfg!(target_feature = "avx") as u32
+    | (cfg!(target_feature = "avx2") as u32) << 1
+    | (cfg!(target_feature = "bmi1") as u32) << 2
+    | (cfg!(target_feature = "bmi2") as u32) << 3
+    | (cfg!(target_feature = "fma") as u32) << 4
+    | (cfg!(target_feature = "lzcnt") as u32) << 5
+    | (cfg!(target_feature = "movbe") as u32) << 6
+    | (cfg!(target_feature = "f16c") as u32) << 7;
+
+/// The features of [`V3_FEATURES`] this host's CPU has, read from CPUID.
+///
+/// `is_x86_feature_detected!` cannot answer this: it folds to `true` for
+/// every feature the calling crate was compiled with, so under the build
+/// policy it would accept any host. AVX and the features that use its
+/// registers (AVX2, FMA, F16C) also need CPUID's OSXSAVE bit, set when
+/// the OS saves the extended register state. (XCR0 itself is read by
+/// `_xgetbv`, which is `unsafe`, so it is not checked.)
+#[cfg(target_arch = "x86_64")]
+pub fn detected_v3() -> u32 {
+    use std::arch::x86_64::{__cpuid, __cpuid_count};
+    let leaf1 = __cpuid(1).ecx;
+    let leaf7 = if __cpuid(0).eax >= 7 {
+        __cpuid_count(7, 0).ebx
+    } else {
+        0
+    };
+    let ext1 = if __cpuid(0x8000_0000).eax >= 0x8000_0001 {
+        __cpuid(0x8000_0001).ecx
+    } else {
+        0
+    };
+    let bit = |reg: u32, i: u32| reg >> i & 1;
+    let ymm = bit(leaf1, 27);
+    (ymm & bit(leaf1, 28))
+        | (ymm & bit(leaf7, 5)) << 1
+        | bit(leaf7, 3) << 2
+        | bit(leaf7, 8) << 3
+        | (ymm & bit(leaf1, 12)) << 4
+        | bit(ext1, 5) << 5
+        | bit(leaf1, 22) << 6
+        | (ymm & bit(leaf1, 29)) << 7
+}
+
+/// The features of [`V3_FEATURES`] this host's CPU has: none off x86_64,
+/// where [`COMPILED_V3`] is empty too.
+#[cfg(not(target_arch = "x86_64"))]
+pub fn detected_v3() -> u32 {
+    0
+}
+
+/// The host check `main` runs before anything else: every feature the
+/// binary was compiled with must be in the host's `detected` set. A
+/// baseline build (`compiled` = 0) accepts any host.
+///
+/// # Errors
+/// A [`HostRefusal`] naming the missing features, instead of a SIGILL
+/// later.
+pub fn host_verdict(compiled: u32, detected: u32) -> Result<(), HostRefusal> {
+    match compiled & !detected {
+        0 => Ok(()),
+        missing => Err(HostRefusal(missing)),
+    }
+}
+
+/// The features of [`V3_FEATURES`] a host lacks. Its message names them
+/// and the override that builds for an older host.
+///
+/// It holds a bit set and writes only static strings, so reporting it
+/// moves no value wider than a register: on a host without AVX the
+/// refusal must not itself run an AVX instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HostRefusal(pub u32);
+
+impl std::fmt::Display for HostRefusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("this binary was built for x86-64-v3 and this CPU lacks")?;
+        let mut sep = " ";
+        for (i, name) in V3_FEATURES.iter().enumerate() {
+            if self.0 >> i & 1 == 1 {
+                f.write_str(sep)?;
+                f.write_str(name)?;
+                sep = ", ";
+            }
+        }
+        f.write_str(
+            "; build it for an older host with RUSTFLAGS=\"-C target-cpu=x86-64\" cargo build --release \
+             (see README, Install)",
+        )
+    }
+}
+
 /// Entry point shared by `main` and the tests: parses the argument list
 /// (without the program name) and returns the command's stdout text.
 ///
@@ -669,6 +769,38 @@ mod tests {
 
     fn no_fs(_: &str) -> Result<String, CliError> {
         err("no filesystem in tests")
+    }
+
+    const ALL_V3: u32 = (1 << V3_FEATURES.len()) - 1;
+
+    #[test]
+    fn host_check_accepts_a_full_v3_host() {
+        assert!(host_verdict(ALL_V3, ALL_V3).is_ok());
+        // This process runs code built with COMPILED_V3, so its host has
+        // those features: the CPUID decode must find every one of them.
+        assert!(host_verdict(COMPILED_V3, detected_v3()).is_ok());
+    }
+
+    #[test]
+    fn host_check_names_the_missing_feature_and_the_override() {
+        let avx2 = 1 << V3_FEATURES.iter().position(|&f| f == "avx2").unwrap();
+        let msg = host_verdict(ALL_V3, ALL_V3 & !avx2)
+            .unwrap_err()
+            .to_string();
+        assert!(msg.contains("lacks avx2;"), "{msg}");
+        assert!(msg.contains("RUSTFLAGS=\"-C target-cpu=x86-64\""), "{msg}");
+        let msg = host_verdict(ALL_V3, 0).unwrap_err().to_string();
+        assert!(
+            msg.contains(&format!("lacks {};", V3_FEATURES.join(", "))),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn host_check_of_a_baseline_build_accepts_any_host() {
+        for detected in [0, 0b1010_0101, ALL_V3] {
+            assert!(host_verdict(0, detected).is_ok());
+        }
     }
 
     #[test]

@@ -8,9 +8,34 @@
 # fails the gate (it needs the clippy component; the gate skips it when
 # the component is absent).
 #
+# The gate tests the committed build policy (.cargo/config.toml:
+# x86-64-v3 on x86_64 hosts, DESIGN.md §6) and refuses to run when
+# RUSTFLAGS or CARGO_ENCODED_RUSTFLAGS is set: either one, even empty,
+# replaces the committed flags, and the gates would then measure a build
+# nobody ships.
+#
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+for var in RUSTFLAGS CARGO_ENCODED_RUSTFLAGS; do
+  if [ -n "${!var+set}" ]; then
+    echo "FAIL: $var is set ('${!var}'); it replaces the committed target flags in .cargo/config.toml."
+    echo "Unset it to run the gate (an older host builds with it, but is not what the gate tests)."
+    exit 1
+  fi
+done
+
+echo "==> build target"
+host=$(rustc -vV | sed -n 's/^host: //p')
+case "$host" in
+  x86_64-*)
+    cpu=$(sed -n 's/.*"target-cpu=\([A-Za-z0-9_-]*\)".*/\1/p' .cargo/config.toml)
+    features=$(rustc --print cfg -C target-cpu="$cpu" | sed -n 's/^target_feature="\(.*\)"$/\1/p' | tr '\n' ' ')
+    echo "testing $host at target-cpu=$cpu: $features"
+    ;;
+  *) echo "testing $host at its default target-cpu" ;;
+esac
 
 echo "==> dependency policy: path-only manifests"
 # Flag any dependency specification that is not a pure path dependency:
@@ -162,8 +187,9 @@ echo "==> bench_batch_prepared smoke gate"
 # naive per-pair weighted kernels, and the order layout gate: every
 # order/from_keys and order/clone row must equal the nested-Vec
 # bucketrank_bench::oracle::NestedOrder, and the flat
-# BucketOrder::from_keys must hold ≥ 2× over the nested one at 512x16;
-# exiting nonzero otherwise.
+# BucketOrder::from_keys must hold ≥ 2× over the nested one at 512x16
+# (the median of 36 alternating rounds, taken four at a time after each
+# of the run's nine row sections); exiting nonzero otherwise.
 smoke_out="target/BENCH_metrics.smoke.json"
 BUCKETRANK_BENCH_FAST=1 BUCKETRANK_BENCH_OUT="$smoke_out" \
   cargo run --release --offline -p bucketrank-bench --bin bench_batch_prepared
