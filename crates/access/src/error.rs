@@ -1,5 +1,6 @@
 //! Error type for the access layer.
 
+use bucketrank_aggregate::median::WeightFault;
 use std::fmt;
 
 /// Errors produced by the access model and the fielded-search substrate.
@@ -52,6 +53,9 @@ pub enum AccessError {
         /// The attribute involved.
         attribute: String,
     },
+    /// A source-weight vector was rejected
+    /// (`aggregate::median::weight_units`).
+    InvalidWeights(WeightFault),
 }
 
 impl fmt::Display for AccessError {
@@ -84,11 +88,31 @@ impl fmt::Display for AccessError {
                     "binning applies to numeric specs only, but {attribute:?} ranks by text preference"
                 )
             }
+            AccessError::InvalidWeights(fault) => write!(f, "invalid source weights: {fault}"),
         }
     }
 }
 
 impl std::error::Error for AccessError {}
+
+/// The input check every multi-source top-k algorithm shares (MEDRANK,
+/// TA, NRA): at least one source, every source over the first one's
+/// domain, and `k` within it. Takes the sources' domain sizes and
+/// returns the shared one.
+pub(crate) fn check_sources(
+    sizes: impl IntoIterator<Item = usize>,
+    k: usize,
+) -> Result<usize, AccessError> {
+    let mut sizes = sizes.into_iter();
+    let n = sizes.next().ok_or(AccessError::NoSources)?;
+    if let Some(found) = sizes.find(|&size| size != n) {
+        return Err(AccessError::DomainMismatch { expected: n, found });
+    }
+    if k > n {
+        return Err(AccessError::InvalidK { k, domain_size: n });
+    }
+    Ok(n)
+}
 
 #[cfg(test)]
 mod tests {

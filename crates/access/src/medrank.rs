@@ -13,9 +13,20 @@
 //! ordering consistent with the median ranks — is within a factor 3 of
 //! the best possible top-k list under the `Fprof` objective (and, via
 //! Theorem 7, within a constant factor under all four metrics).
+//!
+//! The three top-k entry points, and the similarity search of
+//! [`crate::similarity`], share one round engine. Each source carries an
+//! integer mass (1 unit unweighted, its exact [`weight_units`]
+//! weighted), and an element wins in the round its delivered mass first
+//! exceeds half the total, `2·mass > total`; with unit masses that is
+//! "seen in more than m/2 inputs". A round delivers the next element of
+//! every source, or with bucket delivery its next whole bucket.
+//! [`certificate_depth`] keeps its own cursor loop as the independent
+//! reference the tests hold MEDRANK to.
 
-use crate::error::AccessError;
+use crate::error::{check_sources, AccessError};
 use crate::model::{AccessStats, RankingCursor};
+use bucketrank_aggregate::median::weight_units;
 use bucketrank_core::{BucketOrder, ElementId};
 
 /// Result of a MEDRANK run.
@@ -36,65 +47,16 @@ impl MedrankResult {
 }
 
 /// Runs generalized MEDRANK for the top `k` elements over the given
-/// partial rankings, reading each input through a sorted-access cursor,
-/// one element per input per round, until `k` elements have been seen in
+/// partial rankings, reading each input through sorted access, one
+/// element per input per round, until `k` elements have been seen in
 /// more than half of the inputs.
 ///
 /// # Errors
 /// [`AccessError::NoSources`], [`AccessError::DomainMismatch`], or
 /// [`AccessError::InvalidK`].
 pub fn medrank_top_k(inputs: &[BucketOrder], k: usize) -> Result<MedrankResult, AccessError> {
-    let first = inputs.first().ok_or(AccessError::NoSources)?;
-    let n = first.len();
-    for s in inputs {
-        if s.len() != n {
-            return Err(AccessError::DomainMismatch {
-                expected: n,
-                found: s.len(),
-            });
-        }
-    }
-    if k > n {
-        return Err(AccessError::InvalidK { k, domain_size: n });
-    }
-
-    let m = inputs.len();
-    let majority = (m / 2) as u32; // winner when count > m/2 ⟺ count ≥ majority + 1
-    let mut cursors: Vec<RankingCursor<'_>> = inputs.iter().map(RankingCursor::new).collect();
-    let mut counts = vec![0u32; n];
-    let mut emitted = vec![false; n];
-    let mut top = Vec::with_capacity(k);
-
-    'rounds: while top.len() < k {
-        let mut any_progress = false;
-        // One access per source per round; winners are collected per
-        // round and emitted in ascending id for determinism.
-        let mut round_winners: Vec<ElementId> = Vec::new();
-        for c in &mut cursors {
-            let Some(e) = c.next() else { continue };
-            any_progress = true;
-            counts[e as usize] += 1;
-            if counts[e as usize] == majority + 1 && !emitted[e as usize] {
-                round_winners.push(e);
-            }
-        }
-        round_winners.sort_unstable();
-        for e in round_winners {
-            if top.len() < k && !emitted[e as usize] {
-                emitted[e as usize] = true;
-                top.push(e);
-            }
-        }
-        if !any_progress {
-            break 'rounds; // all cursors exhausted (cannot happen for k ≤ n)
-        }
-    }
-
-    let mut stats = AccessStats::new(m);
-    for (i, c) in cursors.iter().enumerate() {
-        stats.sorted_depth[i] = c.depth();
-    }
-    Ok(MedrankResult { top, stats })
+    check_sources(inputs.iter().map(BucketOrder::len), k)?;
+    Ok(over_orders(inputs, &vec![1; inputs.len()], k, Delivery::Element))
 }
 
 /// Convenience wrapper for the paper's top-1 instantiation.
@@ -107,7 +69,7 @@ pub fn medrank_winner(inputs: &[BucketOrder]) -> Result<(ElementId, AccessStats)
     Ok((w, r.stats))
 }
 
-/// Bucket-atomic MEDRANK: each round advances every cursor by one whole
+/// Bucket-atomic MEDRANK: each round advances every input by one whole
 /// **bucket** (paying one access per element inside), so tied elements
 /// become visible together — the semantically faithful delivery mode for
 /// partial rankings, where a tie has no internal order to reveal.
@@ -124,128 +86,28 @@ pub fn medrank_top_k_buckets(
     inputs: &[BucketOrder],
     k: usize,
 ) -> Result<MedrankResult, AccessError> {
-    let first = inputs.first().ok_or(AccessError::NoSources)?;
-    let n = first.len();
-    for s in inputs {
-        if s.len() != n {
-            return Err(AccessError::DomainMismatch {
-                expected: n,
-                found: s.len(),
-            });
-        }
-    }
-    if k > n {
-        return Err(AccessError::InvalidK { k, domain_size: n });
-    }
-    let m = inputs.len();
-    let majority = (m / 2) as u32;
-    let mut next_bucket = vec![0usize; m];
-    let mut stats = AccessStats::new(m);
-    let mut counts = vec![0u32; n];
-    let mut emitted = vec![false; n];
-    let mut top = Vec::with_capacity(k);
-
-    while top.len() < k {
-        let mut any_progress = false;
-        let mut round_winners: Vec<ElementId> = Vec::new();
-        for (i, s) in inputs.iter().enumerate() {
-            let Some(bucket) = s.buckets().get(next_bucket[i]) else {
-                continue;
-            };
-            next_bucket[i] += 1;
-            any_progress = true;
-            stats.sorted_depth[i] += bucket.len() as u64;
-            for &e in bucket {
-                counts[e as usize] += 1;
-                if counts[e as usize] == majority + 1 && !emitted[e as usize] {
-                    round_winners.push(e);
-                }
-            }
-        }
-        round_winners.sort_unstable();
-        for e in round_winners {
-            if top.len() < k && !emitted[e as usize] {
-                emitted[e as usize] = true;
-                top.push(e);
-            }
-        }
-        if !any_progress {
-            break;
-        }
-    }
-    Ok(MedrankResult { top, stats })
+    check_sources(inputs.iter().map(BucketOrder::len), k)?;
+    Ok(over_orders(inputs, &vec![1; inputs.len()], k, Delivery::Bucket))
 }
 
 /// Weighted MEDRANK: source `i` counts with weight `weights[i]`; an
 /// element wins once the summed weight of sources that have shown it
-/// strictly exceeds half the total weight. With equal weights this is
-/// exactly [`medrank_top_k`]. The weighted-median connection mirrors
+/// strictly exceeds half the total weight. The weights are compared as
+/// exact [`weight_units`], so with equal weights this is exactly
+/// [`medrank_top_k`]. The weighted-median connection mirrors
 /// `aggregate::median::weighted_median_positions`.
 ///
 /// # Errors
-/// As [`medrank_top_k`]; weight/source count mismatches or non-positive
-/// total weight are reported as [`AccessError::DomainMismatch`].
+/// As [`medrank_top_k`], then [`AccessError::InvalidWeights`] for a
+/// weight vector [`weight_units`] rejects.
 pub fn medrank_top_k_weighted(
     inputs: &[BucketOrder],
     weights: &[f64],
     k: usize,
 ) -> Result<MedrankResult, AccessError> {
-    let first = inputs.first().ok_or(AccessError::NoSources)?;
-    let n = first.len();
-    for s in inputs {
-        if s.len() != n {
-            return Err(AccessError::DomainMismatch {
-                expected: n,
-                found: s.len(),
-            });
-        }
-    }
-    if weights.len() != inputs.len()
-        || weights.iter().any(|w| !w.is_finite() || *w < 0.0)
-        || weights.iter().sum::<f64>() <= 0.0
-    {
-        return Err(AccessError::DomainMismatch {
-            expected: inputs.len(),
-            found: weights.len(),
-        });
-    }
-    if k > n {
-        return Err(AccessError::InvalidK { k, domain_size: n });
-    }
-    let half = weights.iter().sum::<f64>() / 2.0;
-    let mut cursors: Vec<RankingCursor<'_>> = inputs.iter().map(RankingCursor::new).collect();
-    let mut mass = vec![0.0f64; n];
-    let mut emitted = vec![false; n];
-    let mut top = Vec::with_capacity(k);
-
-    while top.len() < k {
-        let mut any = false;
-        let mut round_winners: Vec<ElementId> = Vec::new();
-        for (c, &w) in cursors.iter_mut().zip(weights) {
-            let Some(e) = c.next() else { continue };
-            any = true;
-            let before = mass[e as usize];
-            mass[e as usize] += w;
-            if before <= half && mass[e as usize] > half && !emitted[e as usize] {
-                round_winners.push(e);
-            }
-        }
-        round_winners.sort_unstable();
-        for e in round_winners {
-            if top.len() < k && !emitted[e as usize] {
-                emitted[e as usize] = true;
-                top.push(e);
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-    let mut stats = AccessStats::new(inputs.len());
-    for (i, c) in cursors.iter().enumerate() {
-        stats.sorted_depth[i] = c.depth();
-    }
-    Ok(MedrankResult { top, stats })
+    check_sources(inputs.iter().map(BucketOrder::len), k)?;
+    let units = weight_units(weights, inputs.len()).map_err(AccessError::InvalidWeights)?;
+    Ok(over_orders(inputs, &units, k, Delivery::Element))
 }
 
 /// The instance-optimality certificate: the smallest round-robin depth at
@@ -259,19 +121,7 @@ pub fn medrank_top_k_weighted(
 /// # Errors
 /// As [`medrank_top_k`].
 pub fn certificate_depth(inputs: &[BucketOrder], k: usize) -> Result<u64, AccessError> {
-    let first = inputs.first().ok_or(AccessError::NoSources)?;
-    let n = first.len();
-    for s in inputs {
-        if s.len() != n {
-            return Err(AccessError::DomainMismatch {
-                expected: n,
-                found: s.len(),
-            });
-        }
-    }
-    if k > n {
-        return Err(AccessError::InvalidK { k, domain_size: n });
-    }
+    let n = check_sources(inputs.iter().map(BucketOrder::len), k)?;
     let m = inputs.len();
     let majority = (m / 2) as u32;
     let mut cursors: Vec<RankingCursor<'_>> = inputs.iter().map(RankingCursor::new).collect();
@@ -295,6 +145,83 @@ pub fn certificate_depth(inputs: &[BucketOrder], k: usize) -> Result<u64, Access
         }
     }
     Ok(depth)
+}
+
+/// What one round reads from each bucket order.
+#[derive(Clone, Copy)]
+enum Delivery {
+    /// The next element.
+    Element,
+    /// The next whole bucket.
+    Bucket,
+}
+
+/// MEDRANK over checked bucket orders, each read in sorted-access order
+/// (ties by ascending id, as [`RankingCursor`] delivers them).
+fn over_orders(
+    inputs: &[BucketOrder],
+    units: &[u128],
+    k: usize,
+    delivery: Delivery,
+) -> MedrankResult {
+    run_rounds(inputs[0].len(), units, k, |i, depth, batch| {
+        let s = &inputs[i];
+        let Some(&next) = s.by_rank().get(depth) else {
+            return;
+        };
+        let end = match delivery {
+            Delivery::Element => depth + 1,
+            // Every round starts at a bucket boundary.
+            Delivery::Bucket => s.bucket_starts()[s.bucket_index(next) + 1] as usize,
+        };
+        batch.extend_from_slice(&s.by_rank()[depth..end]);
+    })
+}
+
+/// The MEDRANK round loop over `n` elements, for every sorted-access
+/// source the crate reads (bucket orders here, the two-cursor attribute
+/// walks of [`crate::similarity`]). Each round, `deliver(i, depth,
+/// batch)` puts source `i`'s next delivery into the emptied `batch`
+/// (nothing once it is drained; `depth` counts what it delivered so
+/// far), and each delivered element gains `units[i]`. An element wins in
+/// the round its mass first exceeds half the total (a mass only grows,
+/// so it crosses once); winners within a round go out by ascending id.
+/// Stops after `k` winners, or at a round in which no source delivers.
+pub(crate) fn run_rounds(
+    n: usize,
+    units: &[u128],
+    k: usize,
+    mut deliver: impl FnMut(usize, usize, &mut Vec<ElementId>),
+) -> MedrankResult {
+    let total: u128 = units.iter().sum();
+    let mut stats = AccessStats::new(units.len());
+    let mut mass = vec![0u128; n];
+    let mut top = Vec::with_capacity(k);
+    let (mut batch, mut round_winners) = (Vec::new(), Vec::new());
+    while top.len() < k {
+        let mut progressed = false;
+        for (i, &w) in units.iter().enumerate() {
+            batch.clear();
+            deliver(i, stats.sorted_depth[i] as usize, &mut batch);
+            progressed |= !batch.is_empty();
+            stats.sorted_depth[i] += batch.len() as u64;
+            for &e in &batch {
+                let cell = &mut mass[e as usize];
+                let below = 2 * *cell <= total;
+                *cell += w;
+                if below && 2 * *cell > total {
+                    round_winners.push(e);
+                }
+            }
+        }
+        if !progressed {
+            break;
+        }
+        round_winners.sort_unstable();
+        let room = k - top.len();
+        top.extend(round_winners.drain(..).take(room));
+    }
+    MedrankResult { top, stats }
 }
 
 /// Serves a top-`k` list directly from a maintained median-rank vector
@@ -326,6 +253,7 @@ pub fn top_k_from_medians(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bucketrank_aggregate::median::WeightFault;
 
     fn keys(k: &[i64]) -> BucketOrder {
         BucketOrder::from_keys(k)
@@ -490,9 +418,28 @@ mod tests {
     #[test]
     fn weighted_medrank_rejects_bad_weights() {
         let inputs = vec![keys(&[1, 2]), keys(&[2, 1])];
-        assert!(medrank_top_k_weighted(&inputs, &[1.0], 1).is_err());
-        assert!(medrank_top_k_weighted(&inputs, &[1.0, -2.0], 1).is_err());
-        assert!(medrank_top_k_weighted(&inputs, &[0.0, 0.0], 1).is_err());
+        let fault = |w: &[f64], fault| {
+            let err = medrank_top_k_weighted(&inputs, w, 1).unwrap_err();
+            assert_eq!(err, AccessError::InvalidWeights(fault), "weights {w:?}");
+        };
+        fault(&[1.0], WeightFault::Length { expected: 2, found: 1 });
+        fault(&[1.0, -2.0], WeightFault::Invalid { index: 1 });
+        fault(&[0.0, 0.0], WeightFault::AllZero);
+    }
+
+    #[test]
+    fn equal_tenths_keep_the_unweighted_majority() {
+        // Three sources rank [0 | 1], three rank [1 | 0]: no element has
+        // more than half after round 1. In f64, three weights of 0.1 sum
+        // past half of six, which crowned element 0 at depth 1.
+        let mut inputs = vec![keys(&[1, 2]); 3];
+        inputs.extend(vec![keys(&[2, 1]); 3]);
+        let plain = medrank_top_k(&inputs, 1).unwrap();
+        assert_eq!(plain.stats.max_depth(), 2);
+        for w in [0.1, 1.0] {
+            let weighted = medrank_top_k_weighted(&inputs, &[w; 6], 1).unwrap();
+            assert_eq!(weighted, plain, "weight {w}");
+        }
     }
 
     #[test]

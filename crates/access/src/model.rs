@@ -60,20 +60,13 @@ impl AccessStats {
 #[derive(Debug, Clone)]
 pub struct RankingCursor<'a> {
     order: &'a BucketOrder,
-    bucket: usize,
-    offset: usize,
     depth: u64,
 }
 
 impl<'a> RankingCursor<'a> {
     /// Opens a cursor at the top of the ranking.
     pub fn new(order: &'a BucketOrder) -> Self {
-        RankingCursor {
-            order,
-            bucket: 0,
-            offset: 0,
-            depth: 0,
-        }
+        RankingCursor { order, depth: 0 }
     }
 
     /// Delivers the next element in rank order (ties by ascending id),
@@ -81,19 +74,10 @@ impl<'a> RankingCursor<'a> {
     /// sorted access.
     #[allow(clippy::should_implement_trait)] // deliberate: not an Iterator, accesses have cost
     pub fn next(&mut self) -> Option<ElementId> {
-        let buckets = self.order.buckets();
-        while self.bucket < buckets.len() {
-            let b = &buckets[self.bucket];
-            if self.offset < b.len() {
-                let e = b[self.offset];
-                self.offset += 1;
-                self.depth += 1;
-                return Some(e);
-            }
-            self.bucket += 1;
-            self.offset = 0;
-        }
-        None
+        // `by_rank` lists the buckets in rank order, each ascending.
+        let e = *self.order.by_rank().get(self.depth as usize)?;
+        self.depth += 1;
+        Some(e)
     }
 
     /// Number of elements delivered so far.
@@ -109,19 +93,12 @@ impl<'a> RankingCursor<'a> {
     /// The index of the bucket the cursor is currently inside (the bucket
     /// of the most recently delivered element), if any delivery happened.
     pub fn current_bucket(&self) -> Option<usize> {
-        if self.depth == 0 {
-            None
-        } else if self.offset == 0 {
-            Some(self.bucket - 1)
-        } else {
-            Some(self.bucket)
-        }
+        let last = self.order.by_rank().get(self.depth.checked_sub(1)? as usize)?;
+        Some(self.order.bucket_index(*last))
     }
 
     /// Rewinds to the top, resetting the depth counter.
     pub fn reset(&mut self) {
-        self.bucket = 0;
-        self.offset = 0;
         self.depth = 0;
     }
 }

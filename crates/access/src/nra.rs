@@ -11,7 +11,7 @@
 //! certified without a single random access — the same access discipline
 //! MEDRANK uses, at the price of bound bookkeeping.
 
-use crate::error::AccessError;
+use crate::error::{check_sources, AccessError};
 use crate::model::AccessStats;
 use crate::ta::ScoreList;
 use bucketrank_core::ElementId;
@@ -37,19 +37,7 @@ pub struct NraResult {
 /// [`AccessError::InvalidK`], or [`AccessError::NonFiniteValue`] if any
 /// list contains a negative score.
 pub fn nra_top_k(lists: &[ScoreList], k: usize) -> Result<NraResult, AccessError> {
-    let first = lists.first().ok_or(AccessError::NoSources)?;
-    let n = first.len();
-    for l in lists {
-        if l.len() != n {
-            return Err(AccessError::DomainMismatch {
-                expected: n,
-                found: l.len(),
-            });
-        }
-    }
-    if k > n {
-        return Err(AccessError::InvalidK { k, domain_size: n });
-    }
+    let n = check_sources(lists.iter().map(ScoreList::len), k)?;
     // Non-negativity is a precondition of the 0-lower-bound; the smallest
     // score is the last sorted entry, so this check is O(m).
     for l in lists {

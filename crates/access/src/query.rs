@@ -78,7 +78,10 @@ impl PreferenceQuery {
     /// # Errors
     /// Planning errors, [`AccessError::NoSources`],
     /// [`AccessError::InvalidK`] if `k` exceeds the table size, or
-    /// [`AccessError::DomainMismatch`] for malformed weights.
+    /// [`AccessError::InvalidWeights`] for weights that are not one
+    /// finite, nonnegative weight per order spec with a positive sum and
+    /// a range [`weight_units`](bucketrank_aggregate::median::weight_units)
+    /// can scale exactly.
     pub fn run(&self, table: &Table) -> Result<QueryResult, AccessError> {
         let rankings = self.plan(table)?;
         let MedrankResult { top, stats } = match &self.weights {
@@ -97,6 +100,7 @@ impl PreferenceQuery {
 mod tests {
     use super::*;
     use crate::db::{AttrKind, AttrValue, Binning, Direction, TableBuilder};
+    use bucketrank_aggregate::median::WeightFault;
 
     fn flights() -> Table {
         let mut t = TableBuilder::new();
@@ -176,7 +180,10 @@ mod tests {
             .with_weights(vec![1.0, 2.0]);
         assert!(matches!(
             bad.run(&flights()),
-            Err(AccessError::DomainMismatch { .. })
+            Err(AccessError::InvalidWeights(WeightFault::Length {
+                expected: 1,
+                found: 2
+            }))
         ));
     }
 

@@ -15,6 +15,7 @@
 
 use crate::db::{AttrValue, Table};
 use crate::error::AccessError;
+use crate::medrank::{run_rounds, MedrankResult};
 use crate::model::AccessStats;
 use bucketrank_core::{BucketOrder, ElementId};
 use bucketrank_metrics::batch::{self, BatchMetric, DistanceMatrix};
@@ -114,17 +115,7 @@ impl SimilarityIndex {
     /// attribute count; [`AccessError::NonFiniteValue`] for a non-finite
     /// query value.
     pub fn attribute_rankings(&self, query: &[f64]) -> Result<Vec<BucketOrder>, AccessError> {
-        if query.len() != self.attributes.len() {
-            return Err(AccessError::DomainMismatch {
-                expected: self.attributes.len(),
-                found: query.len(),
-            });
-        }
-        if query.iter().any(|q| !q.is_finite()) {
-            return Err(AccessError::NonFiniteValue {
-                attribute: "<query>".to_owned(),
-            });
-        }
+        self.check_query(query)?;
         let mut keys = vec![0u64; self.n];
         Ok(self
             .attributes
@@ -161,16 +152,8 @@ impl SimilarityIndex {
             .expect("attribute rankings share the record domain"))
     }
 
-    /// Finds the `k` records nearest to `query` (one value per indexed
-    /// attribute) under median rank of per-attribute distance, reading
-    /// each attribute index outward from the query point only as far as
-    /// the majority rule requires.
-    ///
-    /// # Errors
-    /// [`AccessError::DomainMismatch`] if `query` does not match the
-    /// attribute count; [`AccessError::InvalidK`]; or
-    /// [`AccessError::NonFiniteValue`] for a non-finite query value.
-    pub fn nearest(&self, query: &[f64], k: usize) -> Result<SimilarityResult, AccessError> {
+    /// A query holds one finite value per indexed attribute.
+    fn check_query(&self, query: &[f64]) -> Result<(), AccessError> {
         if query.len() != self.attributes.len() {
             return Err(AccessError::DomainMismatch {
                 expected: self.attributes.len(),
@@ -182,15 +165,26 @@ impl SimilarityIndex {
                 attribute: "<query>".to_owned(),
             });
         }
+        Ok(())
+    }
+
+    /// Finds the `k` records nearest to `query` (one value per indexed
+    /// attribute) under median rank of per-attribute distance, reading
+    /// each attribute index outward from the query point only as far as
+    /// the majority rule requires.
+    ///
+    /// # Errors
+    /// [`AccessError::DomainMismatch`] if `query` does not match the
+    /// attribute count; [`AccessError::InvalidK`]; or
+    /// [`AccessError::NonFiniteValue`] for a non-finite query value.
+    pub fn nearest(&self, query: &[f64], k: usize) -> Result<SimilarityResult, AccessError> {
+        self.check_query(query)?;
         if k > self.n {
             return Err(AccessError::InvalidK {
                 k,
                 domain_size: self.n,
             });
         }
-        let m = self.attributes.len();
-        let majority = (m / 2) as u32;
-
         // Two cursors per attribute: `down` (next index below the query
         // insertion point) and `up` (next at/above). Popping yields rows
         // in nondecreasing |value − query| order; ties resolved toward
@@ -211,64 +205,25 @@ impl SimilarityIndex {
                 }
             })
             .collect();
-
-        let mut stats = AccessStats::new(m);
-        let mut counts = vec![0u32; self.n];
-        let mut emitted = vec![false; self.n];
-        let mut top = Vec::with_capacity(k);
-
-        while top.len() < k {
-            let mut any = false;
-            let mut round_winners: Vec<ElementId> = Vec::new();
-            for (ai, cur) in cursors.iter_mut().enumerate() {
-                let entries = &self.attributes[ai].entries;
-                let q = query[ai];
-                // Pop the nearer of the two cursor candidates.
-                let down_d = (cur.down >= 0)
-                    .then(|| (q - entries[cur.down as usize].0).abs());
-                let up_d = (cur.up < entries.len()).then(|| (entries[cur.up].0 - q).abs());
-                let row = match (down_d, up_d) {
-                    (None, None) => continue,
-                    (Some(_), None) => {
-                        let r = entries[cur.down as usize].1;
-                        cur.down -= 1;
-                        r
-                    }
-                    (None, Some(_)) => {
-                        let r = entries[cur.up].1;
-                        cur.up += 1;
-                        r
-                    }
-                    (Some(d), Some(u)) => {
-                        if d < u {
-                            let r = entries[cur.down as usize].1;
-                            cur.down -= 1;
-                            r
-                        } else {
-                            let r = entries[cur.up].1;
-                            cur.up += 1;
-                            r
-                        }
-                    }
-                };
-                any = true;
-                stats.sorted_depth[ai] += 1;
-                counts[row as usize] += 1;
-                if counts[row as usize] == majority + 1 && !emitted[row as usize] {
-                    round_winners.push(row);
-                }
+        let units = vec![1; self.attributes.len()];
+        let MedrankResult { top, stats } = run_rounds(self.n, &units, k, |ai, _, batch| {
+            let (cur, entries, q) = (&mut cursors[ai], &self.attributes[ai].entries, query[ai]);
+            // Pop the nearer of the two cursor candidates.
+            let down_d = (cur.down >= 0).then(|| (q - entries[cur.down as usize].0).abs());
+            let up_d = (cur.up < entries.len()).then(|| (entries[cur.up].0 - q).abs());
+            let take_down = match (down_d, up_d) {
+                (None, None) => return,
+                (Some(d), Some(u)) => d < u,
+                (down, _) => down.is_some(),
+            };
+            if take_down {
+                batch.push(entries[cur.down as usize].1);
+                cur.down -= 1;
+            } else {
+                batch.push(entries[cur.up].1);
+                cur.up += 1;
             }
-            round_winners.sort_unstable();
-            for r in round_winners {
-                if top.len() < k && !emitted[r as usize] {
-                    emitted[r as usize] = true;
-                    top.push(r);
-                }
-            }
-            if !any {
-                break;
-            }
-        }
+        });
         Ok(SimilarityResult { top, stats })
     }
 }

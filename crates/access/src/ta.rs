@@ -7,7 +7,7 @@
 //! both against the full-scan cost that average-rank (Borda) aggregation
 //! necessarily pays.
 
-use crate::error::AccessError;
+use crate::error::{check_sources, AccessError};
 use crate::model::AccessStats;
 use bucketrank_core::ElementId;
 
@@ -86,19 +86,7 @@ pub struct TaResult {
 /// [`AccessError::NoSources`], [`AccessError::DomainMismatch`], or
 /// [`AccessError::InvalidK`].
 pub fn ta_top_k(lists: &[ScoreList], k: usize) -> Result<TaResult, AccessError> {
-    let first = lists.first().ok_or(AccessError::NoSources)?;
-    let n = first.len();
-    for l in lists {
-        if l.len() != n {
-            return Err(AccessError::DomainMismatch {
-                expected: n,
-                found: l.len(),
-            });
-        }
-    }
-    if k > n {
-        return Err(AccessError::InvalidK { k, domain_size: n });
-    }
+    let n = check_sources(lists.iter().map(ScoreList::len), k)?;
 
     let m = lists.len();
     let mut stats = AccessStats::new(m);

@@ -7,22 +7,18 @@
 //! result is within factor 2 of any partial-ranking aggregation when the
 //! inputs are partial rankings, and factor 3 in general.
 //!
-//! Three implementations are provided and cross-checked:
-//!
-//! * [`optimal_bucketing`] — the paper's Figure 1: `O(n²)` time, linear
-//!   space, exploiting that `2·f(i)` is integral (always true for our
-//!   [`Pos`] half-units). **Implementation note:** the paper's Lemma 37
-//!   update assumes the crossing index `k` satisfies `k ≥ i + 1`; for
-//!   score vectors with many equal values the `WHILE` loop can leave
-//!   `k ≤ i`, making the printed update formula overshoot. We clamp `k`
-//!   to `i + 1` before applying it, which restores the intended
-//!   "count below minus count above" semantics (verified exhaustively
-//!   against brute force in the tests).
-//! * [`optimal_bucketing_table`] — the quadratic-space variant using the
-//!   anti-diagonal recurrence `c(i−1, j+1) = c(i, j) + |f(i) − m| +
-//!   |f(j+1) − m|` with shared center `m = (i+j+1)/2`.
-//! * [`optimal_bucketing_prefix`] — linear space, `O(n² log n)`, computing
-//!   each `c(i, j)` on demand from prefix sums by binary search.
+//! [`optimal_bucketing`] is the paper's Figure 1: `O(n²)` time, linear
+//! space, exploiting that `2·f(i)` is integral (always true for our
+//! [`Pos`] half-units). **Implementation note:** the paper's Lemma 37
+//! update assumes the crossing index `k` satisfies `k ≥ i + 1`; for
+//! score vectors with many equal values the `WHILE` loop can leave
+//! `k ≤ i`, making the printed update formula overshoot. We clamp `k`
+//! to `i + 1` before applying it, which restores the intended "count
+//! below minus count above" semantics (verified exhaustively against
+//! `bucketrank_bench::oracle::optimal_bucketing_brute` in the tests).
+//! The oracle also keeps the two alternative DPs experiment E5 times
+//! against it: a quadratic-space anti-diagonal table and a linear-space
+//! prefix-sum variant.
 //!
 //! All costs are reported in half-units (`2 × L1`), consistent with the
 //! rest of the workspace.
@@ -49,36 +45,21 @@ fn sort_scores(f: &[Pos]) -> (Vec<ElementId>, Vec<i64>) {
     (order, v)
 }
 
-/// Builds the bucket order from DP boundaries over the sorted elements.
-fn rebuild(order: &[ElementId], parents: &[usize], n: usize) -> BucketOrder {
-    if n == 0 {
-        return BucketOrder::trivial(0);
-    }
-    let mut bounds = Vec::new();
-    let mut j = n;
-    while j > 0 {
-        bounds.push(j);
-        j = parents[j];
-    }
-    bounds.push(0);
+/// The bucketing that cuts the sorted elements at `bounds`, listed from
+/// `n` down to 0 as the DPs' parent walks produce them.
+fn cut(order: &[ElementId], mut bounds: Vec<usize>, cost_x2: i64) -> Bucketing {
     bounds.reverse();
-    let buckets: Vec<Vec<ElementId>> = bounds
-        .windows(2)
-        .map(|w| order[w[0]..w[1]].to_vec())
-        .collect();
-    BucketOrder::from_buckets(n, buckets).expect("boundaries partition the domain")
+    let buckets = bounds.windows(2).map(|w| order[w[0]..w[1]].to_vec()).collect();
+    Bucketing {
+        order: BucketOrder::from_buckets(order.len(), buckets).expect("bounds partition the domain"),
+        cost_x2: cost_x2 as u64,
+    }
 }
 
 /// The paper's Figure 1 algorithm: optimal bucketing in `O(n²)` time and
 /// linear space. See the [module docs](self) for the `k`-clamping note.
 pub fn optimal_bucketing(f: &[Pos]) -> Bucketing {
     let n = f.len();
-    if n == 0 {
-        return Bucketing {
-            order: BucketOrder::trivial(0),
-            cost_x2: 0,
-        };
-    }
     let (order, v) = sort_scores(f);
     // 1-indexed sorted values, v1[1..=n].
     let mut v1 = vec![0i64; n + 1];
@@ -114,115 +95,11 @@ pub fn optimal_bucketing(f: &[Pos]) -> Bucketing {
         best[j] = best_j;
         parents[j] = arg;
     }
-    Bucketing {
-        order: rebuild(&order, &parents, n),
-        cost_x2: best[n] as u64,
+    let mut bounds = vec![n];
+    while let Some(&j) = bounds.last().filter(|&&j| j > 0) {
+        bounds.push(parents[j]);
     }
-}
-
-/// Quadratic-space variant: precomputes the full `c(i, j)` table along
-/// anti-diagonals (centers are shared along `i + j = const`), then runs
-/// the boundary DP. `O(n²)` time and space.
-pub fn optimal_bucketing_table(f: &[Pos]) -> Bucketing {
-    let n = f.len();
-    if n == 0 {
-        return Bucketing {
-            order: BucketOrder::trivial(0),
-            cost_x2: 0,
-        };
-    }
-    let (order, v) = sort_scores(f);
-    let mut v1 = vec![0i64; n + 1];
-    v1[1..].copy_from_slice(&v);
-    // c[i][j] for 0 ≤ i < j ≤ n; store in a flat (n+1)×(n+1) table.
-    let idx = |i: usize, j: usize| i * (n + 1) + j;
-    let mut c = vec![0i64; (n + 1) * (n + 1)];
-    // Width-1 base: c(i, i+1) = |v(i+1) − (2i+2)|.
-    for i in 0..n {
-        c[idx(i, i + 1)] = (v1[i + 1] - (2 * i as i64 + 2)).abs();
-    }
-    // Grow outward: c(i−1, j+1) = c(i, j) + |v(i) − m| + |v(j+1) − m|,
-    // m = i + j + 1 in half-units.
-    for w in 2..=n {
-        for i in 0..=(n - w) {
-            let j = i + w;
-            let m = (i + j + 1) as i64;
-            let inner = if w == 2 {
-                0 // c(i+1, j−1) with j−1 = i+1 is an empty bucket
-            } else {
-                c[idx(i + 1, j - 1)]
-            };
-            c[idx(i, j)] = inner + (v1[i + 1] - m).abs() + (v1[j] - m).abs();
-        }
-    }
-    let mut best = vec![i64::MAX; n + 1];
-    let mut parents = vec![0usize; n + 1];
-    best[0] = 0;
-    for j in 1..=n {
-        for i in 0..j {
-            if best[i] == i64::MAX {
-                continue;
-            }
-            let cand = best[i] + c[idx(i, j)];
-            if cand < best[j] {
-                best[j] = cand;
-                parents[j] = i;
-            }
-        }
-    }
-    Bucketing {
-        order: rebuild(&order, &parents, n),
-        cost_x2: best[n] as u64,
-    }
-}
-
-/// Linear-space variant computing each `c(i, j)` on demand from prefix
-/// sums with a binary search: `O(n² log n)` time, `O(n)` space, no
-/// integrality assumption on the scores.
-pub fn optimal_bucketing_prefix(f: &[Pos]) -> Bucketing {
-    let n = f.len();
-    if n == 0 {
-        return Bucketing {
-            order: BucketOrder::trivial(0),
-            cost_x2: 0,
-        };
-    }
-    let (order, v) = sort_scores(f);
-    // prefix[r] = Σ_{ℓ<r} v[ℓ] (0-indexed v).
-    let mut prefix = vec![0i64; n + 1];
-    for (r, &x) in v.iter().enumerate() {
-        prefix[r + 1] = prefix[r] + x;
-    }
-    // c(i, j) over sorted 0-indexed range [i, j): center m = i + j + 1.
-    let cost = |i: usize, j: usize| -> i64 {
-        let m = (i + j + 1) as i64;
-        // First index t in [i, j) with v[t] ≥ m.
-        let t = i + v[i..j].partition_point(|&x| x < m);
-        let below_cnt = (t - i) as i64;
-        let below_sum = prefix[t] - prefix[i];
-        let above_cnt = (j - t) as i64;
-        let above_sum = prefix[j] - prefix[t];
-        (below_cnt * m - below_sum) + (above_sum - above_cnt * m)
-    };
-    let mut best = vec![i64::MAX; n + 1];
-    let mut parents = vec![0usize; n + 1];
-    best[0] = 0;
-    for j in 1..=n {
-        for i in 0..j {
-            if best[i] == i64::MAX {
-                continue;
-            }
-            let cand = best[i] + cost(i, j);
-            if cand < best[j] {
-                best[j] = cand;
-                parents[j] = i;
-            }
-        }
-    }
-    Bucketing {
-        order: rebuild(&order, &parents, n),
-        cost_x2: best[n] as u64,
-    }
+    cut(&order, bounds, best[n])
 }
 
 /// Optimal bucketing with **at most** `max_buckets` buckets: the best
@@ -284,71 +161,11 @@ pub fn optimal_bucketing_bounded(f: &[Pos], max_buckets: usize) -> Bucketing {
         .map(|t| (t, &best[t][n]))
         .min_by_key(|&(t, &c)| (c, t))
         .expect("t_max ≥ 1");
-    // Reconstruct boundaries.
     let mut bounds = vec![n];
-    let mut j = n;
-    let mut t = best_t;
-    while t > 0 {
-        j = parent[t][j];
-        bounds.push(j);
-        t -= 1;
+    for t in (1..=best_t).rev() {
+        bounds.push(parent[t][bounds[bounds.len() - 1]]);
     }
-    bounds.reverse();
-    let buckets: Vec<Vec<ElementId>> = bounds
-        .windows(2)
-        .map(|w| order[w[0]..w[1]].to_vec())
-        .collect();
-    Bucketing {
-        order: BucketOrder::from_buckets(n, buckets).expect("bounds partition the domain"),
-        cost_x2: best_cost as u64,
-    }
-}
-
-/// Brute force: tries every composition of `n` (every type) and keeps the
-/// best. `O(2^n)`; verification only.
-///
-/// # Panics
-/// Panics if `f.len() > 20` to avoid accidental exponential blowups.
-pub fn optimal_bucketing_brute(f: &[Pos]) -> Bucketing {
-    let n = f.len();
-    assert!(n <= 20, "brute-force bucketing limited to n ≤ 20");
-    if n == 0 {
-        return Bucketing {
-            order: BucketOrder::trivial(0),
-            cost_x2: 0,
-        };
-    }
-    let (order, v) = sort_scores(f);
-    let mut best_cost = i64::MAX;
-    let mut best_bounds: Vec<usize> = vec![];
-    for mask in 0u64..(1u64 << (n - 1)) {
-        let mut bounds = vec![0usize];
-        for gap in 0..n - 1 {
-            if mask >> gap & 1 == 1 {
-                bounds.push(gap + 1);
-            }
-        }
-        bounds.push(n);
-        let mut cost = 0i64;
-        for w in bounds.windows(2) {
-            let m = (w[0] + w[1] + 1) as i64;
-            for &x in &v[w[0]..w[1]] {
-                cost += (x - m).abs();
-            }
-        }
-        if cost < best_cost {
-            best_cost = cost;
-            best_bounds = bounds;
-        }
-    }
-    let buckets: Vec<Vec<ElementId>> = best_bounds
-        .windows(2)
-        .map(|w| order[w[0]..w[1]].to_vec())
-        .collect();
-    Bucketing {
-        order: BucketOrder::from_buckets(n, buckets).expect("bounds partition the domain"),
-        cost_x2: best_cost as u64,
-    }
+    cut(&order, bounds, best_cost)
 }
 
 /// Median aggregation into an optimal partial ranking (Theorem 10): the
@@ -379,59 +196,6 @@ mod tests {
         // Reported cost must equal the actual L1 between f† and f.
         let actual = l1_x2(&b.order.positions(), f).unwrap();
         assert_eq!(actual, b.cost_x2, "cost mismatch for f = {f:?}");
-    }
-
-    #[test]
-    fn all_variants_agree_small_exhaustive() {
-        // All score vectors with half-unit values in {2,...,8}, n = 4.
-        let vals: Vec<i64> = (2..=8).collect();
-        let mut f = [0usize; 4];
-        loop {
-            let scores = pos_vec(&[
-                vals[f[0]],
-                vals[f[1]],
-                vals[f[2]],
-                vals[f[3]],
-            ]);
-            let a = optimal_bucketing(&scores);
-            let b = optimal_bucketing_table(&scores);
-            let c = optimal_bucketing_prefix(&scores);
-            let d = optimal_bucketing_brute(&scores);
-            check_cost(&scores, &a);
-            check_cost(&scores, &b);
-            check_cost(&scores, &c);
-            check_cost(&scores, &d);
-            assert_eq!(a.cost_x2, d.cost_x2, "figure-1 vs brute: f = {scores:?}");
-            assert_eq!(b.cost_x2, d.cost_x2, "table vs brute: f = {scores:?}");
-            assert_eq!(c.cost_x2, d.cost_x2, "prefix vs brute: f = {scores:?}");
-            // Odometer.
-            let mut i = 0;
-            loop {
-                if i == f.len() {
-                    return;
-                }
-                f[i] += 1;
-                if f[i] < vals.len() {
-                    break;
-                }
-                f[i] = 0;
-                i += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn constant_scores_collapse_to_one_bucket_cost() {
-        // f ≡ c: the single-bucket candidate has position (n+1)/2; the
-        // optimum depends on c but must match brute force (this is the
-        // case where the unclamped paper formula would misfire).
-        for c in 1..=9 {
-            let f = pos_vec(&[c; 5]);
-            let a = optimal_bucketing(&f);
-            let d = optimal_bucketing_brute(&f);
-            assert_eq!(a.cost_x2, d.cost_x2, "c = {c}");
-            check_cost(&f, &a);
-        }
     }
 
     #[test]
@@ -469,19 +233,6 @@ mod tests {
     }
 
     #[test]
-    fn far_separated_scores_all_bucketings_tie() {
-        // When every score exceeds every achievable position, the cost
-        // Σ(v − σ(d)) is invariant (Σ σ(d) = n(n+1)/2 for every bucket
-        // order), so all bucketings are optimal; the DP must still report
-        // a cost matching brute force.
-        let f = pos_vec(&[2, 100, 200, 300]);
-        let b = optimal_bucketing(&f);
-        let d = optimal_bucketing_brute(&f);
-        assert_eq!(b.cost_x2, d.cost_x2);
-        check_cost(&f, &b);
-    }
-
-    #[test]
     fn tight_cluster_groups_into_one_bucket() {
         // Two elements both scored 1.5 (half-units 3): the tie bucket at
         // position 1.5 costs 0, strictly better than any full ranking.
@@ -499,21 +250,6 @@ mod tests {
         assert_eq!(b.cost_x2, 0);
         assert!(b.order.is_full());
         assert_eq!(b.order.as_permutation(), Some(vec![1, 0]));
-    }
-
-    #[test]
-    fn equal_scores_order_respects_values() {
-        let f = pos_vec(&[6, 2, 6, 2, 6]);
-        let b = optimal_bucketing(&f);
-        let d = optimal_bucketing_brute(&f);
-        assert_eq!(b.cost_x2, d.cost_x2);
-        check_cost(&f, &b);
-        // Low scorers (1, 3) must precede or tie high scorers (0, 2, 4).
-        for &lo in &[1u32, 3] {
-            for &hi in &[0u32, 2, 4] {
-                assert!(!b.order.prefers(hi, lo));
-            }
-        }
     }
 
     #[test]
@@ -583,29 +319,5 @@ mod tests {
     #[should_panic(expected = "at least one bucket")]
     fn bounded_dp_zero_buckets_panics() {
         let _ = optimal_bucketing_bounded(&[Pos::from_rank(1)], 0);
-    }
-
-    #[test]
-    fn random_fuzz_against_brute() {
-        // Deterministic LCG fuzz over n ∈ {1..10}, values in 0..30.
-        let mut state = 0x243F_6A88_85A3_08D3u64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 33) as i64
-        };
-        for trial in 0..300 {
-            let n = (next() % 10 + 1) as usize;
-            let f: Vec<Pos> = (0..n)
-                .map(|_| Pos::from_half_units(next() % 30))
-                .collect();
-            let a = optimal_bucketing(&f);
-            let t = optimal_bucketing_table(&f);
-            let p = optimal_bucketing_prefix(&f);
-            let d = optimal_bucketing_brute(&f);
-            check_cost(&f, &a);
-            assert_eq!(a.cost_x2, d.cost_x2, "trial {trial}: f = {f:?}");
-            assert_eq!(t.cost_x2, d.cost_x2, "trial {trial}: f = {f:?}");
-            assert_eq!(p.cost_x2, d.cost_x2, "trial {trial}: f = {f:?}");
-        }
     }
 }

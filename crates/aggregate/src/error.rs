@@ -1,5 +1,6 @@
 //! Error type for aggregation.
 
+use crate::median::WeightFault;
 use bucketrank_core::CoreError;
 use bucketrank_metrics::MetricsError;
 use std::fmt;
@@ -98,6 +99,9 @@ pub enum AggregateError {
     /// floors collide). Raised by the constrained solvers and by
     /// [`crate::minmax::ClassConstraints::repair`].
     InfeasibleConstraints,
+    /// A voter-weight vector was rejected
+    /// ([`crate::median::weight_units`]).
+    InvalidWeights(WeightFault),
 }
 
 impl fmt::Display for AggregateError {
@@ -158,6 +162,7 @@ impl fmt::Display for AggregateError {
             AggregateError::InfeasibleConstraints => {
                 write!(f, "no permutation satisfies the class constraints")
             }
+            AggregateError::InvalidWeights(fault) => write!(f, "invalid voter weights: {fault}"),
         }
     }
 }

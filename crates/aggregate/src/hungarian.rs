@@ -89,37 +89,6 @@ pub fn solve_assignment(n: usize, cost: &[i64]) -> (Vec<usize>, i64) {
     (assignment, total)
 }
 
-/// Brute-force assignment by permutation enumeration, for differential
-/// testing.
-///
-/// # Panics
-/// Panics if `n > 9` or `cost.len() != n * n`.
-pub fn solve_assignment_brute(n: usize, cost: &[i64]) -> i64 {
-    assert!(n <= 9, "brute-force assignment limited to n ≤ 9");
-    assert_eq!(cost.len(), n * n);
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best = i64::MAX;
-    permute(&mut perm, 0, cost, n, &mut best);
-    if n == 0 {
-        0
-    } else {
-        best
-    }
-}
-
-fn permute(perm: &mut Vec<usize>, k: usize, cost: &[i64], n: usize, best: &mut i64) {
-    if k == n {
-        let total: i64 = perm.iter().enumerate().map(|(r, &c)| cost[r * n + c]).sum();
-        *best = (*best).min(total);
-        return;
-    }
-    for i in k..n {
-        perm.swap(k, i);
-        permute(perm, k + 1, cost, n, best);
-        perm.swap(k, i);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,27 +113,5 @@ mod tests {
         let cost = [-5, 0, 0, -5];
         let (_, total) = solve_assignment(2, &cost);
         assert_eq!(total, -10);
-    }
-
-    #[test]
-    fn matches_brute_force_fuzz() {
-        let mut state = 0xDEAD_BEEF_CAFE_F00Du64;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((state >> 33) % 100) as i64 - 20
-        };
-        for n in 1..=6 {
-            for _ in 0..60 {
-                let cost: Vec<i64> = (0..n * n).map(|_| next()).collect();
-                let (asg, total) = solve_assignment(n, &cost);
-                // Assignment must be a permutation.
-                let mut seen = vec![false; n];
-                for &c in &asg {
-                    assert!(!seen[c]);
-                    seen[c] = true;
-                }
-                assert_eq!(total, solve_assignment_brute(n, &cost), "n = {n}");
-            }
-        }
     }
 }

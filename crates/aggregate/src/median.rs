@@ -10,6 +10,7 @@ use crate::error::check_inputs;
 use crate::AggregateError;
 use bucketrank_core::consistent::project_to_type;
 use bucketrank_core::{BucketOrder, ElementId, Pos, TypeSeq};
+use std::fmt;
 
 /// Which representative of the median set to take when the number of
 /// inputs is even (for odd `m` the median is unique).
@@ -76,46 +77,119 @@ pub fn median_positions(
     Ok(f)
 }
 
+/// Why a voter-weight vector was rejected by [`weight_units`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WeightFault {
+    /// There is not exactly one weight per input.
+    Length {
+        /// The number of inputs.
+        expected: usize,
+        /// The number of weights given.
+        found: usize,
+    },
+    /// The entry at `index` is negative, NaN or infinite.
+    Invalid {
+        /// Index of the offending weight.
+        index: usize,
+    },
+    /// Every weight is zero.
+    AllZero,
+    /// The weights span too many binary orders of magnitude for their
+    /// sum to fit one `u128` scale with a bit to spare.
+    Range,
+}
+
+impl fmt::Display for WeightFault {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            WeightFault::Length { expected, found } => write!(f, "{found} weights for {expected} inputs"),
+            WeightFault::Invalid { index } => write!(f, "weight {index} is negative or not finite"),
+            WeightFault::AllZero => write!(f, "every weight is zero"),
+            WeightFault::Range => write!(f, "the weights span too wide a range to sum exactly"),
+        }
+    }
+}
+
+/// The weights as exact integer units over one common power of two:
+/// `units[i] = weights[i]·2^s`, with `s` the smallest shift that makes
+/// every unit an integer. Every finite `f64` is a 53-bit integer times a
+/// power of two, so nothing rounds, and majority tests read `2·mass >
+/// total` in integers: equal weights give equal units and reproduce the
+/// unweighted rule exactly, whatever the weight. The total is at most
+/// `u128::MAX / 2`, so doubling any partial sum cannot overflow.
+///
+/// # Errors
+/// A [`WeightFault`]: not `inputs` weights, a negative or non-finite
+/// entry, all zeros, or a total that does not fit.
+pub fn weight_units(weights: &[f64], inputs: usize) -> Result<Vec<u128>, WeightFault> {
+    if weights.len() != inputs {
+        return Err(WeightFault::Length {
+            expected: inputs,
+            found: weights.len(),
+        });
+    }
+    // Each weight as odd mantissa · 2^exp (a zero as mantissa 0).
+    let mut parts = Vec::with_capacity(inputs);
+    for (index, &w) in weights.iter().enumerate() {
+        if !w.is_finite() || w < 0.0 {
+            return Err(WeightFault::Invalid { index });
+        }
+        let bits = w.abs().to_bits(); // abs clears the sign of -0.0
+        let frac = bits & ((1 << 52) - 1);
+        let (mant, exp) = match (bits >> 52) as i32 {
+            0 => (frac, -1074),
+            field => (frac | 1 << 52, field - 1075),
+        };
+        let tz = mant.trailing_zeros().min(52);
+        parts.push((mant >> tz, exp + tz as i32));
+    }
+    let nonzero = parts.iter().filter(|&&(mant, _)| mant != 0);
+    let low = nonzero.map(|&(_, exp)| exp).min().ok_or(WeightFault::AllZero)?;
+    let mut total = 0u128;
+    let mut units = Vec::with_capacity(inputs);
+    for (mant, exp) in parts {
+        let (mant, shift) = (u128::from(mant), if mant == 0 { 0 } else { (exp - low) as u32 });
+        // A unit reaching the top bit, or a total past half, is out of
+        // range; below that the sum cannot overflow.
+        if shift >= mant.leading_zeros() || total + (mant << shift) > u128::MAX / 2 {
+            return Err(WeightFault::Range);
+        }
+        total += mant << shift;
+        units.push(mant << shift);
+    }
+    Ok(units)
+}
+
 /// The per-element **weighted** median of the inputs' positions: voter
 /// `i` counts with weight `weights[i]`. The (lower) weighted median of a
 /// value multiset is the smallest value whose cumulative weight reaches
 /// half the total; it minimizes the weighted `L1` objective
 /// `Σ_i w_i·L1(g, σ_i)` exactly as Lemma 8 does in the unweighted case.
-///
-/// With all weights equal this coincides with
-/// [`median_positions`]`(…, MedianPolicy::Lower)`.
+/// The weights are compared as exact [`weight_units`], so with all
+/// weights equal this is [`median_positions`]`(…, MedianPolicy::Lower)`.
 ///
 /// # Errors
 /// [`AggregateError::NoInputs`] / [`AggregateError::DomainMismatch`];
-/// weights must match the inputs in number and have a positive sum
-/// (violations are reported as [`AggregateError::DomainMismatch`] with
-/// the weight count).
+/// [`AggregateError::InvalidWeights`] for a weight vector
+/// [`weight_units`] rejects.
 pub fn weighted_median_positions(
     inputs: &[BucketOrder],
     weights: &[f64],
 ) -> Result<Vec<Pos>, AggregateError> {
     let n = check_inputs(inputs)?;
-    if weights.len() != inputs.len()
-        || weights.iter().any(|w| !w.is_finite() || *w < 0.0)
-        || weights.iter().sum::<f64>() <= 0.0
-    {
-        return Err(AggregateError::DomainMismatch {
-            expected: inputs.len(),
-            found: weights.len(),
-        });
-    }
-    let half = weights.iter().sum::<f64>() / 2.0;
+    let units = weight_units(weights, inputs.len()).map_err(AggregateError::InvalidWeights)?;
+    let total: u128 = units.iter().sum();
     let mut f = Vec::with_capacity(n);
-    let mut scratch: Vec<(Pos, f64)> = Vec::with_capacity(inputs.len());
+    let mut scratch: Vec<(Pos, u128)> = Vec::with_capacity(inputs.len());
     for e in 0..n as ElementId {
         scratch.clear();
-        scratch.extend(inputs.iter().zip(weights).map(|(s, &w)| (s.position(e), w)));
+        scratch.extend(inputs.iter().zip(&units).map(|(s, &w)| (s.position(e), w)));
         scratch.sort_by_key(|a| a.0);
-        let mut acc = 0.0;
+        let mut acc = 0;
         let mut med = scratch.last().expect("inputs nonempty").0;
         for &(p, w) in &scratch {
             acc += w;
-            if acc >= half {
+            if 2 * acc >= total {
                 med = p;
                 break;
             }
@@ -395,10 +469,47 @@ mod tests {
     #[test]
     fn weighted_median_rejects_bad_weights() {
         let inputs = [keys(&[1, 2]), keys(&[2, 1])];
-        assert!(weighted_median_positions(&inputs, &[1.0]).is_err());
-        assert!(weighted_median_positions(&inputs, &[1.0, -1.0]).is_err());
-        assert!(weighted_median_positions(&inputs, &[0.0, 0.0]).is_err());
-        assert!(weighted_median_positions(&inputs, &[f64::NAN, 1.0]).is_err());
+        let fault = |w: &[f64], fault| {
+            let err = weighted_median_positions(&inputs, w).unwrap_err();
+            assert_eq!(err, AggregateError::InvalidWeights(fault), "weights {w:?}");
+        };
+        fault(&[1.0], WeightFault::Length { expected: 2, found: 1 });
+        fault(&[1.0, -1.0], WeightFault::Invalid { index: 1 });
+        fault(&[0.0, 0.0], WeightFault::AllZero);
+        fault(&[f64::NAN, 1.0], WeightFault::Invalid { index: 0 });
+        fault(&[1e300, 1e-300], WeightFault::Range);
+    }
+
+    #[test]
+    fn equal_tenths_give_the_unweighted_lower_median() {
+        // Fourteen voters ranking element 0 at 1, 2, …, 14: the lower
+        // median is 7. Summed in f64, fourteen weights of 0.1 total
+        // 1.4000000000000001 and the running sum first reaches half of
+        // that at the 8th voter.
+        let inputs: Vec<BucketOrder> = (0..14)
+            .map(|r| {
+                let mut perm: Vec<ElementId> = (1..14).collect();
+                perm.insert(r, 0);
+                BucketOrder::from_permutation(&perm).unwrap()
+            })
+            .collect();
+        let plain = median_positions(&inputs, MedianPolicy::Lower).unwrap();
+        assert_eq!(plain[0], Pos::from_rank(7));
+        let tenths = weighted_median_positions(&inputs, &[0.1; 14]).unwrap();
+        assert_eq!(tenths, plain);
+    }
+
+    #[test]
+    fn weight_units_are_exact() {
+        assert_eq!(weight_units(&[1.0, 1.0, 1.0], 3), Ok(vec![1, 1, 1]));
+        assert_eq!(weight_units(&[0.5, 2.0, 0.0], 3), Ok(vec![1, 4, 0]));
+        let tenths = weight_units(&[0.1; 6], 6).unwrap();
+        assert!(tenths.iter().all(|&u| u == tenths[0] && u % 2 == 1));
+        let mixed = weight_units(&[0.1, 0.2, 0.3], 3).unwrap();
+        assert_eq!(mixed[1], 2 * mixed[0]);
+        assert_eq!(weight_units(&[f64::INFINITY], 1), Err(WeightFault::Invalid { index: 0 }));
+        assert_eq!(weight_units(&[5e-324, 1e-323], 2), Ok(vec![1, 2]));
+        assert_eq!(weight_units(&[5e-324, 1.0], 2), Err(WeightFault::Range));
     }
 
     #[test]

@@ -36,14 +36,13 @@
 //! report's `gates` section records each gate's ratio with its
 //! quartiles.
 
-use bucketrank_bench::oracle::NestedOrder;
+use bucketrank_bench::oracle::{pairwise_matrix_with, NestedOrder};
 use bucketrank_bench::report::{env_usize, fast_mode, out_path, BenchReport};
 use bucketrank_bench::roofline::memcpy_bandwidth;
 use bucketrank_bench::timing::{ab, group, AbRatio, AbRounds, Measurement, Sampler};
 use bucketrank_core::BucketOrder;
 use bucketrank_metrics::batch::{
-    pairwise_matrix, pairwise_matrix_with, prepare_all, weighted_pairwise_matrix, BatchMetric,
-    WeightedMetric,
+    pairwise_matrix, prepare_all, weighted_pairwise_matrix, BatchMetric, WeightedMetric,
 };
 use bucketrank_metrics::prepared::pair_counts_sweep;
 use bucketrank_metrics::{PreparedRanking, Weights};

@@ -4,9 +4,8 @@
 //!
 //! Run with `cargo run --release -p bucketrank-bench --bin bench_dp`.
 
-use bucketrank_aggregate::dp::{
-    optimal_bucketing, optimal_bucketing_prefix, optimal_bucketing_table,
-};
+use bucketrank_aggregate::dp::optimal_bucketing;
+use bucketrank_bench::oracle::{optimal_bucketing_prefix, optimal_bucketing_table};
 use bucketrank_bench::timing::{group, Sampler};
 use bucketrank_core::Pos;
 use bucketrank_workloads::rng::{Pcg32, Rng, SeedableRng};

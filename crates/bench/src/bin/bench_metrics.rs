@@ -4,8 +4,9 @@
 //!
 //! Run with `cargo run --release -p bucketrank-bench --bin bench_metrics`.
 
+use bucketrank_bench::oracle::pair_counts_naive;
 use bucketrank_bench::timing::{group, Sampler};
-use bucketrank_metrics::pairs::{pair_counts, pair_counts_naive};
+use bucketrank_metrics::pairs::pair_counts;
 use bucketrank_metrics::{footrule, full, hausdorff, kendall};
 use bucketrank_workloads::random::{random_few_valued, random_full_ranking};
 use bucketrank_workloads::rng::{Pcg32, SeedableRng};

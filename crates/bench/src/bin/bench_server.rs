@@ -50,7 +50,9 @@
 
 use bucketrank_bench::report::{fast_mode, out_path, BenchReport};
 use bucketrank_bench::timing::ab;
-use bucketrank_server::{Client, MetricKind, Request, Server, ServerConfig, WirePolicy};
+use bucketrank_server::{
+    Client, MetricKind, Request, Server, ServerConfig, ServiceConfig, WirePolicy,
+};
 use bucketrank_workloads::random::{random_few_valued, ZipfSampler};
 use bucketrank_workloads::rng::{Pcg32, Rng, SeedableRng};
 use std::net::{SocketAddr, TcpStream};
@@ -408,7 +410,10 @@ fn main() {
             max_connections: idle_conns + 64,
             // Room for the million-user-day session table; doubled so
             // an uneven shard hash can't trip the per-shard cap.
-            max_sessions: mud_sessions * 2,
+            service: ServiceConfig {
+                max_sessions: mud_sessions * 2,
+                ..ServiceConfig::default()
+            },
             ..ServerConfig::default()
         },
     )
@@ -483,7 +488,10 @@ fn main() {
         "127.0.0.1:0",
         ServerConfig {
             workers: clients.max(2),
-            shards: 1,
+            service: ServiceConfig {
+                shards: 1,
+                ..ServiceConfig::default()
+            },
             ..ServerConfig::default()
         },
     )

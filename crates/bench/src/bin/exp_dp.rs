@@ -6,9 +6,9 @@
 //! agreement of all variants on every instance; the linear-space Figure-1
 //! variant fastest in memory terms and competitive in time.
 
-use bucketrank_aggregate::dp::{
-    optimal_bucketing, optimal_bucketing_brute, optimal_bucketing_prefix,
-    optimal_bucketing_table,
+use bucketrank_aggregate::dp::optimal_bucketing;
+use bucketrank_bench::oracle::{
+    optimal_bucketing_brute, optimal_bucketing_prefix, optimal_bucketing_table,
 };
 use bucketrank_bench::{timed, Table};
 use bucketrank_core::Pos;

@@ -5,10 +5,11 @@
 //! (b) the closed form `|U| + max{|S|,|T|}` equals `KHaus`; then reports
 //! the cost of the closed form at scale.
 
+use bucketrank_bench::oracle::{fhaus_brute, khaus_brute, khaus_theorem5};
 use bucketrank_bench::{timed, Table};
 use bucketrank_core::consistent::all_bucket_orders;
 use bucketrank_core::refine::count_full_refinements;
-use bucketrank_metrics::hausdorff::{fhaus, fhaus_brute, khaus, khaus_brute, khaus_theorem5};
+use bucketrank_metrics::hausdorff::{fhaus, khaus};
 use bucketrank_workloads::random::random_few_valued;
 use bucketrank_workloads::rng::Pcg32;
 use bucketrank_workloads::rng::SeedableRng;

@@ -6,8 +6,9 @@
 //! quadratic reference overtakes them in cost by one to two orders of
 //! magnitude by n ≈ 8192.
 
+use bucketrank_bench::oracle::pair_counts_naive;
 use bucketrank_bench::{timed, Table};
-use bucketrank_metrics::pairs::{pair_counts, pair_counts_naive};
+use bucketrank_metrics::pairs::pair_counts;
 use bucketrank_metrics::{footrule, hausdorff, kendall};
 use bucketrank_workloads::random::random_few_valued;
 use bucketrank_workloads::rng::Pcg32;

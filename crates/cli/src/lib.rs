@@ -481,16 +481,17 @@ pub fn cmd_serve(
     if let Some(p) = pipeline_depth {
         config.pipeline_depth = p;
     }
+    let service = &mut config.service;
     if let Some(s) = shards {
-        config.shards = s;
+        service.shards = s;
     }
     if let Some(m) = max_sessions {
-        config.max_sessions = m;
+        service.max_sessions = m;
     }
     if let Some(c) = checkpoint_every {
-        config.checkpoint_every = c;
+        service.checkpoint_every = c;
     }
-    config.data_dir = data_dir.map(std::path::PathBuf::from);
+    service.data_dir = data_dir.map(std::path::PathBuf::from);
     if config.workers == 0 || config.queue_depth == 0 || config.max_connections == 0 {
         return err("serve needs --workers, --queue-depth, and --max-conns ≥ 1");
     }
@@ -500,10 +501,10 @@ pub fn cmd_serve(
     if config.max_frame < 16 || config.pipeline_depth == 0 {
         return err("serve needs --max-frame ≥ 16 and --pipeline-depth ≥ 1");
     }
-    if config.shards == 0 || config.shards > MAX_SHARDS {
+    if config.service.shards == 0 || config.service.shards > MAX_SHARDS {
         return err(format!("serve needs --shards in 1..={MAX_SHARDS}"));
     }
-    if config.max_sessions == 0 || config.checkpoint_every == 0 {
+    if config.service.max_sessions == 0 || config.service.checkpoint_every == 0 {
         return err("serve needs --max-sessions and --checkpoint-every ≥ 1");
     }
     let server =

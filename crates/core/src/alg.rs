@@ -120,19 +120,6 @@ pub fn count_inversions<K: Ord>(keys: &[K]) -> u64 {
     inversions
 }
 
-/// Reference `O(n²)` inversion count, for differential testing.
-pub fn count_inversions_naive<K: Ord>(keys: &[K]) -> u64 {
-    let mut c = 0u64;
-    for i in 0..keys.len() {
-        for j in i + 1..keys.len() {
-            if keys[i] > keys[j] {
-                c += 1;
-            }
-        }
-    }
-    c
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,32 +162,6 @@ mod tests {
         assert_eq!(count_inversions::<u32>(&[]), 0);
         assert_eq!(count_inversions(&[7u32]), 0);
         assert_eq!(count_inversions(&[1u32, 1, 1]), 0);
-    }
-
-    #[test]
-    fn inversions_match_naive_exhaustive() {
-        // All sequences over {0,1,2} of length 5.
-        let mut seq = [0u8; 5];
-        loop {
-            assert_eq!(
-                count_inversions(&seq),
-                count_inversions_naive(&seq),
-                "seq = {seq:?}"
-            );
-            // Odometer.
-            let mut i = 0;
-            loop {
-                if i == seq.len() {
-                    return;
-                }
-                seq[i] += 1;
-                if seq[i] < 3 {
-                    break;
-                }
-                seq[i] = 0;
-                i += 1;
-            }
-        }
     }
 
     #[test]

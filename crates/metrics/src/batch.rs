@@ -18,10 +18,10 @@
 //! buffers for the whole matrix.
 //!
 //! The batch entry points take a [`BatchMetric`] naming one of the
-//! paper's metrics on its canonical integer scale. Custom distance
-//! functions can still be batched with the `*_with` variants, which are
-//! also the naive reference implementation the regression tests compare
-//! against.
+//! paper's metrics on its canonical integer scale, or a
+//! [`WeightedMetric`] with its weights. The per-pair double loop over
+//! the direct functions that the tests and benches compare these
+//! builders against is `bucketrank_bench::oracle::pairwise_matrix_with`.
 
 use crate::error::check_same_domain;
 use crate::prepared::{
@@ -272,22 +272,6 @@ pub fn pairwise_matrix_prepared(
     fill(prepared.len(), |i, j| metric.prepared(&prepared[i], &prepared[j]))
 }
 
-/// Computes the pairwise matrix with an arbitrary
-/// distance function, calling it once per unordered pair. This is the
-/// naive reference path — the prepared engine must match it exactly —
-/// and the escape hatch for distances without a prepared kernel.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] if the rankings differ in domain, or
-/// the first error (by pair order) from the distance function.
-pub fn pairwise_matrix_with<D>(orders: &[BucketOrder], d: D) -> Result<DistanceMatrix, MetricsError>
-where
-    D: Fn(&BucketOrder, &BucketOrder) -> Result<u64, MetricsError>,
-{
-    check_profile(orders)?;
-    fill(orders.len(), |i, j| d(&orders[i], &orders[j]))
-}
-
 /// Per-ranking score vectors for a weighted matrix, after validating
 /// the shared domain and the weights' length once.
 fn weighted_scores_all(
@@ -348,16 +332,6 @@ mod tests {
     }
 
     #[test]
-    fn prepared_engine_matches_naive_reference_for_all_metrics() {
-        let p = profile();
-        for metric in BatchMetric::ALL {
-            let naive = pairwise_matrix_with(&p, |a, b| metric.direct(a, b)).unwrap();
-            let seq = pairwise_matrix(&p, metric).unwrap();
-            assert_eq!(naive, seq, "{}", metric.name());
-        }
-    }
-
-    #[test]
     fn prepared_views_are_reusable_across_metrics() {
         let p = profile();
         let prepared = prepare_all(&p).unwrap();
@@ -387,29 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_matrix_matches_naive_and_prepared_paths() {
-        let p = profile();
-        let w = Weights::from_units((1..=12u64).rev().collect()).unwrap();
-        for metric in WeightedMetric::ALL {
-            let naive = pairwise_matrix_with(&p, |a, b| metric.naive(a, b, &w)).unwrap();
-            let mx = weighted_pairwise_matrix(&p, metric, &w).unwrap();
-            assert_eq!(naive, mx, "{}", metric.name());
-            // The prepared pair kernel agrees with the matrix entries too.
-            let prepared = prepare_all(&p).unwrap();
-            let kernel = match metric {
-                WeightedMetric::WeightedFootruleX2 => weighted::weighted_footrule_x2_prepared,
-                WeightedMetric::TopDiff => weighted::top_diff_prepared,
-            };
-            assert_eq!(
-                kernel(&prepared[0], &prepared[1], &w).unwrap(),
-                mx.get(0, 1),
-                "{} prepared kernel",
-                metric.name()
-            );
-        }
-    }
-
-    #[test]
     fn weighted_matrix_rejects_bad_shapes() {
         let p = profile();
         let short = Weights::uniform(3);
@@ -421,13 +372,6 @@ mod tests {
             let mixed = vec![BucketOrder::trivial(3), BucketOrder::trivial(4)];
             assert!(weighted_pairwise_matrix(&mixed, metric, &short).is_err());
         }
-    }
-
-    #[test]
-    fn domain_mismatch_detected() {
-        let p = vec![BucketOrder::trivial(3), BucketOrder::trivial(4)];
-        assert!(pairwise_matrix(&p, BatchMetric::KProfX2).is_err());
-        assert!(pairwise_matrix_with(&p, crate::kendall::kprof_x2).is_err());
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! and the Spearman footrule `F`, plus the Diaconis–Graham inequalities.
 
 use crate::error::check_same_domain;
-use crate::{pairs, MetricsError};
+use crate::MetricsError;
 use bucketrank_core::alg::count_inversions;
 use bucketrank_core::{BucketOrder, ElementId};
 
@@ -26,24 +26,6 @@ pub fn kendall(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsErr
         .map(|&e| tau.bucket_index(e) as u32)
         .collect();
     Ok(count_inversions(&tau_rank))
-}
-
-/// Reference `O(n²)` Kendall tau on full rankings.
-pub fn kendall_naive(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    check_same_domain(sigma, tau)?;
-    if !sigma.is_full() || !tau.is_full() {
-        return Err(MetricsError::NotFullRanking);
-    }
-    let n = sigma.len() as ElementId;
-    let mut k = 0u64;
-    for i in 0..n {
-        for j in i + 1..n {
-            if sigma.prefers(i, j) != tau.prefers(i, j) {
-                k += 1;
-            }
-        }
-    }
-    Ok(k)
 }
 
 /// Spearman footrule distance `F(σ, τ) = Σ_d |σ(d) − τ(d)|` between two
@@ -89,15 +71,6 @@ pub fn kendall_diameter(n: usize) -> u64 {
 /// (also the `Fprof` and `FHaus` diameter).
 pub fn footrule_diameter(n: usize) -> u64 {
     (n as u64) * (n as u64) / 2
-}
-
-/// Kendall tau distance for full rankings via the generic pair-statistics
-/// engine (used in differential tests; prefer [`kendall`]).
-pub fn kendall_via_pairs(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    if !sigma.is_full() || !tau.is_full() {
-        return Err(MetricsError::NotFullRanking);
-    }
-    Ok(pairs::pair_counts(sigma, tau)?.discordant)
 }
 
 #[cfg(test)]
@@ -163,18 +136,6 @@ mod tests {
                 let (k, f) = diaconis_graham(a, b).unwrap();
                 assert!(k <= f, "K ≤ F failed: {a:?} {b:?}");
                 assert!(f <= 2 * k || k == 0, "F ≤ 2K failed: {a:?} {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_equals_naive_and_pairs_exhaustive() {
-        let perms = all_perms(4);
-        for a in &perms {
-            for b in &perms {
-                let k = kendall(a, b).unwrap();
-                assert_eq!(k, kendall_naive(a, b).unwrap());
-                assert_eq!(k, kendall_via_pairs(a, b).unwrap());
             }
         }
     }

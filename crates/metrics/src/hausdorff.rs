@@ -23,7 +23,7 @@
 use crate::error::check_same_domain;
 use crate::pairs::pair_counts;
 use crate::{full, MetricsError};
-use bucketrank_core::refine::{full_refinements, star_chain};
+use bucketrank_core::refine::star_chain;
 use bucketrank_core::BucketOrder;
 
 /// `KHaus(σ, τ)` via Proposition 6: `|U| + max{|S|, |T|}`. `O(n log n)`.
@@ -70,16 +70,6 @@ pub fn fhaus(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError
     Ok(full::footrule(&s1, &t1)?.max(full::footrule(&s2, &t2)?))
 }
 
-/// `KHaus(σ, τ)` via the Theorem 5 characterization (used to cross-check
-/// [`khaus`]; both are `O(n log n)` but the closed form is cheaper).
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn khaus_theorem5(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    let ((s1, t1), (s2, t2)) = theorem5_witnesses(sigma, tau)?;
-    Ok(full::kendall(&s1, &t1)?.max(full::kendall(&s2, &t2)?))
-}
-
 /// Lemma 3 as a public API: the distance from a **full** ranking `sigma`
 /// to the *nearest* full refinement of `tau`, for both metrics at once:
 /// returns `(K(σ, σ∗τ), F(σ, σ∗τ))`. The minimizing refinement itself is
@@ -106,53 +96,6 @@ pub fn nearest_refinement_distance(
     ))
 }
 
-/// Generic Hausdorff distance between two finite sets under a distance
-/// function (equation (2) of the paper).
-///
-/// # Panics
-/// Panics if either set is empty.
-pub fn hausdorff_sets<T, D: Fn(&T, &T) -> u64>(a: &[T], b: &[T], d: D) -> u64 {
-    assert!(
-        !a.is_empty() && !b.is_empty(),
-        "Hausdorff distance requires nonempty sets"
-    );
-    let one_sided = |xs: &[T], ys: &[T]| -> u64 {
-        xs.iter()
-            .map(|x| ys.iter().map(|y| d(x, y)).min().expect("nonempty"))
-            .max()
-            .expect("nonempty")
-    };
-    one_sided(a, b).max(one_sided(b, a))
-}
-
-/// Brute-force `FHaus` by enumerating all full refinements. Exponential;
-/// verification on small domains only.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn fhaus_brute(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    check_same_domain(sigma, tau)?;
-    let refs_s: Vec<BucketOrder> = full_refinements(sigma).collect();
-    let refs_t: Vec<BucketOrder> = full_refinements(tau).collect();
-    Ok(hausdorff_sets(&refs_s, &refs_t, |a, b| {
-        full::footrule(a, b).expect("full refinements share the domain")
-    }))
-}
-
-/// Brute-force `KHaus` by enumerating all full refinements. Exponential;
-/// verification on small domains only.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains.
-pub fn khaus_brute(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    check_same_domain(sigma, tau)?;
-    let refs_s: Vec<BucketOrder> = full_refinements(sigma).collect();
-    let refs_t: Vec<BucketOrder> = full_refinements(tau).collect();
-    Ok(hausdorff_sets(&refs_s, &refs_t, |a, b| {
-        full::kendall(a, b).expect("full refinements share the domain")
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,55 +104,6 @@ mod tests {
 
     fn bo(n: usize, buckets: Vec<Vec<ElementId>>) -> BucketOrder {
         BucketOrder::from_buckets(n, buckets).unwrap()
-    }
-
-    #[test]
-    fn khaus_closed_form_matches_theorem5_and_brute_exhaustive() {
-        let orders = all_bucket_orders(4);
-        for a in &orders {
-            for b in &orders {
-                let closed = khaus(a, b).unwrap();
-                assert_eq!(closed, khaus_theorem5(a, b).unwrap(), "{a:?} {b:?}");
-            }
-        }
-        // Brute force is heavier; restrict to n = 3 exhaustive.
-        for a in all_bucket_orders(3) {
-            for b in all_bucket_orders(3) {
-                assert_eq!(khaus(&a, &b).unwrap(), khaus_brute(&a, &b).unwrap());
-            }
-        }
-    }
-
-    #[test]
-    fn fhaus_theorem5_matches_brute_exhaustive() {
-        for a in all_bucket_orders(3) {
-            for b in all_bucket_orders(3) {
-                assert_eq!(
-                    fhaus(&a, &b).unwrap(),
-                    fhaus_brute(&a, &b).unwrap(),
-                    "{a:?} {b:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fhaus_matches_brute_on_n4_spot() {
-        // A non-exhaustive but tie-heavy slice of n = 4.
-        let cases = [
-            bo(4, vec![vec![0, 1, 2, 3]]),
-            bo(4, vec![vec![0, 1], vec![2, 3]]),
-            bo(4, vec![vec![3], vec![0, 1, 2]]),
-            bo(4, vec![vec![1, 2], vec![0], vec![3]]),
-            BucketOrder::identity(4),
-            BucketOrder::identity(4).reverse(),
-        ];
-        for a in &cases {
-            for b in &cases {
-                assert_eq!(fhaus(a, b).unwrap(), fhaus_brute(a, b).unwrap());
-                assert_eq!(khaus(a, b).unwrap(), khaus_brute(a, b).unwrap());
-            }
-        }
     }
 
     #[test]
@@ -270,20 +164,6 @@ mod tests {
         assert_eq!(nearest_refinement_distance(&good, &tau).unwrap(), (0, 0));
         // Tied σ rejected.
         assert!(nearest_refinement_distance(&tau, &tau).is_err());
-    }
-
-    #[test]
-    fn generic_hausdorff() {
-        let a = [0i64, 10];
-        let b = [2i64, 3];
-        let d = |x: &i64, y: &i64| x.abs_diff(*y);
-        assert_eq!(hausdorff_sets(&a, &b, d), 7); // 10 is 7 from {2,3}
-    }
-
-    #[test]
-    #[should_panic(expected = "nonempty")]
-    fn generic_hausdorff_empty_panics() {
-        hausdorff_sets::<i64, _>(&[], &[1], |x, y| x.abs_diff(*y));
     }
 
     #[test]

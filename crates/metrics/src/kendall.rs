@@ -2,9 +2,8 @@
 //! `K^(p)` (Section 3.1), the profile metric `Kprof = K^(1/2)`, and the
 //! averaging variant `Kavg` (Appendix A.3).
 
-use crate::pairs::{pair_counts, pair_counts_naive};
+use crate::pairs::pair_counts;
 use crate::MetricsError;
-use bucketrank_core::refine::full_refinements;
 use bucketrank_core::BucketOrder;
 
 /// The Kendall distance with penalty parameter `p ∈ [0, 1]`:
@@ -43,12 +42,6 @@ pub fn kprof(sigma: &BucketOrder, tau: &BucketOrder) -> Result<f64, MetricsError
     Ok(kprof_x2(sigma, tau)? as f64 / 2.0)
 }
 
-/// Reference `O(n²)` implementation of `2·Kprof`, for differential tests.
-pub fn kprof_x2_naive(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    let c = pair_counts_naive(sigma, tau)?;
-    Ok(2 * c.discordant + c.tied_exactly_one())
-}
-
 /// **Twice** `Kavg(σ, τ)`: the average Kendall distance `K(σ̄, τ̄)` over
 /// all pairs of full refinements `σ̄ ⪯ σ`, `τ̄ ⪯ τ` (Appendix A.3).
 ///
@@ -65,28 +58,6 @@ pub fn kprof_x2_naive(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, Met
 pub fn kavg_x2(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
     let c = pair_counts(sigma, tau)?;
     Ok(2 * c.discordant + c.tied_exactly_one() + c.tied_both)
-}
-
-/// Brute-force `2·Kavg` by enumerating all refinement pairs. Exponential;
-/// for verification on small domains only.
-///
-/// # Errors
-/// [`MetricsError::DomainMismatch`] on differing domains;
-/// panics only on arithmetic overflow (unreachable for test-sized inputs).
-pub fn kavg_x2_brute(sigma: &BucketOrder, tau: &BucketOrder) -> Result<u64, MetricsError> {
-    crate::error::check_same_domain(sigma, tau)?;
-    let mut total: u128 = 0;
-    let mut count: u128 = 0;
-    for s in full_refinements(sigma) {
-        for t in full_refinements(tau) {
-            total += crate::full::kendall(&s, &t)? as u128;
-            count += 1;
-        }
-    }
-    // 2·avg = 2·total/count; exactness guaranteed because 2·Kavg is integral.
-    let doubled = 2 * total;
-    debug_assert_eq!(doubled % count, 0, "2·Kavg should be integral");
-    Ok((doubled / count) as u64)
 }
 
 #[cfg(test)]
@@ -119,16 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn kprof_x2_matches_naive_exhaustive() {
-        let orders = all_bucket_orders(4);
-        for a in &orders {
-            for b in &orders {
-                assert_eq!(kprof_x2(a, b).unwrap(), kprof_x2_naive(a, b).unwrap());
-            }
-        }
-    }
-
-    #[test]
     fn kprof_is_metric_on_n3() {
         let orders = all_bucket_orders(3);
         for a in &orders {
@@ -154,20 +115,6 @@ mod tests {
             kprof_x2(&a, &b).unwrap(),
             2 * crate::full::kendall(&a, &b).unwrap()
         );
-    }
-
-    #[test]
-    fn kavg_formula_matches_brute_force() {
-        let orders = all_bucket_orders(3);
-        for a in &orders {
-            for b in &orders {
-                assert_eq!(
-                    kavg_x2(a, b).unwrap(),
-                    kavg_x2_brute(a, b).unwrap(),
-                    "a = {a:?}, b = {b:?}"
-                );
-            }
-        }
     }
 
     #[test]

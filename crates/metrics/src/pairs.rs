@@ -118,35 +118,6 @@ pub fn pair_counts(sigma: &BucketOrder, tau: &BucketOrder) -> Result<PairCounts,
     })
 }
 
-/// Reference `O(n²)` pair statistics, for differential testing.
-pub fn pair_counts_naive(
-    sigma: &BucketOrder,
-    tau: &BucketOrder,
-) -> Result<PairCounts, MetricsError> {
-    check_same_domain(sigma, tau)?;
-    let n = sigma.len() as ElementId;
-    let mut c = PairCounts::default();
-    for i in 0..n {
-        for j in i + 1..n {
-            let ts = sigma.is_tied(i, j);
-            let tt = tau.is_tied(i, j);
-            match (ts, tt) {
-                (true, true) => c.tied_both += 1,
-                (true, false) => c.tied_left_only += 1,
-                (false, true) => c.tied_right_only += 1,
-                (false, false) => {
-                    if sigma.prefers(i, j) == tau.prefers(i, j) {
-                        c.concordant += 1;
-                    } else {
-                        c.discordant += 1;
-                    }
-                }
-            }
-        }
-    }
-    Ok(c)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,32 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn domain_mismatch() {
-        let a = BucketOrder::trivial(2);
-        let b = BucketOrder::trivial(3);
-        assert!(pair_counts(&a, &b).is_err());
-        assert!(pair_counts_naive(&a, &b).is_err());
-    }
-
-    #[test]
     fn tiny_domains() {
         let e = BucketOrder::trivial(0);
         assert_eq!(pair_counts(&e, &e).unwrap(), PairCounts::default());
         let one = BucketOrder::trivial(1);
         assert_eq!(pair_counts(&one, &one).unwrap(), PairCounts::default());
-    }
-
-    #[test]
-    fn fast_equals_naive_exhaustive_n4() {
-        let orders = all_bucket_orders(4);
-        for a in &orders {
-            for b in &orders {
-                let fast = pair_counts(a, b).unwrap();
-                let naive = pair_counts_naive(a, b).unwrap();
-                assert_eq!(fast, naive, "a = {a:?}, b = {b:?}");
-                assert_eq!(fast.total(), 6);
-            }
-        }
     }
 
     #[test]

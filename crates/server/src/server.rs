@@ -65,7 +65,7 @@ use crate::proto::{
     encode_batch_reply, write_frame, FrameError, FrameReader, ProtoError, Request, Response,
     WireRequest, DEFAULT_MAX_FRAME,
 };
-use crate::service::Service;
+use crate::service::{Service, ServiceConfig};
 use crate::ErrorCode;
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
@@ -93,23 +93,13 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Maximum frame-body size accepted or produced.
     pub max_frame: usize,
-    /// Maximum live sessions in the service registry.
-    pub max_sessions: usize,
     /// Per-connection bound on parsed-but-unanswered ops; past it the
     /// event loop stops reading that socket (TCP backpressure) until
     /// replies drain.
     pub pipeline_depth: usize,
-    /// Session-registry shards (`1..=`[`crate::proto::MAX_SHARDS`]);
-    /// edits on different shards never contend.
-    pub shards: usize,
-    /// Durable state root; `None` runs memory-only. With a directory
-    /// set, every acknowledged edit is on its shard's WAL before the
-    /// reply, and a rebind over the same directory (with the same
-    /// shard count) recovers every acknowledged edit.
-    pub data_dir: Option<std::path::PathBuf>,
-    /// WAL records a shard accumulates before checkpointing its
-    /// sessions and truncating the log.
-    pub checkpoint_every: u64,
+    /// The session service the server runs: shards, resident-session
+    /// budget, durable data directory and compaction threshold.
+    pub service: ServiceConfig,
 }
 
 impl Default for ServerConfig {
@@ -121,11 +111,8 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             max_frame: DEFAULT_MAX_FRAME,
-            max_sessions: 1024,
             pipeline_depth: 128,
-            shards: crate::service::DEFAULT_SHARDS,
-            data_dir: None,
-            checkpoint_every: crate::service::DEFAULT_CHECKPOINT_EVERY,
+            service: ServiceConfig::default(),
         }
     }
 }
@@ -331,12 +318,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let service = Service::with_config(crate::service::ServiceConfig {
-            shards: config.shards,
-            max_sessions: config.max_sessions,
-            data_dir: config.data_dir.clone(),
-            checkpoint_every: config.checkpoint_every,
-        })?;
+        let service = Service::with_config(config.service.clone())?;
         let shared = Arc::new(Shared {
             service,
             queue: JobQueue::new(config.queue_depth.max(1)),

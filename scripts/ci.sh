@@ -65,6 +65,21 @@ echo "ok: all manifests are path-only"
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+echo "==> host-refusal path: no VEX instruction before exit"
+# The x86-64-v3 build's host check must refuse an older CPU without
+# running a VEX instruction itself. scripts/refusal_path.py reads the
+# release binary's disassembly (objdump -d --no-show-raw-insn) of main
+# from its entry to the exit call it reaches first, and of the
+# HostRefusal formatter, and fails on any v… mnemonic there or on a
+# layout it cannot follow.
+if [ "$(uname -m)" != x86_64 ]; then
+  echo "skipped: not an x86_64 host"
+elif ! command -v objdump >/dev/null 2>&1; then
+  echo "skipped: objdump not installed"
+else
+  python3 scripts/refusal_path.py target/release/bucketrank
+fi
+
 echo "==> cargo test -q --offline"
 cargo test -q --workspace --offline
 

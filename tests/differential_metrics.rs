@@ -1,5 +1,5 @@
-//! Differential tests: every metric with more than one implementation in
-//! the tree is cross-checked on random inputs.
+//! Differential tests: each metric is cross-checked on random inputs
+//! against its references in `bucketrank_bench::oracle`.
 //!
 //! * `kprof_x2` (O(n log n) merge counting) vs `kprof_x2_naive` (O(n²)
 //!   pair scan);
@@ -13,8 +13,9 @@
 //! rejection-samples pairs whose joint refinement count stays under a
 //! fixed budget (and shrinks without ever exceeding it).
 
-use bucketrank::metrics::hausdorff::{fhaus, fhaus_brute, khaus, khaus_brute, khaus_theorem5};
-use bucketrank::metrics::kendall::{kprof_x2, kprof_x2_naive};
+use bucketrank::metrics::hausdorff::{fhaus, khaus};
+use bucketrank::metrics::kendall::kprof_x2;
+use bucketrank_bench::oracle::{fhaus_brute, khaus_brute, khaus_theorem5, kprof_x2_naive};
 use bucketrank_testkit::prelude::*;
 
 #[test]

@@ -8,9 +8,10 @@
 //! default suite (minutes, not seconds, in debug builds — hence opt-in).
 
 use bucketrank::core::consistent::all_bucket_orders;
-use bucketrank::metrics::hausdorff::{fhaus, fhaus_brute, khaus, khaus_brute};
+use bucketrank::metrics::hausdorff::{fhaus, khaus};
 use bucketrank::metrics::{footrule, kendall};
 use bucketrank::BucketOrder;
+use bucketrank_bench::oracle::{fhaus_brute, khaus_brute, optimal_bucketing_brute};
 
 #[test]
 #[ignore = "exhaustive n = 5 sweep (541² pairs with brute-force Hausdorff)"]
@@ -68,7 +69,7 @@ fn triangle_inequality_full_n5() {
 #[test]
 #[ignore = "exhaustive DP verification over every half-unit score vector, n = 5, values ≤ 12"]
 fn dp_exhaustive_n5() {
-    use bucketrank::aggregate::dp::{optimal_bucketing, optimal_bucketing_brute};
+    use bucketrank::aggregate::dp::optimal_bucketing;
     use bucketrank::Pos;
     let mut v = [0i64; 5];
     loop {

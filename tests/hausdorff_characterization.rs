@@ -8,11 +8,10 @@
 //! Verified against brute-force enumeration of all full refinements.
 
 use bucketrank::core::refine::{full_refinements, star};
-use bucketrank::metrics::hausdorff::{
-    fhaus, fhaus_brute, khaus, khaus_brute, khaus_theorem5, theorem5_witnesses,
-};
+use bucketrank::metrics::hausdorff::{fhaus, khaus, theorem5_witnesses};
 use bucketrank::metrics::{full, pairs};
 use bucketrank::BucketOrder;
+use bucketrank_bench::oracle::{fhaus_brute, khaus_brute, khaus_theorem5};
 use bucketrank_testkit::prelude::*;
 
 /// Lemma 3: for a full σ̄ and partial τ, the nearest full refinement

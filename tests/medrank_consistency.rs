@@ -2,7 +2,10 @@
 //! access) against offline median aggregation, access-cost bounds, and
 //! the full fielded-search flow.
 
-use bucketrank::access::medrank::{medrank_top_k, medrank_winner, top_k_from_medians};
+use bucketrank::access::medrank::{
+    medrank_top_k, medrank_top_k_buckets, medrank_top_k_weighted, medrank_winner,
+    top_k_from_medians,
+};
 use bucketrank::access::query::PreferenceQuery;
 use bucketrank::access::RankingCursor;
 use bucketrank::aggregate::dynamic::DynamicProfile;
@@ -10,6 +13,8 @@ use bucketrank::aggregate::median::{median_positions, MedianPolicy};
 use bucketrank::workloads::datasets::{flight_query_specs, flights, restaurant_query_specs, restaurants};
 use bucketrank::workloads::random::{random_few_valued, random_full_ranking};
 use bucketrank::{BucketOrder, Pos};
+use bucketrank_bench::oracle;
+use bucketrank_testkit::prelude::{check, gen};
 use bucketrank_testkit::rng::Pcg32;
 use bucketrank_testkit::rng::{Rng, SeedableRng};
 
@@ -215,5 +220,48 @@ fn flight_query_access_is_sublinear_on_average() {
         "accesses {} not sublinear vs {}",
         r.stats.total_accesses(),
         full_scan
+    );
+}
+
+#[test]
+fn medrank_matches_the_declarative_oracle() {
+    // The round loop against `oracle::medrank`, which states the rule per
+    // element: the first round in which an element's delivered units
+    // exceed half the total, winners by (round, id). Unit masses under
+    // element and bucket delivery, and integer weights 1..=4 under
+    // weighted MEDRANK; even profile sizes put masses at exactly half.
+    check(
+        "medrank_matches_the_declarative_oracle",
+        gen::triple(
+            gen::vec_of(gen::bucket_order(8, 4), 1..=7),
+            gen::vec_of(gen::u32_in(1..=4), 7..=7),
+            gen::usize_in(0..=8),
+        ),
+        |(inputs, weights, k)| {
+            let n = inputs[0].len();
+            let m = inputs.len();
+            // Shrinking can split the domains or shorten the weights.
+            if inputs.iter().any(|s| s.len() != n) || weights.len() < m {
+                return;
+            }
+            let k = (*k).min(n);
+            let ones = vec![1u128; m];
+            let units: Vec<u128> = weights[..m].iter().map(|&w| u128::from(w)).collect();
+            let floats: Vec<f64> = weights[..m].iter().map(|&w| f64::from(w)).collect();
+            let lanes = [
+                ("element", medrank_top_k(inputs, k), oracle::medrank(inputs, &ones, k, false)),
+                ("bucket", medrank_top_k_buckets(inputs, k), oracle::medrank(inputs, &ones, k, true)),
+                (
+                    "weighted",
+                    medrank_top_k_weighted(inputs, &floats, k),
+                    oracle::medrank(inputs, &units, k, false),
+                ),
+            ];
+            for (lane, got, (top, depth)) in lanes {
+                let got = got.unwrap();
+                assert_eq!(got.top, top, "{lane}: top");
+                assert_eq!(got.stats.sorted_depth, depth, "{lane}: sorted_depth");
+            }
+        },
     );
 }

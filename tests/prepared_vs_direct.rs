@@ -15,8 +15,7 @@
 //! against its own reversal, and many-bucket pairs in both directions.
 
 use bucketrank::metrics::batch::{
-    pairwise_matrix, pairwise_matrix_with, prepare_all, weighted_pairwise_matrix, BatchMetric,
-    WeightedMetric,
+    pairwise_matrix, prepare_all, weighted_pairwise_matrix, BatchMetric, WeightedMetric,
 };
 use bucketrank::metrics::prepared::{
     fhaus_prepared, fhaus_x2_prepared, fprof_x2_prepared, kavg_x2_prepared, khaus_prepared,
@@ -26,6 +25,7 @@ use bucketrank::metrics::prepared::{
 use bucketrank::metrics::weighted::{top_diff_prepared, weighted_footrule_x2_prepared, Weights};
 use bucketrank::metrics::{footrule, hausdorff, kendall, pairs, MetricsError};
 use bucketrank::BucketOrder;
+use bucketrank_bench::oracle::pairwise_matrix_with;
 use bucketrank_testkit::prelude::*;
 
 /// Assert exact prepared-vs-direct agreement on one pair, for every

@@ -111,11 +111,14 @@ fn crash_at_edit_boundary_recovers_acknowledged_prefix() {
         let tmp = TempDir::new("recovery-tcp");
         let config = || ServerConfig {
             workers: 2,
-            shards: 2,
-            data_dir: Some(tmp.path().to_path_buf()),
-            // Small enough that longer scripts compact mid-run, so
-            // recovery mixes checkpoints with a WAL suffix.
-            checkpoint_every: 5,
+            service: ServiceConfig {
+                shards: 2,
+                data_dir: Some(tmp.path().to_path_buf()),
+                // Small enough that longer scripts compact mid-run, so
+                // recovery mixes checkpoints with a WAL suffix.
+                checkpoint_every: 5,
+                ..ServiceConfig::default()
+            },
             ..ServerConfig::default()
         };
 
