@@ -947,7 +947,9 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{decode_batch_reply, encode_batch, read_frame};
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     #[test]
     fn job_queue_bounds_and_drains() {
@@ -1004,6 +1006,128 @@ mod tests {
         );
         assert!(slab.get_mut(idx2, slab.generation(idx2)).is_some());
         assert_eq!(slab.live, 1);
+    }
+
+    fn send_frames(stream: &mut TcpStream, bodies: &[Vec<u8>]) {
+        let mut out = Vec::new();
+        for body in bodies {
+            write_frame(&mut out, body, DEFAULT_MAX_FRAME).unwrap();
+        }
+        stream.write_all(&out).unwrap();
+    }
+
+    fn recv_response(stream: &mut TcpStream) -> Response {
+        Response::decode(&read_frame(stream, DEFAULT_MAX_FRAME).unwrap()).unwrap()
+    }
+
+    fn raw_connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+    }
+
+    #[test]
+    fn full_queue_answers_busy_per_wire_frame_in_order() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers: 1,
+                queue_depth: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        // Park the only worker on one job, then fill the queue's single
+        // slot with a second.
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (drained_tx, drained_rx) = mpsc::channel();
+        let park: Job = Box::new(move || {
+            parked_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        let filler: Job = Box::new(move || drained_tx.send(()).unwrap());
+        assert!(server.shared.queue.try_push(park).is_ok());
+        parked_rx.recv().unwrap();
+        assert!(server.shared.queue.try_push(filler).is_ok());
+
+        let mut stream = raw_connect(server.local_addr());
+        let batch = vec![Request::Ping, Request::Ping, Request::Ping];
+        send_frames(&mut stream, &[Request::Ping.encode(), encode_batch(&batch)]);
+        assert_eq!(recv_response(&mut stream), Response::Busy);
+        let subs = decode_batch_reply(&read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap()).unwrap();
+        assert_eq!(subs.len(), 3);
+        for sub in subs {
+            assert_eq!(Response::decode(&sub).unwrap(), Response::Busy);
+        }
+        // One per wire frame, not per op.
+        assert_eq!(server.stats().rejected_busy, 2);
+
+        release_tx.send(()).unwrap();
+        drained_rx.recv().unwrap();
+        send_frames(&mut stream, &[Request::Ping.encode()]);
+        assert_eq!(recv_response(&mut stream), Response::Pong);
+        let stats = server.shutdown();
+        assert_eq!(stats.rejected_busy, 2);
+        assert_eq!(stats.requests, 1);
+    }
+
+    #[test]
+    fn connection_over_the_cap_gets_one_busy_then_close() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                max_connections: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let mut first = raw_connect(addr);
+        send_frames(&mut first, &[Request::Ping.encode()]);
+        assert_eq!(recv_response(&mut first), Response::Pong);
+
+        let mut second = raw_connect(addr);
+        assert_eq!(recv_response(&mut second), Response::Busy);
+        assert!(matches!(
+            read_frame(&mut second, DEFAULT_MAX_FRAME),
+            Err(FrameError::Closed)
+        ));
+        assert_eq!(server.stats().rejected_busy, 1);
+
+        send_frames(&mut first, &[Request::Ping.encode()]);
+        assert_eq!(recv_response(&mut first), Response::Pong);
+        let stats = server.shutdown();
+        assert_eq!(stats.connections, 1);
+        assert_eq!(stats.rejected_busy, 1);
+    }
+
+    #[test]
+    fn idle_connections_time_out_and_active_ones_stay_open() {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig {
+                read_timeout: Duration::from_millis(200),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let mut idle = raw_connect(addr);
+        let mut active = raw_connect(addr);
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(1) {
+            send_frames(&mut active, &[Request::Ping.encode()]);
+            assert_eq!(recv_response(&mut active), Response::Pong);
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        assert!(matches!(
+            read_frame(&mut idle, DEFAULT_MAX_FRAME),
+            Err(FrameError::Closed)
+        ));
+        send_frames(&mut active, &[Request::Ping.encode()]);
+        assert_eq!(recv_response(&mut active), Response::Pong);
+        server.shutdown();
     }
 
     #[test]
