@@ -463,7 +463,7 @@ pub fn cmd_serve(
     data_dir: Option<&str>,
     checkpoint_every: Option<u64>,
 ) -> Result<String, CliError> {
-    use bucketrank_server::{Server, ServerConfig, MAX_SHARDS};
+    use bucketrank_server::{Server, ServerConfig};
 
     let mut config = ServerConfig::default();
     if let Some(w) = workers {
@@ -492,23 +492,9 @@ pub fn cmd_serve(
         service.checkpoint_every = c;
     }
     service.data_dir = data_dir.map(std::path::PathBuf::from);
-    if config.workers == 0 || config.queue_depth == 0 || config.max_connections == 0 {
-        return err("serve needs --workers, --queue-depth, and --max-conns ≥ 1");
-    }
-    // A frame smaller than the length prefix + version/opcode header,
-    // or a connection that may never have an op in flight, can serve
-    // no request at all.
-    if config.max_frame < 16 || config.pipeline_depth == 0 {
-        return err("serve needs --max-frame ≥ 16 and --pipeline-depth ≥ 1");
-    }
-    if config.service.shards == 0 || config.service.shards > MAX_SHARDS {
-        return err(format!("serve needs --shards in 1..={MAX_SHARDS}"));
-    }
-    if config.service.max_sessions == 0 || config.service.checkpoint_every == 0 {
-        return err("serve needs --max-sessions and --checkpoint-every ≥ 1");
-    }
+    // `Server::bind` refuses every invalid knob, naming the field.
     let server =
-        Server::bind(addr, config).map_err(|e| CliError(format!("cannot bind {addr}: {e}")))?;
+        Server::bind(addr, config).map_err(|e| CliError(format!("cannot serve on {addr}: {e}")))?;
     let local = server.local_addr();
     eprintln!("bucketrank serving on {local}");
     if let Some(path) = addr_file {

@@ -482,8 +482,6 @@ pub enum ErrorCode {
     /// The request was structurally valid but semantically rejected
     /// (bad name, domain bound, server at session capacity).
     BadRequest,
-    /// The server is shutting down and no longer accepts work.
-    ShuttingDown,
 }
 
 impl ErrorCode {
@@ -497,7 +495,6 @@ impl ErrorCode {
             ErrorCode::TooManyVoters => 6,
             ErrorCode::NoVoters => 7,
             ErrorCode::BadRequest => 8,
-            ErrorCode::ShuttingDown => 9,
         }
     }
 
@@ -511,7 +508,6 @@ impl ErrorCode {
             6 => ErrorCode::TooManyVoters,
             7 => ErrorCode::NoVoters,
             8 => ErrorCode::BadRequest,
-            9 => ErrorCode::ShuttingDown,
             _ => return Err(ProtoError::BadValue { what: "error code" }),
         })
     }
@@ -1725,6 +1721,16 @@ mod tests {
             Request::decode(&body),
             Err(ProtoError::BadValue { what: "metric kind" })
         );
+        // Error codes past BadRequest (8).
+        for code in [9, 10] {
+            let mut body = header(OP_ERROR);
+            body.push(code);
+            put_text(&mut body, "x");
+            assert_eq!(
+                Response::decode(&body),
+                Err(ProtoError::BadValue { what: "error code" })
+            );
+        }
         // Bad UTF-8 name.
         let body = vec![PROTO_VERSION, OP_DROP, 2, 0xff, 0xfe];
         assert_eq!(Request::decode(&body), Err(ProtoError::BadUtf8));

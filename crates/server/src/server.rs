@@ -13,11 +13,14 @@
 //! doubles as the event thread's wakeup.
 //!
 //! Readiness without `epoll` (std-only, no `libc`): sockets are
-//! nonblocking and the event thread keeps a **ready queue** of hot
-//! connections — anything that produced bytes recently — swept every
-//! iteration, while cold connections are swept at a coarse interval.
-//! A [`FrameReader`] per connection carries partial frames across
-//! sweeps, so a frame that trickles in over many poll intervals is
+//! nonblocking, and each loop iteration drains completions, accepts,
+//! then takes every connection once through one step — read, dispatch,
+//! flush, reap. The step reads a connection while it is *hot* (bytes
+//! seen recently, or work queued, running or unflushed) and otherwise
+//! only when the coarse cold sweep is due, so an idle connection costs
+//! a few field checks per iteration: no lock, no allocation. A
+//! [`FrameReader`] per connection carries partial frames across
+//! iterations, so a frame that trickles in over many poll intervals is
 //! reassembled, never desynced. The loop's sleep is adaptive: it
 //! spins near 50µs under load (and is woken instantly by completions)
 //! and backs off to a few milliseconds when every connection is idle.
@@ -70,7 +73,7 @@ use crate::ErrorCode;
 use std::collections::VecDeque;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -79,23 +82,25 @@ use std::time::{Duration, Instant};
 /// deployments.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Worker threads executing requests (at least 1).
     pub workers: usize,
-    /// Bounded job-queue depth; a full queue answers `Busy`.
+    /// Bounded job-queue depth (at least 1); a full queue answers
+    /// `Busy`.
     pub queue_depth: usize,
-    /// Maximum simultaneously served connections; excess connections
-    /// receive one `Busy` frame and are closed.
+    /// Maximum simultaneously served connections (at least 1); excess
+    /// connections receive one `Busy` frame and are closed.
     pub max_connections: usize,
     /// Idle time after which a connection is closed.
     pub read_timeout: Duration,
     /// How long a peer may stall our reply writes before the
     /// connection is dropped.
     pub write_timeout: Duration,
-    /// Maximum frame-body size accepted or produced.
+    /// Maximum frame-body size accepted or produced (at least 16
+    /// bytes).
     pub max_frame: usize,
-    /// Per-connection bound on parsed-but-unanswered ops; past it the
-    /// event loop stops reading that socket (TCP backpressure) until
-    /// replies drain.
+    /// Per-connection bound on parsed-but-unanswered ops (at least 1);
+    /// past it the event loop stops reading that socket (TCP
+    /// backpressure) until replies drain.
     pub pipeline_depth: usize,
     /// The session service the server runs: shards, resident-session
     /// budget, durable data directory and compaction threshold.
@@ -114,6 +119,36 @@ impl Default for ServerConfig {
             pipeline_depth: 128,
             service: ServiceConfig::default(),
         }
+    }
+}
+
+/// The smallest `max_frame` [`Server::bind`] accepts: a smaller bound
+/// could not carry even a short request.
+const MIN_FRAME: usize = 16;
+
+impl ServerConfig {
+    /// Refuses a configuration under which the server could serve no
+    /// request at all.
+    fn validate(&self) -> io::Result<()> {
+        let at_least_one = [
+            ("workers", self.workers),
+            ("queue_depth", self.queue_depth),
+            ("max_connections", self.max_connections),
+            ("pipeline_depth", self.pipeline_depth),
+        ];
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        for (field, value) in at_least_one {
+            if value == 0 {
+                return invalid(format!("{field} must be at least 1"));
+            }
+        }
+        if self.max_frame < MIN_FRAME {
+            return invalid(format!(
+                "max_frame must be at least {MIN_FRAME} bytes, got {}",
+                self.max_frame
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -160,12 +195,6 @@ struct JobQueueInner {
     closed: bool,
 }
 
-/// Why a job was not enqueued.
-enum PushRefused {
-    Full,
-    Closed,
-}
-
 impl JobQueue {
     fn new(capacity: usize) -> Self {
         JobQueue {
@@ -182,17 +211,14 @@ impl JobQueue {
     /// the only producer, so space observed here cannot be stolen
     /// before its push (workers only ever free space).
     fn has_capacity(&self) -> bool {
-        let inner = self.inner.lock().expect("queue lock");
-        !inner.closed && inner.jobs.len() < self.capacity
+        self.inner.lock().expect("queue lock").jobs.len() < self.capacity
     }
 
-    fn try_push(&self, job: Job) -> Result<(), PushRefused> {
+    /// Enqueues `job`, or hands it back when the queue is full.
+    fn try_push(&self, job: Job) -> Result<(), Job> {
         let mut inner = self.inner.lock().expect("queue lock");
-        if inner.closed {
-            return Err(PushRefused::Closed);
-        }
         if inner.jobs.len() >= self.capacity {
-            return Err(PushRefused::Full);
+            return Err(job);
         }
         inner.jobs.push_back(job);
         self.ready.notify_one();
@@ -214,6 +240,8 @@ impl JobQueue {
         }
     }
 
+    /// Lets the workers exit once the queue drains; called only after
+    /// the event thread, the only producer, has exited.
     fn close(&self) {
         self.inner.lock().expect("queue lock").closed = true;
         self.ready.notify_all();
@@ -268,7 +296,8 @@ struct Shared {
     queue: JobQueue,
     completions: Completions,
     config: ServerConfig,
-    shutting_down: AtomicBool,
+    /// The stop flag, read by the event loop once per iteration and
+    /// waited on (through `shutdown_cv`) by `wait_shutdown_requested`.
     shutdown_signal: Mutex<bool>,
     shutdown_cv: Condvar,
     connections: AtomicU64,
@@ -279,7 +308,6 @@ struct Shared {
 
 impl Shared {
     fn request_shutdown(&self) {
-        self.shutting_down.store(true, Ordering::SeqCst);
         *self.shutdown_signal.lock().expect("shutdown lock") = true;
         self.shutdown_cv.notify_all();
         // The event loop may be mid-sleep; kick it.
@@ -311,20 +339,23 @@ impl Server {
     /// event loop and worker pool.
     ///
     /// # Errors
-    /// The underlying [`io::Error`] from bind, or a service
-    /// construction failure (invalid shard/session configuration, or
-    /// an I/O failure opening/recovering the data directory).
+    /// [`io::ErrorKind::InvalidInput`], before binding, when
+    /// `workers`, `queue_depth`, `max_connections` or `pipeline_depth`
+    /// is 0 or `max_frame` is below 16 bytes; the underlying
+    /// [`io::Error`] from bind; or a service construction failure
+    /// (invalid shard/session configuration, or an I/O failure
+    /// opening/recovering the data directory).
     pub fn bind(addr: &str, config: ServerConfig) -> io::Result<Server> {
+        config.validate()?;
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let service = Service::with_config(config.service.clone())?;
         let shared = Arc::new(Shared {
             service,
-            queue: JobQueue::new(config.queue_depth.max(1)),
+            queue: JobQueue::new(config.queue_depth),
             completions: Completions::default(),
             config: config.clone(),
-            shutting_down: AtomicBool::new(false),
             shutdown_signal: Mutex::new(false),
             shutdown_cv: Condvar::new(),
             connections: AtomicU64::new(0),
@@ -333,7 +364,7 @@ impl Server {
             protocol_errors: AtomicU64::new(0),
         });
 
-        let workers = (0..config.workers.max(1))
+        let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -429,7 +460,7 @@ impl Drop for Server {
 /// Per-connection state machine owned by the event thread.
 struct Conn {
     stream: TcpStream,
-    /// Carries partial frames across sweeps.
+    /// Carries partial frames across iterations.
     reader: FrameReader,
     /// Parsed frames not yet handed to a worker.
     pending: VecDeque<WireRequest>,
@@ -446,8 +477,6 @@ struct Conn {
     idle_since: Instant,
     /// Last byte seen (the hot/cold clock).
     last_data: Instant,
-    /// On the ready queue?
-    hot: bool,
     /// Peer closed its write side; serve what we have, then drop.
     read_closed: bool,
     /// Close once `wbuf` flushes (shutdown ack or protocol error sent).
@@ -472,7 +501,6 @@ impl Conn {
             write_stalled: None,
             idle_since: now,
             last_data: now,
-            hot: false,
             read_closed: false,
             closing: false,
             broken: None,
@@ -483,6 +511,172 @@ impl Conn {
     /// Nothing queued, running, or unflushed.
     fn drained(&self) -> bool {
         !self.in_flight && self.pending.is_empty() && self.wpos >= self.wbuf.len()
+    }
+
+    /// Read every iteration: bytes arrived within [`HOT_IDLE`], a frame
+    /// is half read, or work is queued, running or unflushed.
+    fn hot(&self, now: Instant) -> bool {
+        now.duration_since(self.last_data) < HOT_IDLE || self.reader.mid_frame() || !self.drained()
+    }
+
+    /// Drains the socket: parses complete frames into `pending` until
+    /// the socket would block or the pipeline bound is hit.
+    fn read(&mut self, max_frame: usize, depth: usize) -> bool {
+        if self.read_closed || self.dead || self.broken.is_some() {
+            return false;
+        }
+        let mut got = false;
+        // Past the pipeline bound the socket is left unread, so TCP
+        // pushes back on the peer.
+        while self.pending_ops < depth {
+            match self.reader.read_frame(&mut self.stream, max_frame) {
+                Ok(body) => {
+                    got = true;
+                    let now = Instant::now();
+                    self.idle_since = now;
+                    self.last_data = now;
+                    match WireRequest::decode(&body) {
+                        Ok(w) => {
+                            self.pending_ops += w.ops();
+                            self.pending.push_back(w);
+                        }
+                        Err(e) => {
+                            self.broken = Some(e);
+                            break;
+                        }
+                    }
+                }
+                Err(FrameError::Io(e))
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    if self.reader.mid_frame() {
+                        // A partial frame is trickling in; keep the
+                        // connection hot so it is re-polled promptly.
+                        self.last_data = Instant::now();
+                    }
+                    break;
+                }
+                Err(FrameError::Closed) => {
+                    self.read_closed = true;
+                    break;
+                }
+                Err(FrameError::Io(_)) => {
+                    self.dead = true;
+                    break;
+                }
+                Err(FrameError::Proto(e)) => {
+                    self.broken = Some(e);
+                    break;
+                }
+            }
+        }
+        got
+    }
+
+    /// Hands the pending frames to a worker as one job that executes
+    /// them in order, or answers them Busy when the queue is full;
+    /// reports a protocol violation once all prior work has drained.
+    /// Only a connection with frames to hand off touches the queue.
+    fn dispatch(&mut self, shared: &Arc<Shared>, idx: usize, gen: u64) -> bool {
+        if self.dead || self.in_flight {
+            return false;
+        }
+        let max_frame = shared.config.max_frame;
+        if self.pending.is_empty() {
+            if self.wpos < self.wbuf.len() {
+                return false;
+            }
+            let Some(e) = self.broken.take() else {
+                return false;
+            };
+            // Every earlier reply has flushed: now the typed error,
+            // then close (the stream cannot resync).
+            shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+            let resp = Response::Error {
+                code: ErrorCode::BadRequest,
+                message: format!("protocol error: {e}"),
+            };
+            append_frame(&mut self.wbuf, &resp.encode(), max_frame);
+            self.closing = true;
+            return true;
+        }
+        if shared.queue.has_capacity() {
+            let frames: Vec<WireRequest> = self.pending.drain(..).collect();
+            self.pending_ops = 0;
+            self.in_flight = true;
+            let worker_shared = Arc::clone(shared);
+            let job: Job = Box::new(move || run_frames(&worker_shared, idx, gen, frames));
+            // The room just seen is still there: see `has_capacity`.
+            let pushed = shared.queue.try_push(job);
+            debug_assert!(pushed.is_ok(), "only the event thread pushes jobs");
+            return true;
+        }
+        // Queue full: answer Busy per wire frame, in order. A batch
+        // frame still gets its shape-preserving reply so a pipelined
+        // client never desyncs.
+        let refused = self.pending.len() as u64;
+        for w in self.pending.drain(..) {
+            let body = match w {
+                WireRequest::Single(_) => Response::Busy.encode(),
+                WireRequest::Batch(reqs) => encode_batch_reply(&vec![Response::Busy; reqs.len()]),
+            };
+            append_frame(&mut self.wbuf, &body, max_frame);
+        }
+        self.pending_ops = 0;
+        shared.rejected_busy.fetch_add(refused, Ordering::Relaxed);
+        true
+    }
+
+    /// Writes the reply buffer as far as the socket will take it.
+    fn flush(&mut self) -> bool {
+        if self.dead {
+            return false;
+        }
+        let mut worked = false;
+        while self.wpos < self.wbuf.len() {
+            match self.stream.write(&self.wbuf[self.wpos..]) {
+                Ok(0) => {
+                    self.dead = true;
+                    break;
+                }
+                Ok(k) => {
+                    worked = true;
+                    self.wpos += k;
+                    self.write_stalled = None;
+                    if self.wpos >= self.wbuf.len() {
+                        self.wbuf.clear();
+                        self.wpos = 0;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if self.write_stalled.is_none() {
+                        self.write_stalled = Some(Instant::now());
+                    }
+                    break;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    self.dead = true;
+                    break;
+                }
+            }
+        }
+        worked
+    }
+
+    /// Finished, idle past the read timeout, stalled past the write
+    /// timeout, or drained during shutdown: close it.
+    fn expired(&self, now: Instant, stopping: bool, config: &ServerConfig) -> bool {
+        let drained = self.drained();
+        self.dead
+            || (drained && (self.closing || self.read_closed || stopping))
+            || (drained
+                && self.broken.is_none()
+                && now.duration_since(self.idle_since) >= config.read_timeout)
+            || self
+                .write_stalled
+                .is_some_and(|t| now.duration_since(t) >= config.write_timeout)
     }
 }
 
@@ -529,15 +723,6 @@ impl Slab {
             self.free.push(idx);
             self.live -= 1;
         }
-    }
-
-    /// Indices of live connections (allocation-light snapshot).
-    fn indices(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (_, c))| c.as_ref().map(|_| i))
-            .collect()
     }
 }
 
@@ -598,8 +783,6 @@ struct EventLoop {
     listener: TcpListener,
     shared: Arc<Shared>,
     slab: Slab,
-    /// The ready queue: connections swept every iteration.
-    ready: Vec<usize>,
     last_cold_sweep: Instant,
     sleep: Duration,
 }
@@ -610,34 +793,56 @@ impl EventLoop {
             listener,
             shared,
             slab: Slab::default(),
-            ready: Vec::new(),
             last_cold_sweep: Instant::now(),
             sleep: SLEEP_MIN,
         }
     }
 
     fn run(mut self) {
+        let max_frame = self.shared.config.max_frame;
+        let depth = self.shared.config.pipeline_depth;
         loop {
             let mut worked = self.drain_completions();
-            let shutting = self.shared.shutting_down.load(Ordering::SeqCst);
-            if !shutting {
+            let stopping = *self.shared.shutdown_signal.lock().expect("shutdown lock");
+            if !stopping {
                 worked |= self.accept_new();
-                worked |= self.sweep_reads();
             }
-            worked |= self.dispatch();
-            worked |= self.flush_writes();
-            self.reap(shutting);
-            if shutting && self.slab.live == 0 {
+            let now = Instant::now();
+            let cold_sweep =
+                !stopping && now.duration_since(self.last_cold_sweep) >= COLD_SWEEP_INTERVAL;
+            if cold_sweep {
+                self.last_cold_sweep = now;
+            }
+            // One pass: each connection is read (if hot or swept),
+            // dispatched, flushed and reaped before the next.
+            let mut any_hot = false;
+            for idx in 0..self.slab.slots.len() {
+                let gen = self.slab.generation(idx);
+                let Some(conn) = self.slab.conn_mut(idx) else {
+                    continue;
+                };
+                let hot = conn.hot(now);
+                any_hot |= hot;
+                if !stopping && (hot || cold_sweep) {
+                    worked |= conn.read(max_frame, depth);
+                }
+                worked |= conn.dispatch(&self.shared, idx, gen);
+                worked |= conn.flush();
+                if conn.expired(now, stopping, &self.shared.config) {
+                    self.slab.remove(idx);
+                }
+            }
+            if stopping && self.slab.live == 0 {
                 return;
             }
             if worked {
                 self.sleep = SLEEP_MIN;
                 continue;
             }
-            let cap = if self.ready.is_empty() {
-                SLEEP_COLD_CAP
-            } else {
+            let cap = if any_hot {
                 SLEEP_HOT_CAP
+            } else {
+                SLEEP_COLD_CAP
             };
             self.shared.completions.wait(self.sleep.min(cap));
             self.sleep = (self.sleep * 2).min(cap);
@@ -652,15 +857,12 @@ impl EventLoop {
         for d in done {
             if let Some(conn) = self.slab.get_mut(d.idx, d.gen) {
                 conn.in_flight = false;
-                if conn.wpos >= conn.wbuf.len() {
-                    conn.wbuf.clear();
-                    conn.wpos = 0;
-                }
+                // `flush` empties the buffer once it is fully written,
+                // so `wpos` never points past unflushed bytes.
                 conn.wbuf.extend_from_slice(&d.bytes);
                 if d.shutdown {
                     conn.closing = true;
                 }
-                self.promote(d.idx);
             }
         }
         worked
@@ -690,8 +892,7 @@ impl EventLoop {
                     }
                     let _ = stream.set_nodelay(true);
                     self.shared.connections.fetch_add(1, Ordering::Relaxed);
-                    let idx = self.slab.insert(Conn::new(stream));
-                    self.promote(idx);
+                    self.slab.insert(Conn::new(stream));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 // Accept errors can persist (EMFILE under connection
@@ -700,247 +901,6 @@ impl EventLoop {
             }
         }
         worked
-    }
-
-    /// Reads every hot connection each iteration and every cold one at
-    /// [`COLD_SWEEP_INTERVAL`]; demotes hot connections that went
-    /// quiet.
-    fn sweep_reads(&mut self) -> bool {
-        let mut worked = false;
-        for idx in std::mem::take(&mut self.ready) {
-            worked |= self.read_conn(idx);
-        }
-        if self.last_cold_sweep.elapsed() >= COLD_SWEEP_INTERVAL {
-            self.last_cold_sweep = Instant::now();
-            for idx in self.slab.indices() {
-                let already_hot = self.slab.conn_mut(idx).is_some_and(|c| c.hot);
-                if !already_hot {
-                    worked |= self.read_conn(idx);
-                }
-            }
-        }
-        // Rebuild the ready queue: keep connections with recent bytes
-        // or outstanding work.
-        let now = Instant::now();
-        for idx in self.slab.indices() {
-            let Some(conn) = self.slab.conn_mut(idx) else { continue };
-            let keep = !conn.dead
-                && (now.duration_since(conn.last_data) < HOT_IDLE
-                    || conn.in_flight
-                    || !conn.pending.is_empty()
-                    || conn.wpos < conn.wbuf.len()
-                    || conn.reader.mid_frame());
-            conn.hot = keep;
-            if keep {
-                self.ready.push(idx);
-            }
-        }
-        worked
-    }
-
-    /// Drains one socket: parses complete frames into `pending` until
-    /// the socket would block or the pipeline bound is hit.
-    fn read_conn(&mut self, idx: usize) -> bool {
-        let max_frame = self.shared.config.max_frame;
-        let depth = self.shared.config.pipeline_depth.max(1);
-        let Some(conn) = self.slab.conn_mut(idx) else {
-            return false;
-        };
-        if conn.read_closed || conn.dead || conn.broken.is_some() {
-            return false;
-        }
-        let mut got = false;
-        loop {
-            if conn.pending_ops >= depth {
-                break; // backpressure: let TCP push back on the peer
-            }
-            match conn.reader.read_frame(&mut conn.stream, max_frame) {
-                Ok(body) => {
-                    got = true;
-                    let now = Instant::now();
-                    conn.idle_since = now;
-                    conn.last_data = now;
-                    match WireRequest::decode(&body) {
-                        Ok(w) => {
-                            conn.pending_ops += w.ops();
-                            conn.pending.push_back(w);
-                        }
-                        Err(e) => {
-                            conn.broken = Some(e);
-                            break;
-                        }
-                    }
-                }
-                Err(FrameError::Io(e))
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    if conn.reader.mid_frame() {
-                        // A partial frame is trickling in; keep the
-                        // connection hot so it is re-polled promptly.
-                        conn.last_data = Instant::now();
-                    }
-                    break;
-                }
-                Err(FrameError::Closed) => {
-                    conn.read_closed = true;
-                    break;
-                }
-                Err(FrameError::Io(_)) => {
-                    conn.dead = true;
-                    break;
-                }
-                Err(FrameError::Proto(e)) => {
-                    conn.broken = Some(e);
-                    break;
-                }
-            }
-        }
-        got
-    }
-
-    /// Hands each connection's pending frames to a worker (one job per
-    /// connection, executing all of them in order), or answers Busy
-    /// when the queue is full; reports protocol violations once all
-    /// prior work has drained.
-    fn dispatch(&mut self) -> bool {
-        let mut worked = false;
-        let max_frame = self.shared.config.max_frame;
-        for idx in self.slab.indices() {
-            let gen = self.slab.generation(idx);
-            let has_space = self.shared.queue.has_capacity();
-            let shared = Arc::clone(&self.shared);
-            let Some(conn) = self.slab.conn_mut(idx) else {
-                continue;
-            };
-            if conn.dead {
-                continue;
-            }
-            if !conn.in_flight && !conn.pending.is_empty() {
-                worked = true;
-                if has_space {
-                    let frames: Vec<WireRequest> = conn.pending.drain(..).collect();
-                    conn.pending_ops = 0;
-                    conn.in_flight = true;
-                    let job: Job = Box::new(move || run_frames(&shared, idx, gen, frames));
-                    if self.shared.queue.try_push(job).is_err() {
-                        // Only reachable if the queue closed under us;
-                        // nothing will answer, so fail the connection.
-                        let Some(conn) = self.slab.conn_mut(idx) else {
-                            continue;
-                        };
-                        conn.in_flight = false;
-                        conn.dead = true;
-                    }
-                    continue;
-                }
-                // Queue full: answer Busy per wire frame, in order. A
-                // batch frame still gets its shape-preserving reply so
-                // a pipelined client never desyncs.
-                let refused = conn.pending.len() as u64;
-                for w in conn.pending.drain(..) {
-                    let body = match w {
-                        WireRequest::Single(_) => Response::Busy.encode(),
-                        WireRequest::Batch(reqs) => {
-                            encode_batch_reply(&vec![Response::Busy; reqs.len()])
-                        }
-                    };
-                    append_frame(&mut conn.wbuf, &body, max_frame);
-                }
-                conn.pending_ops = 0;
-                self.shared.rejected_busy.fetch_add(refused, Ordering::Relaxed);
-                continue;
-            }
-            if !conn.in_flight && conn.pending.is_empty() && conn.wpos >= conn.wbuf.len() {
-                if let Some(e) = conn.broken.take() {
-                    // Every earlier reply has flushed: now the typed
-                    // error, then close (the stream cannot resync).
-                    worked = true;
-                    self.shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    let resp = Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!("protocol error: {e}"),
-                    };
-                    append_frame(&mut conn.wbuf, &resp.encode(), max_frame);
-                    conn.closing = true;
-                }
-            }
-        }
-        worked
-    }
-
-    /// Flushes write buffers as far as each socket will take them.
-    fn flush_writes(&mut self) -> bool {
-        let mut worked = false;
-        for idx in self.slab.indices() {
-            let Some(conn) = self.slab.conn_mut(idx) else {
-                continue;
-            };
-            if conn.dead || conn.wpos >= conn.wbuf.len() {
-                continue;
-            }
-            loop {
-                match conn.stream.write(&conn.wbuf[conn.wpos..]) {
-                    Ok(0) => {
-                        conn.dead = true;
-                        break;
-                    }
-                    Ok(k) => {
-                        worked = true;
-                        conn.wpos += k;
-                        conn.write_stalled = None;
-                        if conn.wpos >= conn.wbuf.len() {
-                            conn.wbuf.clear();
-                            conn.wpos = 0;
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if conn.write_stalled.is_none() {
-                            conn.write_stalled = Some(Instant::now());
-                        }
-                        break;
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dead = true;
-                        break;
-                    }
-                }
-            }
-        }
-        worked
-    }
-
-    /// Closes connections that are finished, idle past the deadline,
-    /// stalled past the write timeout, or drained during shutdown.
-    fn reap(&mut self, shutting: bool) {
-        let read_timeout = self.shared.config.read_timeout;
-        let write_timeout = self.shared.config.write_timeout;
-        for idx in self.slab.indices() {
-            let Some(conn) = self.slab.conn_mut(idx) else {
-                continue;
-            };
-            let drained = conn.drained();
-            let remove = conn.dead
-                || (drained && (conn.closing || conn.read_closed || shutting))
-                || (drained && conn.broken.is_none() && conn.idle_since.elapsed() >= read_timeout)
-                || conn
-                    .write_stalled
-                    .is_some_and(|t| t.elapsed() >= write_timeout);
-            if remove {
-                self.slab.remove(idx);
-            }
-        }
-    }
-
-    fn promote(&mut self, idx: usize) {
-        if let Some(conn) = self.slab.conn_mut(idx) {
-            if !conn.hot && !conn.dead {
-                conn.hot = true;
-                self.ready.push(idx);
-            }
-        }
     }
 }
 
@@ -965,10 +925,8 @@ mod tests {
         assert!(q.try_push(mk(&ran)).is_ok());
         assert!(q.try_push(mk(&ran)).is_ok());
         assert!(!q.has_capacity());
-        assert!(matches!(q.try_push(mk(&ran)), Err(PushRefused::Full)));
+        assert!(q.try_push(mk(&ran)).is_err());
         q.close();
-        assert!(!q.has_capacity());
-        assert!(matches!(q.try_push(mk(&ran)), Err(PushRefused::Closed)));
         // Closed but not drained: both accepted jobs still pop and run.
         while let Some(job) = q.pop() {
             job();
@@ -1137,5 +1095,21 @@ mod tests {
         assert_ne!(addr.port(), 0);
         let stats = server.shutdown();
         assert_eq!(stats.requests, 0);
+
+        // A knob under which nothing could be served is refused before
+        // anything binds.
+        let refused: [fn(&mut ServerConfig); 5] = [
+            |c| c.workers = 0,
+            |c| c.queue_depth = 0,
+            |c| c.max_connections = 0,
+            |c| c.pipeline_depth = 0,
+            |c| c.max_frame = MIN_FRAME - 1,
+        ];
+        for set in refused {
+            let mut config = ServerConfig::default();
+            set(&mut config);
+            let err = Server::bind("127.0.0.1:0", config).err().expect("refused");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
     }
 }

@@ -74,7 +74,8 @@ pub struct ServiceConfig {
     /// shard). `None` runs memory-only: no WAL, no checkpoints, no
     /// eviction.
     pub data_dir: Option<PathBuf>,
-    /// Per-shard compaction threshold (clamped to ≥ 1).
+    /// Per-shard compaction threshold: WAL records appended before the
+    /// shard checkpoints and truncates its log (at least 1).
     pub checkpoint_every: u64,
 }
 
@@ -94,7 +95,8 @@ pub struct Service {
     shards: Vec<Shard>,
 }
 
-/// A connection's one-slot session cache: name, the owning shard's
+/// The one-slot session cache shared by one v1 request or by the ops of
+/// one v2 batch (it never outlives the call): name, the owning shard's
 /// lifecycle epoch at fill time, and the resolved session. A hit is
 /// honored only while the epoch is unchanged, so a cached entry can
 /// never outlive an eviction, fault-in, create or drop of any session
@@ -133,10 +135,10 @@ impl Service {
     ///
     /// # Errors
     /// Invalid configuration (shard count out of `1..=`[`MAX_SHARDS`],
-    /// zero `max_sessions`, reopening a data directory with a
-    /// different shard count) and real I/O failures. Corrupt durable
-    /// *records* are never errors — they are typed, logged and
-    /// truncated.
+    /// zero `max_sessions` or `checkpoint_every`, reopening a data
+    /// directory with a different shard count) and real I/O failures.
+    /// Corrupt durable *records* are never errors — they are typed,
+    /// logged and truncated.
     pub fn with_config(cfg: ServiceConfig) -> io::Result<Self> {
         if cfg.shards == 0 || cfg.shards > MAX_SHARDS {
             return Err(io::Error::new(
@@ -148,6 +150,12 @@ impl Service {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "max_sessions must be at least 1",
+            ));
+        }
+        if cfg.checkpoint_every == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "checkpoint_every must be at least 1",
             ));
         }
         let cap = cfg.max_sessions.div_ceil(cfg.shards);
@@ -810,6 +818,10 @@ mod tests {
             },
             ServiceConfig {
                 max_sessions: 0,
+                ..ServiceConfig::default()
+            },
+            ServiceConfig {
+                checkpoint_every: 0,
                 ..ServiceConfig::default()
             },
         ] {

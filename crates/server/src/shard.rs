@@ -461,6 +461,8 @@ impl Shard {
     /// process left there: checkpoints are loaded, the WAL's valid
     /// prefix replayed seq-gated, corruption truncated at the first
     /// fault, and the shard fully compacted before serving.
+    /// `checkpoint_every` is at least 1 (`Service::with_config` checks
+    /// it).
     ///
     /// # Errors
     /// Real I/O failures only — corrupt records and checkpoints are
@@ -581,7 +583,7 @@ impl Shard {
             dir,
             wal: WalWriter::open(&wal_path)?,
             next_file_id,
-            checkpoint_every: checkpoint_every.max(1),
+            checkpoint_every,
             since_compact: 0,
         };
         let shard = Shard::with_state(cap, global_cap, seq, Some(dur));
